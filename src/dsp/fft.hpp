@@ -2,19 +2,22 @@
 
 #include <array>
 #include <complex>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 /// @file fft.hpp
-/// Iterative radix-2 FFT, implemented from scratch (no external DSP
-/// dependency). Used by cross-correlation, matched filtering, FIR design
-/// verification and spectral analysis.
+/// The repo's one FFT kernel (`FftPlan`): an in-place radix-4
+/// decimation-in-time transform over power-of-two sizes, implemented from
+/// scratch (no external DSP dependency). Used by cross-correlation,
+/// matched filtering, overlap-save convolution and spectral analysis.
 ///
 /// Hot paths that transform many buffers of one fixed size (the matched
 /// filter's chunked correlation, via core::PipelineContext) should build an
-/// `FftPlan` once and reuse it: the plan precomputes the bit-reversal
-/// permutation and per-stage twiddle tables, and its transforms are
-/// bit-identical to the planless `fft_inplace`/`ifft_inplace`.
+/// `FftPlan` once and reuse it. The planless `fft_inplace`/`ifft_inplace`
+/// build a transient plan per call and run the same kernel, so planned and
+/// planless results are identical by construction — there is no second
+/// butterfly to keep in sync.
 ///
 /// Loops that transform many buffers should also own a `Workspace` and call
 /// the `_into` variants, which reuse the caller's buffers instead of
@@ -25,19 +28,21 @@ namespace hyperear::dsp {
 using Complex = std::complex<double>;
 
 /// In-place forward FFT. Requires x.size() to be a power of two (>= 1).
+/// Builds a transient `FftPlan`; loops should build the plan once instead.
 void fft_inplace(std::vector<Complex>& x);
 
 /// In-place inverse FFT (includes the 1/N normalization). Requires a
-/// power-of-two size.
+/// power-of-two size. Builds a transient `FftPlan`, like `fft_inplace`.
 void ifft_inplace(std::vector<Complex>& x);
 
-/// Precomputed radix-2 plan for one transform size: the bit-reversal
-/// permutation plus forward/inverse twiddle tables. Immutable after
+/// Precomputed FFT for one power-of-two size: the bit-reversal swap list
+/// plus one forward twiddle table, held as separate re/im arrays and
+/// evaluated directly with cos/sin (no recurrence, so no accumulated
+/// rounding). The inverse transform uses the conjugate twiddles. The
+/// butterflies fuse radix-2 stages two at a time into radix-4 butterflies
+/// written as explicit real/imaginary arithmetic; when log2 N is odd, one
+/// leading radix-2 pass handles the extra stage. Immutable after
 /// construction, so one plan can be shared read-only across threads.
-/// The twiddles are generated with the same recurrence the planless FFT
-/// evaluates on the fly, so planned transforms are bit-identical to
-/// `fft_inplace`/`ifft_inplace` — results do not depend on whether a
-/// caller went through a plan.
 class FftPlan {
  public:
   /// `n` must be a power of two (>= 1).
@@ -46,16 +51,21 @@ class FftPlan {
   [[nodiscard]] std::size_t size() const { return n_; }
 
   /// In-place transforms; require x.size() == size().
-  void forward(std::vector<Complex>& x) const { run(x, false); }
-  void inverse(std::vector<Complex>& x) const { run(x, true); }
+  void forward(std::vector<Complex>& x) const;
+  void inverse(std::vector<Complex>& x) const;
 
  private:
-  void run(std::vector<Complex>& x, bool inverse) const;
+  template <bool Inverse>
+  void run(std::vector<Complex>& x) const;
 
   std::size_t n_ = 1;
-  std::vector<std::size_t> bitrev_;  ///< swap partner of each index
-  std::vector<Complex> forward_twiddles_;  ///< per-stage tables, concatenated
-  std::vector<Complex> inverse_twiddles_;
+  /// Bit-reversal permutation as flattened (i, j) swap pairs with i < j.
+  std::vector<std::uint32_t> swaps_;
+  /// Forward twiddles, radix-4 stage by stage: a stage of quarter length q
+  /// stores W^k, W^2k, W^3k (W = e^{-2*pi*i/4q}) for k < q as three
+  /// consecutive runs of q entries.
+  std::vector<double> twiddle_re_;
+  std::vector<double> twiddle_im_;
 };
 
 /// Reusable scratch buffers for the FFT/convolution hot paths. A Workspace
@@ -89,7 +99,8 @@ class Workspace {
 /// allocation once `out` has the capacity, and only the zero tail of the
 /// padding is cleared (the signal itself is written, not zeroed then
 /// copied). When `plan` is non-null and sized to the padded length it is
-/// used; the result is bit-identical either way (FftPlan contract).
+/// used; otherwise a transient plan is built. The result is identical
+/// either way (one kernel).
 void fft_real_into(std::span<const double> x, std::size_t min_size,
                    std::vector<Complex>& out, const FftPlan* plan = nullptr);
 

@@ -11,9 +11,9 @@ namespace hyperear::dsp {
 double Spectrogram::time_of(std::size_t t) const {
   require(sample_rate > 0.0, "Spectrogram::time_of: empty spectrogram");
   // Frame t starts at t*hop; its center is half a frame later. The frame
-  // length is recoverable from the bin count: nfft = 2*(bins-1).
-  const double frame_len = 2.0 * static_cast<double>(bins() - 1);
-  return (static_cast<double>(t * hop) + frame_len / 2.0) / sample_rate;
+  // length is recorded, not recovered from the bin count: a non-power-of-two
+  // frame is zero-padded, so 2*(bins-1) is the FFT length, not the frame's.
+  return (static_cast<double>(t * hop) + static_cast<double>(frame) / 2.0) / sample_rate;
 }
 
 Spectrogram stft(std::span<const double> signal, double sample_rate,
@@ -29,13 +29,16 @@ Spectrogram stft(std::span<const double> signal, double sample_rate,
   out.sample_rate = sample_rate;
   out.bin_hz = sample_rate / static_cast<double>(nfft);
   out.hop = options.hop;
+  out.frame = options.frame;
+  const FftPlan plan(nfft);  // one plan for every frame
+  std::vector<Complex> spec;
   for (std::size_t start = 0; start + options.frame <= signal.size();
        start += options.hop) {
     std::vector<double> frame(signal.begin() + static_cast<std::ptrdiff_t>(start),
                               signal.begin() + static_cast<std::ptrdiff_t>(start) +
                                   static_cast<std::ptrdiff_t>(options.frame));
     apply_window(frame, window);
-    const std::vector<Complex> spec = fft_real(frame, nfft);
+    fft_real_into(frame, nfft, spec, &plan);
     std::vector<double> mags(nfft / 2 + 1);
     for (std::size_t k = 0; k < mags.size(); ++k) mags[k] = std::abs(spec[k]);
     out.magnitude.push_back(std::move(mags));

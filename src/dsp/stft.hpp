@@ -25,6 +25,7 @@ struct Spectrogram {
   double sample_rate = 0.0;
   double bin_hz = 0.0;        ///< frequency resolution
   std::size_t hop = 0;
+  std::size_t frame = 0;      ///< samples per frame, before FFT padding
   /// magnitude[t][k]: frame t, bin k (k spans 0..nfft/2).
   std::vector<std::vector<double>> magnitude;
 

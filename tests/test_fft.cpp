@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -71,30 +72,83 @@ TEST(Fft, NonPowerOfTwoThrows) {
   EXPECT_THROW(fft_inplace(x), PreconditionError);
 }
 
-TEST(FftPlan, BitIdenticalToPlanlessTransforms) {
-  // The plan caches bit-reversal and twiddle tables; it must reproduce the
-  // planless path exactly (not approximately) so cached-plan pipelines are
-  // bit-identical to context-free ones.
+/// O(N^2) DFT in long double: the reference the kernel is held against.
+/// The phase index j*k is reduced mod N, so every term uses one of N
+/// roots of unity evaluated once at long-double precision.
+std::vector<Complex> naive_dft(const std::vector<Complex>& x, bool inverse) {
+  const std::size_t n = x.size();
+  const long double sign = inverse ? 1.0L : -1.0L;
+  std::vector<long double> cos_table(n);
+  std::vector<long double> sin_table(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const long double angle = sign * 2.0L * 3.141592653589793238462643383279503L *
+                              static_cast<long double>(m) / static_cast<long double>(n);
+    cos_table[m] = std::cos(angle);
+    sin_table[m] = std::sin(angle);
+  }
+  std::vector<Complex> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    long double re = 0.0L;
+    long double im = 0.0L;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t m = (j * k) % n;
+      const long double xr = x[j].real();
+      const long double xi = x[j].imag();
+      re += xr * cos_table[m] - xi * sin_table[m];
+      im += xr * sin_table[m] + xi * cos_table[m];
+    }
+    if (inverse) {
+      re /= static_cast<long double>(n);
+      im /= static_cast<long double>(n);
+    }
+    out[k] = Complex(static_cast<double>(re), static_cast<double>(im));
+  }
+  return out;
+}
+
+/// max |got - want| / max |want|.
+double relative_error(const std::vector<Complex>& got, const std::vector<Complex>& want) {
+  double err = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    err = std::max(err, std::abs(got[i] - want[i]));
+    scale = std::max(scale, std::abs(want[i]));
+  }
+  return err / scale;
+}
+
+TEST(FftPlan, MatchesNaiveDftAtEverySize) {
+  // Every N = 2^0 .. 2^12 covers both odd log2 N (the leading radix-2 pass)
+  // and even log2 N (pure radix-4 stages), forward and inverse.
   Rng rng(25);
-  for (const std::size_t n : {std::size_t{2}, std::size_t{8}, std::size_t{64},
-                              std::size_t{1024}}) {
-    std::vector<Complex> planned(n);
-    for (auto& v : planned) v = Complex(rng.gaussian(), rng.gaussian());
-    std::vector<Complex> planless = planned;
+  for (unsigned bits = 0; bits <= 12; ++bits) {
+    const std::size_t n = std::size_t{1} << bits;
+    const double tol = 1e-12 * std::max(1.0, static_cast<double>(bits));
+    std::vector<Complex> x(n);
+    for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
     const FftPlan plan(n);
     EXPECT_EQ(plan.size(), n);
-    plan.forward(planned);
-    fft_inplace(planless);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(planned[i].real(), planless[i].real()) << "n=" << n << " i=" << i;
-      EXPECT_EQ(planned[i].imag(), planless[i].imag()) << "n=" << n << " i=" << i;
-    }
-    plan.inverse(planned);
-    ifft_inplace(planless);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(planned[i].real(), planless[i].real()) << "n=" << n << " i=" << i;
-      EXPECT_EQ(planned[i].imag(), planless[i].imag()) << "n=" << n << " i=" << i;
-    }
+    std::vector<Complex> fwd = x;
+    plan.forward(fwd);
+    EXPECT_LE(relative_error(fwd, naive_dft(x, false)), tol) << "forward n=" << n;
+    std::vector<Complex> inv = x;
+    plan.inverse(inv);
+    EXPECT_LE(relative_error(inv, naive_dft(x, true)), tol) << "inverse n=" << n;
+  }
+}
+
+TEST(FftPlan, RoundTripAtOverlapSaveSizes) {
+  // 2048 and 32768 are the block sizes choose_ols_fft_size picks for the
+  // 255-tap band-pass and the 2205-tap chirp reference.
+  Rng rng(26);
+  for (const std::size_t n : {std::size_t{2048}, std::size_t{32768}}) {
+    std::vector<Complex> x(n);
+    for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+    const FftPlan plan(n);
+    std::vector<Complex> y = x;
+    plan.forward(y);
+    plan.inverse(y);
+    EXPECT_LE(relative_error(y, x), 1e-12 * std::log2(static_cast<double>(n))) << "n=" << n;
   }
 }
 

@@ -8,8 +8,11 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/chirp.hpp"
+#include "dsp/fir.hpp"
+#include "dsp/ols.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/scenario.hpp"
 
 namespace hyperear::dsp {
 namespace {
@@ -322,6 +325,111 @@ TEST(MatchedFilter, ShortRecordingYieldsNothing) {
   const Chirp chirp{ChirpParams{}};
   const std::vector<double> x(100, 0.0);
   EXPECT_TRUE(make_detector(chirp).detect(x).empty());
+}
+
+/// One golden detection: refined arrival time (s), normalized score,
+/// amplitude.
+struct GoldenDetection {
+  double time_s;
+  double score;
+  double amplitude;
+};
+
+// Recorded with the radix-2 std::complex FFT kernel the current one
+// replaced, for the session built in GoldenSessionDetections below.
+constexpr GoldenDetection kGoldenMic1[] = {
+    {0.096460595437187491, 0.9004760269511165, 3.7053793279269502},
+    {0.29646321876648996, 0.90273604181592615, 3.7321083278526905},
+    {0.49646549951019586, 0.89886812003497862, 3.7205714058316959},
+    {0.69646789133824749, 0.89135722849879706, 3.7297950508165618},
+    {0.89647044651031416, 0.87639484329694717, 3.6851290165310377},
+    {1.0964730527027027, 0.86062917962906049, 3.7005467755974575},
+    {1.2964757472502013, 0.86661837751162041, 3.7021901355032978},
+    {1.4964782582320373, 0.88330851589027948, 3.6891624425163196},
+    {1.6964809726750136, 0.89431131563971955, 3.7191586093275366},
+    {1.8964833438017834, 0.89911255763100673, 3.7232981099208233},
+    {2.0964849503029375, 0.90309380836692443, 3.6991285855331832},
+    {2.2964849952391426, 0.90567637845142523, 3.7053200216186633},
+    {2.4965024330553232, 0.88977016414936205, 3.7055819408205073},
+    {2.6965411055844437, 0.85946671875627134, 3.7123203360726733},
+    {2.8965649682465227, 0.85536622570810728, 3.6617241284749955},
+    {3.0965686302622992, 0.87880731967239101, 3.6784056375804797},
+    {3.2965714085291902, 0.89227078856575881, 3.6943265249904589},
+    {3.4965736873857955, 0.89892041782081977, 3.6871559825903528},
+    {3.6965760287954383, 0.90284087653194434, 3.7030660180802788},
+    {3.8965786971690322, 0.90023932939050255, 3.7010222170949465},
+    {4.096580976834689, 0.89137028365508064, 3.6886616792764704},
+};
+constexpr GoldenDetection kGoldenMic2[] = {
+    {0.096457945768628206, 0.89814793534532689, 3.7326337822145224},
+    {0.29646042303016523, 0.90548380544265417, 3.7374849941790576},
+    {0.49646281847312035, 0.90477520087668184, 3.7222959071562145},
+    {0.69646522646212228, 0.90412140963700238, 3.7345178757451456},
+    {0.8964679023796176, 0.89467258189774546, 3.7349653314266296},
+    {1.0964699797558017, 0.88570698908255963, 3.7213147228711629},
+    {1.2964727690072422, 0.86821171962381805, 3.7216282141110275},
+    {1.4964756164217636, 0.87069903298661255, 3.7229348720755389},
+    {1.6964782380836312, 0.8871164727208557, 3.7221093779344105},
+    {1.8964807267939661, 0.89754320998046599, 3.7328351048524775},
+    {2.0964832939054401, 0.90588480539158889, 3.7644068858532442},
+    {2.2964924085440614, 0.8806005527174533, 3.7350450393515118},
+    {2.4965285587565686, 0.9011618132684811, 3.6935352959741414},
+    {2.696584803286143, 0.86765030035560164, 3.662602986533761},
+    {2.8966157057379527, 0.89098800001632328, 3.656209559837559},
+    {3.0966194802213431, 0.90149932270614075, 3.6560247116570213},
+    {3.2966216703933848, 0.90351054150674015, 3.6724468686572331},
+    {3.4966240650574854, 0.89934348615451554, 3.6507857013966278},
+    {3.6966266355864255, 0.89021542944644949, 3.6513418020648247},
+    {3.8966291261826842, 0.87827766097563309, 3.6631987808234463},
+    {4.0966320194262442, 0.85984370408706601, 3.6373478561409422},
+};
+
+TEST(MatchedFilter, GoldenSessionDetections) {
+  // Golden A/B guard for FFT-kernel changes: the pipeline's band-pass +
+  // detect_into pass over both channels of one fixed seeded session must
+  // reproduce the recorded detections — same count, times within 1e-9 s,
+  // score and amplitude within 1e-9 relative. A kernel can be accurate
+  // against a DFT and still move detections; this catches that.
+  sim::ScenarioConfig c;
+  c.speaker_distance = 4.0;
+  c.slides_per_stature = 1;
+  c.calibration_duration = 2.0;
+  c.jitter = sim::ruler_jitter();
+  Rng rng(1212);
+  const sim::Session s = sim::make_localization_session(c, rng);
+  const double fs = s.audio.sample_rate;
+  // The default AspOptions band (chirp band widened by 200 Hz, 255 taps)
+  // and detector settings.
+  const double lo = std::max(s.prior.chirp.freq_low_hz - 200.0, 50.0);
+  const double hi = std::min(s.prior.chirp.freq_high_hz + 200.0, fs / 2.0 - 50.0);
+  const OlsConvolver bandpass(design_bandpass(lo, hi, fs, 255));
+  DetectorConfig cfg;
+  cfg.sample_rate = fs;
+  cfg.threshold = 0.22;
+  cfg.min_spacing_s = 0.12;
+  const Chirp chirp{s.prior.chirp};
+  const MatchedFilterDetector det(chirp.reference(fs), cfg);
+
+  const auto check = [&](const std::vector<double>& mic,
+                         std::span<const GoldenDetection> golden, const char* name) {
+    Workspace ws;
+    std::vector<double> filtered;
+    filter_same_into(mic, bandpass, filtered, ws);
+    DetectorWorkspace dws;
+    std::vector<Detection> got;
+    det.detect_into(filtered, dws, got);
+    ASSERT_EQ(got.size(), golden.size()) << name;
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+      EXPECT_NEAR(got[i].time_s, golden[i].time_s, 1e-9) << name << " #" << i;
+      EXPECT_NEAR(got[i].score, golden[i].score, 1e-9 * std::abs(golden[i].score))
+          << name << " #" << i;
+      EXPECT_NEAR(got[i].amplitude, golden[i].amplitude,
+                  1e-9 * std::abs(golden[i].amplitude))
+          << name << " #" << i;
+    }
+  };
+  check(s.audio.mic1, kGoldenMic1, "mic1");
+  check(s.audio.mic2, kGoldenMic2, "mic2");
 }
 
 }  // namespace

@@ -48,6 +48,21 @@ TEST(Stft, TimeOfIncreasesByHop) {
   opts.hop = 256;
   const Spectrogram s = stft(x, 44100.0, opts);
   EXPECT_NEAR(s.time_of(1) - s.time_of(0), 256.0 / 44100.0, 1e-12);
+  EXPECT_NEAR(s.time_of(0), 512.0 / 44100.0, 1e-12);
+}
+
+TEST(Stft, TimeOfCentersNonPowerOfTwoFrame) {
+  // Regression: time_of recovered the frame length from the bin count,
+  // which gives the padded FFT length (1024), not the 1000-sample frame,
+  // and reported every centre 12 samples late.
+  const std::vector<double> x(8192, 0.0);
+  StftOptions opts;
+  opts.frame = 1000;
+  opts.hop = 250;
+  const Spectrogram s = stft(x, 44100.0, opts);
+  EXPECT_EQ(s.bins(), 513u);
+  EXPECT_NEAR(s.time_of(0), 500.0 / 44100.0, 1e-12);
+  EXPECT_NEAR(s.time_of(3), (3.0 * 250.0 + 500.0) / 44100.0, 1e-12);
 }
 
 TEST(Stft, Preconditions) {
