@@ -33,8 +33,9 @@ using namespace hyperear;
 
 void BM_Fft(benchmark::State& state) {
   // Times the kernel on a prebuilt plan, as the overlap-save loops run it;
-  // plan construction is a once-per-context cost. 2048 and 32768 are the
-  // block sizes of the band-pass and matched-filter convolvers.
+  // plan construction is a once-per-context cost. 2048 and 8192 are the
+  // block sizes of the band-pass and matched-filter convolvers; 32768 is
+  // the one-argument size for the chirp reference.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   std::vector<dsp::Complex> x(n);
@@ -48,7 +49,7 @@ void BM_Fft(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_Fft)->Arg(1 << 11)->Arg(1 << 15)->Arg(1 << 17);
+BENCHMARK(BM_Fft)->Arg(1 << 11)->Arg(1 << 13)->Arg(1 << 15)->Arg(1 << 17);
 
 void BM_CorrelateValid(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -65,14 +66,20 @@ void BM_CorrelateValid(benchmark::State& state) {
 BENCHMARK(BM_CorrelateValid)->Arg(1 << 15)->Arg(1 << 17);
 
 void BM_MatchedFilterDetect(benchmark::State& state) {
-  // One second of 44.1 kHz audio with five chirps.
+  // A chirp every 0.2 s over the given number of 44.1 kHz samples. 44100
+  // (1 s) is a single short final chunk; 614400 (~14 s, a batch session's
+  // channel) runs the detector's 131072-sample chunk schedule and its
+  // correlation block geometry.
+  const auto n = static_cast<std::size_t>(state.range(0));
   const dsp::Chirp chirp{dsp::ChirpParams{}};
   Rng rng(3);
-  std::vector<double> x(44100);
+  std::vector<double> x(n);
   for (auto& v : x) v = rng.gaussian(0.0, 0.01);
-  for (int k = 0; k < 5; ++k) {
+  for (int k = 0; 0.1 + 0.2 * k < static_cast<double>(n) / 44100.0; ++k) {
     const double t0 = 0.05 + 0.2 * k;
-    for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto first = static_cast<std::size_t>(t0 * 44100.0);
+    const std::size_t last = std::min(n, first + 2206);
+    for (std::size_t i = first; i < last; ++i) {
       const double t = static_cast<double>(i) / 44100.0 - t0;
       if (t >= 0.0 && t <= 0.05) x[i] += chirp.value(t);
     }
@@ -82,9 +89,9 @@ void BM_MatchedFilterDetect(benchmark::State& state) {
     auto d = det.detect(x);
     benchmark::DoNotOptimize(d.data());
   }
-  state.SetItemsProcessed(state.iterations() * 44100);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_MatchedFilterDetect);
+BENCHMARK(BM_MatchedFilterDetect)->Arg(44100)->Arg(614400);
 
 void BM_BandpassFilter(benchmark::State& state) {
   Rng rng(4);

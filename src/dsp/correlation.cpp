@@ -27,15 +27,18 @@ void correlate_valid_direct_into(std::span<const double> x, std::span<const doub
   }
 }
 
+// NOLINTBEGIN(hyperear-hotpath) -- convenience wrapper: returns an owning container; the detector uses correlate_valid_direct_into
 std::vector<double> correlate_valid_direct(std::span<const double> x,
                                            std::span<const double> h, bool reversed) {
   std::vector<double> out;
   correlate_valid_direct_into(x, h, reversed, out);
   return out;
 }
+// NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
 
 }  // namespace
 
+// NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; steady-state callers use correlate_valid_into
 std::vector<double> correlate_valid(std::span<const double> x, std::span<const double> h) {
   require(!x.empty() && !h.empty(), "correlate_valid: empty input");
   require(h.size() <= x.size(), "correlate_valid: template longer than signal");
@@ -67,6 +70,7 @@ std::vector<double> correlate_valid(std::span<const double> x,
   }
   return reversed_template.correlate_valid(x, ws);
 }
+// NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
 
 void correlate_valid_into(std::span<const double> x,
                           const OlsConvolver& reversed_template,
@@ -81,6 +85,7 @@ void correlate_valid_into(std::span<const double> x,
   reversed_template.correlate_valid_into(x, out, ws);
 }
 
+// NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; steady-state callers use normalize_correlation_into
 std::vector<double> correlate_normalized(std::span<const double> x,
                                          std::span<const double> h) {
   const std::vector<double> corr = correlate_valid(x, h);
@@ -98,6 +103,25 @@ std::vector<double> normalize_correlation(std::span<const double> corr,
   normalize_correlation_into(corr, x, h_size, h_norm, prefix, out);
   return out;
 }
+// NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
+
+WindowNormalizer::WindowNormalizer(std::span<const double> x, std::size_t h_size,
+                                   double h_norm, std::vector<double>& prefix_scratch)
+    : h_size_(h_size), h_norm_(h_norm) {
+  HE_EXPECTS(h_norm > 0.0 && std::isfinite(h_norm));
+  HE_EXPECTS(h_size >= 1 && h_size <= x.size());
+  // NOLINTNEXTLINE(hyperear-hotpath) -- caller-owned scratch that keeps its capacity (DetectorWorkspace::prefix on the detector path)
+  prefix_scratch.resize(x.size() + 1);
+  prefix_scratch[0] = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    prefix_scratch[i + 1] = prefix_scratch[i] + x[i] * x[i];
+  }
+  prefix_ = prefix_scratch.data();
+  const double mean_window_energy = prefix_scratch[x.size()] *
+                                    static_cast<double>(h_size) /
+                                    static_cast<double>(x.size());
+  floor_energy_ = std::max(1e-4 * mean_window_energy, 1e-30);
+}
 
 void normalize_correlation_into(std::span<const double> corr, std::span<const double> x,
                                 std::size_t h_size, double h_norm,
@@ -107,29 +131,13 @@ void normalize_correlation_into(std::span<const double> corr, std::span<const do
   require(h_size >= 1 && h_size <= x.size() &&
               corr.size() == x.size() - h_size + 1,
           "normalize_correlation: correlation/signal length mismatch");
-  // Running window energy of x via prefix sums. Silent stretches would
-  // otherwise divide by (numerically) zero and amplify FFT round-off into
-  // spurious peaks, so the window energy is floored at a small fraction of
-  // the average window energy.
-  HE_EXPECTS(h_norm > 0.0 && std::isfinite(h_norm));
-  prefix_scratch.resize(x.size() + 1);
-  prefix_scratch[0] = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    prefix_scratch[i + 1] = prefix_scratch[i] + x[i] * x[i];
-  }
-  const double mean_window_energy = prefix_scratch[x.size()] *
-                                    static_cast<double>(h_size) /
-                                    static_cast<double>(x.size());
-  const double floor_energy = std::max(1e-4 * mean_window_energy, 1e-30);
+  const WindowNormalizer norm(x, h_size, h_norm, prefix_scratch);
   out.resize(corr.size());
-  for (std::size_t k = 0; k < corr.size(); ++k) {
-    const double win_energy = prefix_scratch[k + h_size] - prefix_scratch[k];
-    const double denom = std::sqrt(std::max(win_energy, floor_energy)) * h_norm;
-    out[k] = corr[k] / denom;
-  }
+  for (std::size_t k = 0; k < corr.size(); ++k) out[k] = corr[k] / norm.denominator(k);
   HE_ENSURES(out.size() == corr.size());
 }
 
+// NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; no per-chunk caller
 std::vector<double> correlate_full(std::span<const double> x, std::span<const double> h) {
   require(!x.empty() && !h.empty(), "correlate_full: empty input");
   std::vector<double> hr(h.rbegin(), h.rend());
@@ -147,5 +155,6 @@ std::vector<double> correlate_full(std::span<const double> x,
   }
   return reversed_template.convolve_full(x, ws);
 }
+// NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
 
 }  // namespace hyperear::dsp

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -58,6 +61,39 @@ void correlate_valid_into(std::span<const double> x,
                                                         std::span<const double> x,
                                                         std::size_t h_size,
                                                         double h_norm);
+
+/// The sliding denominator of a normalized correlation:
+/// sqrt(max(window energy of x, floor)) * ||h|| at every valid lag, read
+/// from a prefix sum of x^2. Silent stretches would otherwise divide by
+/// (numerically) zero and amplify FFT round-off into spurious peaks, so
+/// the window energy is floored at 1e-4 of the average window energy
+/// (and at 1e-30). `normalize_correlation_into` and the matched-filter
+/// detector's fused gate pass both divide by this one formula, so their
+/// normalized values agree bit for bit.
+class WindowNormalizer {
+ public:
+  /// Writes the prefix sums of x^2 into `prefix_scratch` (resized to
+  /// x.size() + 1), which must outlive the normalizer. Requires
+  /// 1 <= h_size <= x.size() and h_norm > 0.
+  WindowNormalizer(std::span<const double> x, std::size_t h_size, double h_norm,
+                   std::vector<double>& prefix_scratch);
+
+  /// Floored window energy of x at lag k, for k <= x.size() - h_size.
+  [[nodiscard]] double energy(std::size_t k) const {
+    return std::max(prefix_[k + h_size_] - prefix_[k], floor_energy_);
+  }
+  /// Denominator at lag k: sqrt(energy(k)) * ||h||.
+  [[nodiscard]] double denominator(std::size_t k) const {
+    return std::sqrt(energy(k)) * h_norm_;
+  }
+  [[nodiscard]] double h_norm() const { return h_norm_; }
+
+ private:
+  const double* prefix_;
+  std::size_t h_size_;
+  double h_norm_;
+  double floor_energy_;
+};
 
 /// Allocation-free spelling of `normalize_correlation` for loops: the
 /// prefix-sum scratch and the output live in caller-owned buffers (resized

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -11,6 +12,131 @@
 #include "obs/trace.hpp"
 
 namespace hyperear::dsp {
+
+namespace {
+
+/// The |raw| local-maximum rule of echo competition: `mid` when it is at
+/// least its left and above its right neighbor, else 0. Two selects rather
+/// than `&&`, so the compiler emits no branch.
+double echo_local_max(double left, double mid, double right) {
+  const double right_ok = mid > right ? mid : 0.0;
+  return mid >= left ? right_ok : 0.0;
+}
+
+/// Complete a candidate's detection at lag i of the chunk starting at
+/// `start`: the arrival time refined by the parabola through the lag and
+/// its two neighbors when both exist (with a neighbor missing the lag stays
+/// on the grid, as refine_peak does at an array edge), the amplitude at the
+/// vertex, and the echo ratio against `runner`.
+void finish_detection(Detection& d, std::size_t start, std::size_t i,
+                      std::optional<double> left, double peak,
+                      std::optional<double> right, double runner, double sample_rate) {
+  double offset = 0.0;
+  double value = peak;
+  if (left && right) {
+    const ParabolicFit fit = parabolic_fit(*left, peak, *right);
+    offset = fit.offset;
+    value = fit.value;
+  }
+  d.time_s =
+      (static_cast<double>(start) + (static_cast<double>(i) + offset)) / sample_rate;
+  d.amplitude = std::abs(value);
+  d.echo_competition = d.amplitude > 0.0 ? runner / d.amplitude : 0.0;
+}
+
+}  // namespace
+
+CorrelationScan scan_correlation(std::span<const double> raw,
+                                 const WindowNormalizer& norm, double threshold,
+                                 DetectorWorkspace& ws) {
+  const std::size_t n = raw.size();
+  require(n >= 1, "scan_correlation: empty correlation");
+  require(threshold > 0.0, "scan_correlation: threshold must be positive");
+  ws.local_max.resize(n);
+  ws.block_max.resize((n + kEchoBlock - 1) / kEchoBlock);
+  ws.peaks.clear();
+  // Lags that cannot clear the gate skip its sqrt/div: raw <= 0 (the
+  // threshold is positive), and raw^2 < skip_margin * energy, i.e. a
+  // normalized value below threshold / sqrt(2). Passing the gate needs
+  // raw^2 >= threshold^2 * h^2 * energy up to a few ulps of rounding, far
+  // inside the factor-2 margin as long as no product underflows, which
+  // `skip_margin >= 1e-250` ensures (with the energy floor >= 1e-30); an
+  // overflowing bound is safe, since an accepted raw^2 overflows with it.
+  // Every other lag takes the exact test.
+  const double h = norm.h_norm();
+  double skip_margin = 0.5 * threshold * threshold * h * h;
+  if (!(skip_margin >= 1e-250)) skip_margin = 0.0;
+  const auto gated = [&](std::size_t k) {
+    const double r = raw[k];
+    // Both cheap tests are evaluated unconditionally: the sign of raw flips
+    // every few lags, so a branch on it would mispredict.
+    const bool pos = r > 0.0;
+    const bool near = !(r * r < skip_margin * norm.energy(k));
+    if (!(pos && near)) return 0.0;
+    return r / norm.denominator(k) >= threshold ? r : 0.0;  // r > 0: r == |r|
+  };
+  // Rolling three-lag windows (left, mid, right) of the gated and the
+  // ungated |raw|: lag j is decided once lag j + 1 is known. Lag 0 has no
+  // left neighbor in the chunk: m_left = 0 makes its gated test one-sided
+  // (a peak is >= 1e-12 anyway), a NaN a_left keeps it out of local_max.
+  const double first_masked = gated(0);
+  double m_left = 0.0;
+  double m_mid = first_masked;
+  double a_left = std::numeric_limits<double>::quiet_NaN();
+  double a_mid = std::abs(raw[0]);
+  std::size_t j = 0;
+  for (std::size_t b = 0; b < ws.block_max.size(); ++b) {
+    double block = 0.0;
+    const std::size_t end = std::min((b + 1) * kEchoBlock, n - 1);
+    for (; j < end; ++j) {
+      const double m_right = gated(j + 1);
+      const double a_right = std::abs(raw[j + 1]);
+      if (m_mid >= 1e-12 && m_mid >= m_left && m_mid > m_right) ws.peaks.push_back(j);
+      const double lm = echo_local_max(a_left, a_mid, a_right);
+      ws.local_max[j] = lm;
+      block = std::max(block, lm);
+      m_left = m_mid;
+      m_mid = m_right;
+      a_left = a_mid;
+      a_mid = a_right;
+    }
+    ws.block_max[b] = block;
+  }
+  // The last lag's right neighbor is outside the chunk.
+  ws.local_max[n - 1] = 0.0;
+  if (m_mid >= 1e-12 && m_mid >= m_left) ws.peaks.push_back(n - 1);
+  return {first_masked, m_mid};
+}
+
+
+double echo_runner(std::span<const double> local_max, std::span<const double> block_max,
+                   std::size_t i, std::size_t min_spacing, std::size_t exclusion) {
+  const std::size_t n = local_max.size();
+  double best = 0.0;
+  const auto take = [&best](double v) {
+    if (v > best) best = v;
+  };
+  // Largest local_max over the inclusive lag range [lo, hi].
+  const auto range = [&](std::size_t lo, std::size_t hi) {
+    if (lo > hi) return;
+    const std::size_t first = lo / kEchoBlock;
+    const std::size_t last = hi / kEchoBlock;
+    if (first == last) {
+      for (std::size_t j = lo; j <= hi; ++j) take(local_max[j]);
+      return;
+    }
+    for (std::size_t j = lo; j < (first + 1) * kEchoBlock; ++j) take(local_max[j]);
+    for (std::size_t b = first + 1; b < last; ++b) take(block_max[b]);
+    for (std::size_t j = last * kEchoBlock; j <= hi; ++j) take(local_max[j]);
+  };
+  // Window (lo, hi) exclusive; the exclusion zone splits it in two.
+  const std::size_t lo = i > min_spacing ? i - min_spacing : 0;
+  const std::size_t hi = std::min(i + min_spacing, n - 1);
+  if (hi < lo + 2) return best;
+  if (i >= exclusion) range(lo + 1, std::min(i - exclusion, hi - 1));
+  range(std::max(lo + 1, i + exclusion), hi - 1);
+  return best;
+}
 
 // NOLINTNEXTLINE(hyperear-hotpath) -- one-time plan construction: the detector takes ownership of its reference
 MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
@@ -33,7 +159,8 @@ MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
   // transform. Small signal/reference products take the direct path in
   // correlate_valid, where an FFT would not pay off.
   if (config_.chunk * reference_.size() > kDirectProductLimit) {
-    ols_.emplace(std::vector<double>(reference_.rbegin(), reference_.rend()));
+    ols_.emplace(std::vector<double>(reference_.rbegin(), reference_.rend()),
+                 choose_ols_fft_size(reference_.size(), config_.chunk));
   }
 }
 
@@ -94,10 +221,10 @@ void MatchedFilterDetector::stream_begin(DetectorStream& stream,
   // chunks in stream_end, so the detections cannot depend on where the
   // chunk boundaries happened to fall. Correlation lags are contiguous
   // across chunks (chunks overlap by ref_len - 1 samples), and the
-  // local-maximum test reads its neighbors across chunk boundaries: a
-  // first-lag candidate checks the previous chunk's last value, and a
-  // last-lag candidate is held pending until the next chunk's first value
-  // is known.
+  // local-maximum test and the parabolic refinement read their neighbors
+  // across chunk boundaries: a first-lag candidate uses the previous
+  // chunk's last values, and a last-lag candidate is held pending until
+  // the next chunk's first lag is known.
   stream = DetectorStream{};
   ws.candidates.clear();
 }
@@ -119,68 +246,60 @@ void MatchedFilterDetector::stream_chunk(std::span<const double> seg, bool final
   ++stream.chunks_streamed;
   correlate_chunk(seg, ws);
   const std::vector<double>& raw = ws.raw;
-  normalize_correlation_into(raw, seg, ref_len, reference_norm_, ws.prefix, ws.norm);
   // Candidate gating on the normalized statistic, ranking on amplitude:
-  // suppress sub-threshold shapes, then find local maxima of |raw|.
-  ws.masked.resize(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    ws.masked[i] = ws.norm[i] >= config_.threshold ? std::abs(raw[i]) : 0.0;
-  }
-  const std::vector<double>& masked = ws.masked;
+  // one pass suppresses sub-threshold shapes, finds local maxima of the
+  // gated |raw|, and indexes the ungated |raw| local maxima for the echo
+  // competition below.
+  const WindowNormalizer norm(seg, ref_len, reference_norm_, ws.prefix);
+  const CorrelationScan scan = scan_correlation(raw, norm, config_.threshold, ws);
 
   // The previous chunk's boundary candidate can be resolved now that its
   // right neighbor (this chunk's first lag) is known.
   if (stream.pending) {
-    if (stream.pending->key > masked.front()) ws.candidates.push_back(*stream.pending);
+    DetectorStream::Pending& p = *stream.pending;
+    if (p.candidate.key > scan.first_masked) {
+      finish_detection(p.candidate.detection, p.chunk_start,
+                       p.candidate.global_index - p.chunk_start, p.left_raw, p.peak_raw,
+                       raw.front(), p.runner, config_.sample_rate);
+      ws.candidates.push_back(p.candidate);
+    }
     stream.pending.reset();
   }
 
-  for (std::size_t i = 0; i < masked.size(); ++i) {
-    if (masked[i] < 1e-12) continue;
-    const bool left_ok = i > 0 ? masked[i] >= masked[i - 1]
-                               : (!stream.have_prev || masked[i] >= stream.prev_last_masked);
-    if (!left_ok) continue;
-    const bool last_lag = i + 1 == masked.size();
-    bool defer = false;
-    if (!last_lag) {
-      if (!(masked[i] > masked[i + 1])) continue;
-    } else if (!final_chunk) {
-      defer = true;  // right neighbor lives in the next chunk
+  for (const std::size_t i : ws.peaks) {
+    // The first lag's left neighbor is the previous chunk's last lag.
+    if (i == 0 && stream.have_prev && !(scan.first_masked >= stream.prev_last_masked)) {
+      continue;
     }
-
-    // Refine timing on the raw correlation around the winning sample.
-    const Peak refined = refine_peak(raw, i);
-    Detection d;
-    d.time_s =
-        (static_cast<double>(start) + refined.refined_index) / config_.sample_rate;
-    d.amplitude = std::abs(refined.value);
-    d.score = ws.norm[i];
+    std::optional<double> left;
+    if (i > 0) {
+      left = raw[i - 1];
+    } else if (stream.have_prev) {
+      left = stream.prev_last_raw;
+    }
     // Echo competition: strongest |raw| local max in the same window but
     // outside the exclusion zone around the winner (the autocorrelation
     // main lobe plus near sidelobes span ~1 ms; only arrivals beyond that
     // are genuine competing paths).
-    const std::size_t lo = i > min_spacing ? i - min_spacing : 0;
-    const std::size_t hi = std::min(i + min_spacing, raw.size() - 1);
-    double runner = 0.0;
-    for (std::size_t j = lo + 1; j + 1 <= hi; ++j) {
-      const std::size_t gap = j > i ? j - i : i - j;
-      if (gap < exclusion) continue;
-      const double v = std::abs(raw[j]);
-      if (v > runner && std::abs(raw[j]) >= std::abs(raw[j - 1]) &&
-          std::abs(raw[j]) > std::abs(raw[j + 1])) {
-        runner = v;
-      }
+    const double runner =
+        echo_runner(ws.local_max, ws.block_max, i, min_spacing, exclusion);
+    Candidate c{Detection{}, std::abs(raw[i]), start + i};
+    c.detection.score = raw[i] / norm.denominator(i);
+    if (i + 1 == raw.size() && !final_chunk) {
+      // The right neighbor lives in the next chunk: defer the local-maximum
+      // test and the refinement.
+      stream.pending = DetectorStream::Pending{c, start, left, raw[i], runner};
+      continue;
     }
-    d.echo_competition = d.amplitude > 0.0 ? runner / d.amplitude : 0.0;
-
-    Candidate c{d, masked[i], start + i};
-    if (defer) {
-      stream.pending = c;
-    } else {
-      ws.candidates.push_back(c);
-    }
+    std::optional<double> right;
+    if (i + 1 < raw.size()) right = raw[i + 1];
+    // Refine timing on the raw correlation around the winning sample.
+    finish_detection(c.detection, start, i, left, raw[i], right, runner,
+                     config_.sample_rate);
+    ws.candidates.push_back(c);
   }
-  stream.prev_last_masked = masked.back();
+  stream.prev_last_masked = scan.last_masked;
+  stream.prev_last_raw = raw.back();
   stream.have_prev = true;
   stream.next_start = start + (config_.chunk - (ref_len - 1));
 }
@@ -196,7 +315,11 @@ void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace
   // than the reference): the held-back candidate has no right neighbor and
   // stands.
   if (stream.pending) {
-    ws.candidates.push_back(*stream.pending);
+    DetectorStream::Pending& p = *stream.pending;
+    finish_detection(p.candidate.detection, p.chunk_start,
+                     p.candidate.global_index - p.chunk_start, p.left_raw, p.peak_raw,
+                     std::nullopt, p.runner, config_.sample_rate);
+    ws.candidates.push_back(p.candidate);
     stream.pending.reset();
   }
 

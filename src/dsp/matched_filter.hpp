@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "dsp/correlation.hpp"
 #include "dsp/ols.hpp"
 #include "dsp/peak.hpp"
 
@@ -57,7 +58,7 @@ struct DetectorConfig {
 
 /// Mutable scratch for matched-filter detection, reusable across `detect`
 /// calls, channels, and sessions: the per-chunk correlation buffers, the
-/// normalized/masked statistics, the prefix-sum scratch, and the candidate
+/// echo-competition index, the prefix-sum scratch, and the candidate
 /// staging vectors. Like `dsp::Workspace` it is single-owner state — own
 /// one per call stack (core::SessionWorkspace embeds one per channel slot)
 /// and never share it across threads. Buffer contents carry no information
@@ -76,13 +77,53 @@ struct DetectorWorkspace {
 
   Workspace fft;                      ///< FFT scratch for the OLS chunk loop
   std::vector<double> raw;            ///< per-chunk raw correlation
-  std::vector<double> norm;           ///< per-chunk normalized correlation
-  std::vector<double> masked;         ///< threshold-gated |raw|
+  std::vector<double> local_max;      ///< per-chunk |raw| local maxima (echo index)
+  std::vector<double> block_max;      ///< per-kEchoBlock maxima of local_max
+  std::vector<std::size_t> peaks;     ///< per-chunk gated local-max lags
   std::vector<double> prefix;         ///< prefix-sum scratch (normalization)
   std::vector<double> amps;           ///< amplitude-gate scratch
   std::vector<Candidate> candidates;  ///< pass-1 staging
   std::vector<Candidate> selected;    ///< pass-2 staging
 };
+
+/// Lags per entry of the block-maximum index over a chunk's local maxima.
+inline constexpr std::size_t kEchoBlock = 256;
+
+/// What `scan_correlation` reports about a chunk's gated statistic at its
+/// two edge lags, which the cross-chunk local-maximum test compares.
+struct CorrelationScan {
+  double first_masked = 0.0;  ///< gated |raw| at lag 0
+  double last_masked = 0.0;   ///< gated |raw| at the last lag
+};
+
+/// The detector's per-chunk pass over one chunk's raw correlation, in one
+/// sweep over the lags. At each lag it gates: |raw| counts only where the
+/// normalized correlation raw / norm.denominator(k) reaches `threshold`
+/// (lags that provably cannot, such as raw <= 0, skip the sqrt/div). It
+/// writes `ws.peaks`: every lag whose gated value is >= 1e-12, >= its left
+/// and > its right neighbor, where the neighbor test is skipped on a side
+/// that lies outside the chunk (the caller resolves it across the seam).
+/// It writes `ws.local_max`: |raw| at every interior lag that is >= its
+/// left and > its right neighbor, else 0, and 0 at both ends (a NaN fails
+/// every comparison, so it never counts and never lets a neighbor count).
+/// It writes `ws.block_max`: the maximum of each kEchoBlock-lag block of
+/// local_max. `raw` may be `ws.raw`. Exposed for
+/// the oracle tests of the echo competition.
+CorrelationScan scan_correlation(std::span<const double> raw,
+                                 const WindowNormalizer& norm, double threshold,
+                                 DetectorWorkspace& ws);
+
+/// Echo competition at lag i of a chunk: the largest local_max[j] over
+/// lo < j < hi, with lo = max(i - min_spacing, 0) and
+/// hi = min(i + min_spacing, size - 1), excluding |j - i| < exclusion; 0
+/// when nothing qualifies. Two range-maximum queries over the block
+/// maxima plus the partial blocks at their ends, so the cost is
+/// O(min_spacing / kEchoBlock + kEchoBlock) rather than a scan of the
+/// 2 * min_spacing window. `local_max`/`block_max` come from
+/// scan_correlation.
+[[nodiscard]] double echo_runner(std::span<const double> local_max,
+                                 std::span<const double> block_max, std::size_t i,
+                                 std::size_t min_spacing, std::size_t exclusion);
 
 /// Resumable cursor for incremental (streaming) detection: the cross-chunk
 /// state of `detect_into`'s pass-1 loop, lifted out so a caller can run the
@@ -93,10 +134,21 @@ struct DetectorWorkspace {
 /// `detect_into` is itself written as begin -> chunk loop -> end over this
 /// struct, so the streamed and batch spellings share every instruction.
 struct DetectorStream {
-  /// A last-lag boundary candidate held until the next chunk's first
-  /// normalized value resolves its right-neighbor comparison.
-  std::optional<DetectorWorkspace::Candidate> pending;
+  /// A last-lag boundary candidate, held until the next chunk's first lag
+  /// is known: that lag resolves its right-neighbor comparison and is the
+  /// right point of its parabolic refinement.
+  struct Pending {
+    /// Score and key are final; time, amplitude and echo ratio are filled
+    /// on resolution.
+    DetectorWorkspace::Candidate candidate;
+    std::size_t chunk_start = 0;  ///< first sample of the candidate's chunk
+    std::optional<double> left_raw;  ///< raw correlation one lag earlier
+    double peak_raw = 0.0;        ///< raw correlation at the candidate's lag
+    double runner = 0.0;          ///< strongest competing echo in its chunk
+  };
+  std::optional<Pending> pending;
   double prev_last_masked = 0.0;  ///< previous chunk's final masked value
+  double prev_last_raw = 0.0;     ///< previous chunk's final raw correlation
   bool have_prev = false;
   std::size_t chunks_streamed = 0;
   /// Recording index of the next chunk's first sample. Chunks advance by

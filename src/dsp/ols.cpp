@@ -9,14 +9,35 @@
 
 namespace hyperear::dsp {
 
+namespace {
+
+/// Smallest transform size either block rule considers. The 256 floor
+/// keeps tiny kernels from picking blocks where per-block overhead
+/// (pointwise multiply, load/store) would dominate the transform.
+std::size_t min_ols_fft_size(std::size_t kernel_len) {
+  return std::max<std::size_t>(256, next_pow2(kernel_len) * 2);
+}
+
+/// The pair model of overlap-save work on a window of `window_len` signal
+/// samples: ceil(blocks / 2) transform pairs of N log2(N) butterflies
+/// each, blocks = ceil(window_len / (N - M + 1)). A block straddling the
+/// window's end is paid in full.
+double ols_pair_cost(std::size_t kernel_len, std::size_t window_len,
+                     std::size_t fft_size) {
+  const std::size_t block = fft_size - kernel_len + 1;
+  const std::size_t pairs = ((window_len + block - 1) / block + 1) / 2;
+  const auto n = static_cast<double>(fft_size);
+  return static_cast<double>(pairs) * n * std::log2(n);
+}
+
+}  // namespace
+
 std::size_t choose_ols_fft_size(std::size_t kernel_len) {
   require(kernel_len >= 1, "choose_ols_fft_size: empty kernel");
   // Amortized butterfly work per fresh output sample is N log2(N) / L with
   // L = N - M + 1; the curve is convex in log N, so scanning a bounded
-  // power-of-two window above the kernel length finds the minimum. The 256
-  // floor keeps tiny kernels from picking blocks where per-block overhead
-  // (pointwise multiply, load/store) would dominate the transform.
-  const std::size_t lo = std::max<std::size_t>(256, next_pow2(kernel_len) * 2);
+  // power-of-two window above the kernel length finds the minimum.
+  const std::size_t lo = min_ols_fft_size(kernel_len);
   std::size_t best = lo;
   double best_cost = 0.0;
   for (std::size_t n = lo; n <= (lo << 6); n <<= 1) {
@@ -28,6 +49,27 @@ std::size_t choose_ols_fft_size(std::size_t kernel_len) {
     }
   }
   return best;
+}
+
+std::size_t choose_ols_fft_size(std::size_t kernel_len, std::size_t window_len) {
+  require(kernel_len >= 1, "choose_ols_fft_size: empty kernel");
+  // Same candidate sizes as the one-argument rule, costed for a window of
+  // known length.
+  const std::size_t lo = min_ols_fft_size(kernel_len);
+  double min_cost = ols_pair_cost(kernel_len, window_len, lo);
+  for (std::size_t n = lo << 1; n <= (lo << 6); n <<= 1) {
+    min_cost = std::min(min_cost, ols_pair_cost(kernel_len, window_len, n));
+  }
+  // Sizes within 1/16 of the minimum are ties, and the smallest wins: the
+  // butterfly count ignores memory traffic, which grows with the
+  // transform, and a smaller block wastes less on a short final window.
+  // The tie band never reaches above the one-argument choice's cost.
+  const double cap =
+      std::min(min_cost * (1.0 + 1.0 / 16.0),
+               ols_pair_cost(kernel_len, window_len, choose_ols_fft_size(kernel_len)));
+  std::size_t n = lo;
+  while (ols_pair_cost(kernel_len, window_len, n) > cap) n <<= 1;
+  return n;
 }
 
 // NOLINTNEXTLINE(hyperear-hotpath) -- one-time plan construction: the convolver takes ownership of its kernel
@@ -66,27 +108,59 @@ std::vector<Complex>& OlsConvolver::transform_pair(std::span<const double> x,
   //   IFFT(FFT(a + i*b) . K) = (a*k) + i*(b*k)
   // by linearity, both parts real — so the real parts carry block b's
   // result and the imaginary parts block b+1's, halving the FFT count.
-  const auto sample = [&x, x_start](std::ptrdiff_t idx) {
-    const std::ptrdiff_t local = idx - x_start;
-    return local >= 0 && local < static_cast<std::ptrdiff_t>(x.size())
-               ? x[static_cast<std::size_t>(local)]
-               : 0.0;
+  //
+  // No copy loop carries a per-sample bounds check. A pair whose input
+  // window lies inside `x` (every pair but the edge ones) interleaves the
+  // two blocks in one pass; otherwise each lane (re or im) is filled as
+  // zeros | window samples | zeros, the runs clipped once per lane.
+  double* zd = reinterpret_cast<double*>(z.data());
+  const std::ptrdiff_t x_end = x_start + static_cast<std::ptrdiff_t>(x.size());
+  const auto fill_lane = [&](double* lane, std::ptrdiff_t base) {
+    const auto clip = [n](std::ptrdiff_t v) {
+      return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
+          v, 0, static_cast<std::ptrdiff_t>(n)));
+    };
+    // Lane position j reads signal index base + j, i.e. x[base + j - x_start].
+    const std::size_t lo = clip(x_start - base);
+    const std::size_t hi = clip(x_end - base);
+    std::size_t j = 0;
+    for (; j < std::min(lo, hi); ++j) lane[2 * j] = 0.0;
+    if (lo < hi) {
+      const double* src = x.data() + (base + static_cast<std::ptrdiff_t>(lo) - x_start);
+      for (; j < hi; ++j) lane[2 * j] = src[j - lo];
+    }
+    for (; j < n; ++j) lane[2 * j] = 0.0;
   };
   const std::ptrdiff_t base0 =
       static_cast<std::ptrdiff_t>(b * block) - static_cast<std::ptrdiff_t>(m - 1);
-  if (paired) {
-    const std::ptrdiff_t base1 = base0 + static_cast<std::ptrdiff_t>(block);
+  const std::ptrdiff_t base1 = base0 + static_cast<std::ptrdiff_t>(block);
+  if (paired && base0 >= x_start && base1 + static_cast<std::ptrdiff_t>(n) <= x_end) {
+    const double* s0 = x.data() + (base0 - x_start);
+    const double* s1 = s0 + block;
     for (std::size_t j = 0; j < n; ++j) {
-      z[j] = Complex(sample(base0 + static_cast<std::ptrdiff_t>(j)),
-                     sample(base1 + static_cast<std::ptrdiff_t>(j)));
+      zd[2 * j] = s0[j];
+      zd[2 * j + 1] = s1[j];
     }
+  } else if (paired) {
+    fill_lane(zd, base0);
+    fill_lane(zd + 1, base1);
   } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      z[j] = Complex(sample(base0 + static_cast<std::ptrdiff_t>(j)), 0.0);
-    }
+    fill_lane(zd, base0);
+    for (std::size_t j = 0; j < n; ++j) zd[2 * j + 1] = 0.0;
   }
   plan_.forward(z);
-  for (std::size_t j = 0; j < n; ++j) z[j] *= spectrum_[j];
+  // Pointwise spectrum multiply in explicit re/im arithmetic: the same
+  // products and sums as std::complex's operator*=, without GCC's
+  // NaN-recovery call.
+  const double* kd = reinterpret_cast<const double*>(spectrum_.data());
+  for (std::size_t j = 0; j < n; ++j) {
+    const double ar = zd[2 * j];
+    const double ai = zd[2 * j + 1];
+    const double br = kd[2 * j];
+    const double bi = kd[2 * j + 1];
+    zd[2 * j] = ar * br - ai * bi;
+    zd[2 * j + 1] = ar * bi + ai * br;
+  }
   plan_.inverse(z);
   return z;
 }

@@ -9,6 +9,13 @@
 
 namespace hyperear::dsp {
 
+ParabolicFit parabolic_fit(double ym, double y0, double yp) {
+  const double denom = ym - 2.0 * y0 + yp;
+  if (std::abs(denom) < 1e-30) return {0.0, y0};
+  const double offset = std::clamp(0.5 * (ym - yp) / denom, -0.5, 0.5);
+  return {offset, y0 - 0.25 * (ym - yp) * offset};
+}
+
 Peak refine_peak(std::span<const double> y, std::size_t i) {
   require(!y.empty(), "refine_peak: empty input");
   require(i < y.size(), "refine_peak: index out of range");
@@ -17,15 +24,9 @@ Peak refine_peak(std::span<const double> y, std::size_t i) {
   p.refined_index = static_cast<double>(i);
   p.value = y[i];
   if (i == 0 || i + 1 >= y.size()) return p;
-  const double ym = y[i - 1];
-  const double y0 = y[i];
-  const double yp = y[i + 1];
-  const double denom = ym - 2.0 * y0 + yp;
-  if (std::abs(denom) < 1e-30) return p;
-  double offset = 0.5 * (ym - yp) / denom;
-  offset = std::clamp(offset, -0.5, 0.5);
-  p.refined_index = static_cast<double>(i) + offset;
-  p.value = y0 - 0.25 * (ym - yp) * offset;
+  const ParabolicFit fit = parabolic_fit(y[i - 1], y[i], y[i + 1]);
+  p.refined_index = static_cast<double>(i) + fit.offset;
+  p.value = fit.value;
   // Parabolic refinement may move the peak at most half a sample — the lag
   // bound every TDoA consumer converts back to sample indices with.
   HE_ENSURES(p.refined_index >= static_cast<double>(i) - 0.5 &&

@@ -139,9 +139,10 @@ TEST(FftPlan, MatchesNaiveDftAtEverySize) {
 
 TEST(FftPlan, RoundTripAtOverlapSaveSizes) {
   // 2048 and 32768 are the block sizes choose_ols_fft_size picks for the
-  // 255-tap band-pass and the 2205-tap chirp reference.
+  // 255-tap band-pass and the 2205-tap chirp reference; 8192 is the
+  // window-aware size the matched-filter detector runs on its chunks.
   Rng rng(26);
-  for (const std::size_t n : {std::size_t{2048}, std::size_t{32768}}) {
+  for (const std::size_t n : {std::size_t{2048}, std::size_t{8192}, std::size_t{32768}}) {
     std::vector<Complex> x(n);
     for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
     const FftPlan plan(n);

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/chirp.hpp"
+#include "dsp/correlation.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/ols.hpp"
 #include "obs/metrics.hpp"
@@ -273,6 +278,174 @@ TEST(MatchedFilter, StreamProtocolBitIdenticalToDetectAcrossChunkings) {
       EXPECT_EQ(got[i].score, expect[i].score) << i;
       EXPECT_EQ(got[i].amplitude, expect[i].amplitude) << i;
       EXPECT_EQ(got[i].echo_competition, expect[i].echo_competition) << i;
+    }
+  }
+}
+
+TEST(MatchedFilter, SeamLagsRefinedLikeOneChunk) {
+  // Regression: a candidate on a chunk's first or last lag used to keep
+  // its integer lag (refine_peak has no neighbor at an array edge) although
+  // the missing neighbor is the adjacent chunk's edge lag, so an arrival
+  // on a seam was reported up to half a sample off. Fractional arrivals on
+  // both seam lags must match a detector that sees the recording as one
+  // chunk, in batch and streamed.
+  const Chirp chirp{ChirpParams{}};
+  DetectorConfig cfg;
+  cfg.sample_rate = kFs;
+  cfg.chunk = 8192;
+  DetectorConfig whole_cfg = cfg;
+  whole_cfg.chunk = 1u << 16;  // the whole 1 s recording in one chunk
+  const std::vector<double>& ref = chirp.reference(kFs);
+  const MatchedFilterDetector det(ref, cfg);
+  const MatchedFilterDetector whole(ref, whole_cfg);
+  const std::size_t hop = cfg.chunk - (ref.size() - 1);
+  const std::size_t seam = 4 * hop;  // first lag of chunk 4
+  std::uint64_t seed = 60;
+  for (const std::size_t lag : {seam - 1, seam}) {
+    for (const double frac : {0.25, -0.30, 0.45}) {
+      Rng rng(seed++);
+      const double t0 = (static_cast<double>(lag) + frac) / kFs;
+      const std::vector<double> x = make_recording(chirp, {t0}, 1.0, 0.005, rng);
+      const std::vector<Detection> want = whole.detect(x);
+      ASSERT_EQ(want.size(), 1u);
+      // The correlation peak really sits on one of the two seam lags.
+      const double peak_lag = std::floor(want[0].time_s * kFs + 0.5);
+      ASSERT_TRUE(peak_lag == static_cast<double>(seam - 1) ||
+                  peak_lag == static_cast<double>(seam))
+          << "lag " << lag << " frac " << frac;
+      const std::vector<std::size_t> slices{1009};
+      for (const std::vector<Detection>& got :
+           {det.detect(x), stream_detect(det, x, slices)}) {
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_NEAR(got[0].time_s, want[0].time_s, 1e-9)
+            << "lag " << lag << " frac " << frac;
+        EXPECT_NEAR(got[0].amplitude, want[0].amplitude, 1e-9 * want[0].amplitude)
+            << "lag " << lag << " frac " << frac;
+      }
+    }
+  }
+}
+
+/// Bit pattern of a double, so NaN results compare equal to themselves.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The echo competition as the detector computed it before the range-max
+/// index: a scan of the whole min_spacing window around lag i. Kept as the
+/// oracle for echo_runner.
+double oracle_echo_runner(std::span<const double> raw, std::size_t i,
+                          std::size_t min_spacing, std::size_t exclusion) {
+  const std::size_t lo = i > min_spacing ? i - min_spacing : 0;
+  const std::size_t hi = std::min(i + min_spacing, raw.size() - 1);
+  double runner = 0.0;
+  for (std::size_t j = lo + 1; j + 1 <= hi; ++j) {
+    const std::size_t gap = j > i ? j - i : i - j;
+    if (gap < exclusion) continue;
+    const double v = std::abs(raw[j]);
+    if (v > runner && std::abs(raw[j]) >= std::abs(raw[j - 1]) &&
+        std::abs(raw[j]) > std::abs(raw[j + 1])) {
+      runner = v;
+    }
+  }
+  return runner;
+}
+
+/// Raw-correlation arrays that stress the range-max index and the gate:
+/// seeded noise, quantized plateaus, NaN/±Inf sprinkled in, constants, and
+/// values on the gate's threshold to the last ulp.
+std::vector<std::vector<double>> adversarial_raws(std::size_t n,
+                                                  const WindowNormalizer& norm,
+                                                  double threshold, Rng& rng) {
+  std::vector<std::vector<double>> raws;
+  raws.push_back(rng.gaussian_vector(n));
+  std::vector<double> plateau = rng.gaussian_vector(n);
+  for (double& v : plateau) v = std::round(2.0 * v) / 2.0;
+  raws.push_back(plateau);
+  std::vector<double> special = rng.gaussian_vector(n);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < n; k += 7) {
+    special[k] = std::array{std::numeric_limits<double>::quiet_NaN(), inf, -inf}[k % 3];
+  }
+  raws.push_back(special);
+  raws.push_back(std::vector<double>(n, 0.0));
+  raws.push_back(std::vector<double>(n, 1.5));
+  std::vector<double> edge(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double on_gate = threshold * norm.denominator(k);
+    const int ulps = static_cast<int>(k % 5) - 2;
+    edge[k] = on_gate + ulps * std::numeric_limits<double>::epsilon() * on_gate;
+    if (k % 11 == 0) edge[k] = on_gate / std::sqrt(2.0);  // the skip margin
+  }
+  raws.push_back(edge);
+  return raws;
+}
+
+TEST(EchoCompetition, RangeMaxMatchesWindowScanOracle) {
+  // echo_runner over scan_correlation's local-max index must reproduce the
+  // full window scan bit for bit: at every lag (including the first and the
+  // last), for windows clipped at both chunk edges, for ranges straddling
+  // or exactly filling a kEchoBlock block, and for exclusion >= min_spacing.
+  Rng rng(4242);
+  const double threshold = 0.25;
+  for (const std::size_t n : {1u, 2u, 3u, 255u, 256u, 257u, 512u, 513u, 1031u}) {
+    const std::size_t h_size = 16;
+    const std::vector<double> x = rng.gaussian_vector(n + h_size - 1);
+    std::vector<double> prefix;
+    const WindowNormalizer norm(x, h_size, 1.0, prefix);
+    for (const std::vector<double>& raw : adversarial_raws(n, norm, threshold, rng)) {
+      DetectorWorkspace ws;
+      (void)scan_correlation(raw, norm, threshold, ws);
+      ASSERT_EQ(ws.local_max.size(), n);
+      EXPECT_EQ(ws.local_max.front(), 0.0);
+      EXPECT_EQ(ws.local_max.back(), 0.0);
+      for (const std::size_t min_spacing :
+           {0u, 1u, 2u, 128u, 255u, 256u, 257u, 384u, 512u, 2000u}) {
+        const std::size_t exclusions[] = {0, 1, 52, min_spacing, min_spacing + 1};
+        for (const std::size_t exclusion : exclusions) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const double want = oracle_echo_runner(raw, i, min_spacing, exclusion);
+            const double got =
+                echo_runner(ws.local_max, ws.block_max, i, min_spacing, exclusion);
+            ASSERT_EQ(bits(got), bits(want))
+                << "n=" << n << " i=" << i << " spacing=" << min_spacing
+                << " exclusion=" << exclusion;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EchoCompetition, FusedScanMatchesSeparatePasses) {
+  // scan_correlation's gate and peak pick against the separate passes the
+  // detector ran before: normalize, mask at the threshold, then test local
+  // maxima of the masked |raw| inside the chunk.
+  Rng rng(4343);
+  const double threshold = 0.25;
+  for (const std::size_t n : {1u, 2u, 3u, 256u, 257u, 1031u}) {
+    const std::size_t h_size = 16;
+    const std::vector<double> x = rng.gaussian_vector(n + h_size - 1);
+    std::vector<double> prefix;
+    const WindowNormalizer norm(x, h_size, 1.0, prefix);
+    for (const std::vector<double>& raw : adversarial_raws(n, norm, threshold, rng)) {
+      std::vector<double> normalized;
+      std::vector<double> oracle_prefix;
+      normalize_correlation_into(raw, x, h_size, 1.0, oracle_prefix, normalized);
+      std::vector<double> masked(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        masked[k] = normalized[k] >= threshold ? std::abs(raw[k]) : 0.0;
+      }
+      std::vector<std::size_t> want;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (masked[k] < 1e-12) continue;
+        if (k > 0 && !(masked[k] >= masked[k - 1])) continue;
+        if (k + 1 < n && !(masked[k] > masked[k + 1])) continue;
+        want.push_back(k);
+      }
+      DetectorWorkspace ws;
+      const CorrelationScan scan = scan_correlation(raw, norm, threshold, ws);
+      EXPECT_EQ(ws.peaks, want) << "n=" << n;
+      EXPECT_EQ(bits(scan.first_masked), bits(masked.front())) << "n=" << n;
+      EXPECT_EQ(bits(scan.last_masked), bits(masked.back())) << "n=" << n;
     }
   }
 }

@@ -59,6 +59,62 @@ TEST(ChooseOlsFftSize, PowerOfTwoAtLeastKernelAndDeterministic) {
   EXPECT_EQ(choose_ols_fft_size(255), 2048u);
 }
 
+/// The pair model of overlap-save work on a window of `w` samples, written
+/// out independently of the library: ceil(blocks / 2) transform pairs of
+/// N log2(N) butterflies, blocks = ceil(w / (N - m + 1)).
+double pair_model_cost(std::size_t m, std::size_t w, std::size_t n) {
+  const std::size_t block = n - m + 1;
+  const std::size_t blocks = (w + block - 1) / block;
+  const std::size_t pairs = (blocks + 1) / 2;
+  return static_cast<double>(pairs) * static_cast<double>(n) *
+         std::log2(static_cast<double>(n));
+}
+
+TEST(ChooseOlsFftSize, WindowAwarePowerOfTwoAtLeastKernelAndDeterministic) {
+  for (std::size_t m : {1u, 2u, 7u, 63u, 255u, 1000u, 2205u, 5000u}) {
+    for (std::size_t w : {m, 2 * m + 1, std::size_t{4410}, std::size_t{131072},
+                          std::size_t{1} << 20}) {
+      const std::size_t n = choose_ols_fft_size(m, w);
+      EXPECT_TRUE(is_pow2(n)) << "m=" << m << " w=" << w;
+      EXPECT_GE(n, m) << "m=" << m << " w=" << w;
+      EXPECT_EQ(n, choose_ols_fft_size(m, w)) << "m=" << m << " w=" << w;
+    }
+  }
+}
+
+TEST(ChooseOlsFftSize, WindowAwareDetectorGeometry) {
+  // The matched filter's 2205-tap reference on its 131072-sample chunks:
+  // 11 full pairs of 8192-point transforms, where the one-argument rule's
+  // 32768 runs 3 pairs and the last of them is half empty.
+  EXPECT_EQ(choose_ols_fft_size(2205), 32768u);
+  EXPECT_EQ(choose_ols_fft_size(2205, 131072), 8192u);
+  EXPECT_LT(pair_model_cost(2205, 131072, 8192), pair_model_cost(2205, 131072, 32768));
+}
+
+TEST(ChooseOlsFftSize, WindowAwareNeverCostsMoreThanOneArgument) {
+  for (std::size_t m = 1; m <= 6000; m += 37) {
+    for (double w = static_cast<double>(m); w <= 2.0e6; w *= 1.37) {
+      const auto win = static_cast<std::size_t>(w);
+      const std::size_t n = choose_ols_fft_size(m, win);
+      EXPECT_LE(pair_model_cost(m, win, n),
+                pair_model_cost(m, win, choose_ols_fft_size(m)))
+          << "m=" << m << " w=" << win << " n=" << n;
+    }
+  }
+}
+
+TEST(OlsConvolver, CorrelateValidAgreesAcrossDetectorBlockSizes) {
+  // The detector's correlation at its window-aware block size against the
+  // one-argument size, on one full 131072-sample chunk.
+  Rng rng(2205);
+  const std::vector<double> x = rng.gaussian_vector(131072);
+  const std::vector<double> ref = rng.gaussian_vector(2205);
+  const std::vector<double> reversed(ref.rbegin(), ref.rend());
+  const OlsConvolver small(reversed, 8192);
+  const OlsConvolver large(reversed, 32768);
+  EXPECT_LT(max_abs_diff(small.correlate_valid(x), large.correlate_valid(x)), kTol);
+}
+
 TEST(OlsConvolver, MatchesDirectAcrossRandomLengths) {
   Rng rng(2024);
   for (int trial = 0; trial < 40; ++trial) {
