@@ -32,10 +32,12 @@ namespace {
 using namespace hyperear;
 
 void BM_Fft(benchmark::State& state) {
-  // Times the kernel on a prebuilt plan, as the overlap-save loops run it;
-  // plan construction is a once-per-context cost. 2048 and 8192 are the
-  // block sizes of the band-pass and matched-filter convolvers; 32768 is
-  // the one-argument size for the chirp reference.
+  // Times the natural-order forward transform (DIF butterflies plus the
+  // bit-reversal permutation) on a prebuilt plan; plan construction is a
+  // once-per-context cost. The overlap-save loops skip the permutation, see
+  // BM_OlsPair. 2048 and 8192 are the block sizes of the band-pass and
+  // matched-filter convolvers; 32768 is the one-argument size for the chirp
+  // reference.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   std::vector<dsp::Complex> x(n);
@@ -50,6 +52,28 @@ void BM_Fft(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Fft)->Arg(1 << 11)->Arg(1 << 13)->Arg(1 << 15)->Arg(1 << 17);
+
+void BM_OlsPair(benchmark::State& state) {
+  // One overlap-save transform pair (lane fill, forward transform, spectrum
+  // multiply, inverse transform, copy-out): the unit of work the band-pass
+  // (255 taps, 2048-point blocks) and the matched filter (2205 taps,
+  // 8192-point blocks) repeat along every channel. Pair (2, 3) is interior,
+  // so both lanes are full.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t taps = n == 2048 ? 255 : 2205;
+  Rng rng(7);
+  const dsp::OlsConvolver conv(rng.gaussian_vector(taps), n);
+  const std::size_t block = conv.block_size();
+  const std::vector<double> x = rng.gaussian_vector(4 * block);
+  std::vector<double> out(2 * block);
+  dsp::Workspace ws;
+  for (auto _ : state) {
+    conv.convolve_pair_into(x, 0, x.size(), 2, true, 2 * block, out.size(), out.data(), ws);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_OlsPair)->Arg(2048)->Arg(8192);
 
 void BM_CorrelateValid(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -5,7 +5,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/ols.hpp"
 
 namespace hyperear::dsp {
@@ -24,6 +23,27 @@ void correlate_valid_direct_into(std::span<const double> x, std::span<const doub
       s += x[k + j] * (reversed ? h[h.size() - 1 - j] : h[j]);
     }
     out[k] = s;
+  }
+}
+
+/// Direct full-mode convolution of x with a kernel k (length m): sample g
+/// sums x[g - j] * k[j] over the j that keep both indices in range, in
+/// ascending j. `reversed` reads k[m - 1 - j] instead, so the planless
+/// correlate_full (holding h) and the plan-cached one (holding reverse(h))
+/// run the same products in the same order.
+void convolve_full_direct_into(std::span<const double> x, std::span<const double> k,
+                               bool reversed, std::vector<double>& out) {
+  const std::size_t n = x.size();
+  const std::size_t m = k.size();
+  out.resize(n + m - 1);
+  for (std::size_t g = 0; g < out.size(); ++g) {
+    const std::size_t j_lo = g >= n ? g - (n - 1) : 0;
+    const std::size_t j_hi = std::min(g, m - 1);
+    double s = 0.0;
+    for (std::size_t j = j_lo; j <= j_hi; ++j) {
+      s += x[g - j] * (reversed ? k[m - 1 - j] : k[j]);
+    }
+    out[g] = s;
   }
 }
 
@@ -140,18 +160,21 @@ void normalize_correlation_into(std::span<const double> corr, std::span<const do
 // NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; no per-chunk caller
 std::vector<double> correlate_full(std::span<const double> x, std::span<const double> h) {
   require(!x.empty() && !h.empty(), "correlate_full: empty input");
-  std::vector<double> hr(h.rbegin(), h.rend());
   if (x.size() * h.size() <= kDirectProductLimit) {
-    return fft_convolve(x, hr);
+    std::vector<double> out;
+    convolve_full_direct_into(x, h, true, out);
+    return out;
   }
-  return OlsConvolver(std::move(hr)).convolve_full(x);
+  return OlsConvolver(std::vector<double>(h.rbegin(), h.rend())).convolve_full(x);
 }
 
 std::vector<double> correlate_full(std::span<const double> x,
                                    const OlsConvolver& reversed_template, Workspace* ws) {
   require(!x.empty(), "correlate_full: empty input");
   if (x.size() * reversed_template.kernel_size() <= kDirectProductLimit) {
-    return fft_convolve(x, reversed_template.kernel());
+    std::vector<double> out;
+    convolve_full_direct_into(x, reversed_template.kernel(), false, out);
+    return out;
   }
   return reversed_template.convolve_full(x, ws);
 }

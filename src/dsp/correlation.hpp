@@ -106,7 +106,9 @@ void normalize_correlation_into(std::span<const double> corr, std::span<const do
 /// Full "linear" cross-correlation with lags from -(h.size()-1) to
 /// x.size()-1 (like numpy.correlate(x, h, "full") reversed appropriately).
 /// Used by tests that check autocorrelation symmetry. Large products
-/// stream through overlap-save like `correlate_valid`.
+/// stream through overlap-save like `correlate_valid`; products up to
+/// `kDirectProductLimit` are the direct sum, in the same term order for
+/// both overloads, so the two agree bit for bit.
 [[nodiscard]] std::vector<double> correlate_full(std::span<const double> x,
                                                  std::span<const double> h);
 

@@ -7,10 +7,19 @@
 #include <vector>
 
 /// @file fft.hpp
-/// The repo's one FFT kernel (`FftPlan`): an in-place radix-4
-/// decimation-in-time transform over power-of-two sizes, implemented from
-/// scratch (no external DSP dependency). Used by cross-correlation,
-/// matched filtering, overlap-save convolution and spectral analysis.
+/// The repo's one FFT kernel (`FftPlan`): in-place radix-4 transforms over
+/// power-of-two sizes, implemented from scratch (no external DSP
+/// dependency). Used by cross-correlation, matched filtering, overlap-save
+/// convolution and spectral analysis.
+///
+/// The kernel is a fast-convolution pair on split re/im arrays. The forward
+/// transform is decimation-in-frequency: natural-order input, bit-reversed
+/// spectrum. The inverse is decimation-in-time: bit-reversed spectrum,
+/// natural-order output. A convolution multiplies two spectra pointwise,
+/// which works in any order, so overlap-save (`OlsConvolver`) never runs
+/// the bit-reversal permutation. The natural-order `forward`/`inverse` on
+/// interleaved `std::complex` buffers run the same two butterflies plus
+/// that permutation.
 ///
 /// Hot paths that transform many buffers of one fixed size (the matched
 /// filter's chunked correlation, via core::PipelineContext) should build an
@@ -40,8 +49,9 @@ void ifft_inplace(std::vector<Complex>& x);
 /// evaluated directly with cos/sin (no recurrence, so no accumulated
 /// rounding). The inverse transform uses the conjugate twiddles. The
 /// butterflies fuse radix-2 stages two at a time into radix-4 butterflies
-/// written as explicit real/imaginary arithmetic; when log2 N is odd, one
-/// leading radix-2 pass handles the extra stage. Immutable after
+/// written as explicit real/imaginary arithmetic, two lanes at a time; when
+/// log2 N is odd, one radix-2 pass handles the extra stage (trailing in the
+/// forward transform, leading in the inverse). Immutable after
 /// construction, so one plan can be shared read-only across threads.
 class FftPlan {
  public:
@@ -50,13 +60,30 @@ class FftPlan {
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// In-place transforms; require x.size() == size().
+  /// Natural-order in-place transforms of an interleaved buffer; require
+  /// x.size() == size(). `inverse` includes the 1/N normalization.
   void forward(std::vector<Complex>& x) const;
   void inverse(std::vector<Complex>& x) const;
 
+  /// Permutation-free forward transform of split re/im arrays of size()
+  /// doubles each: natural-order input, spectrum in bit-reversed order
+  /// (bin k lands at index bitrev(k)).
+  void forward_to_bitrev(std::span<double> re, std::span<double> im) const;
+  /// Permutation-free inverse of `forward_to_bitrev`: bit-reversed spectrum
+  /// in, natural-order signal out. NOT normalized — the result is N times
+  /// the inverse DFT; callers fold the 1/N into a factor they already
+  /// multiply by (OlsConvolver scales its kernel spectrum).
+  void inverse_from_bitrev(std::span<double> re, std::span<double> im) const;
+
  private:
-  template <bool Inverse>
-  void run(std::vector<Complex>& x) const;
+  /// The two butterfly sources, over a re/im array pair whose element i
+  /// sits at re[i * Stride] / im[i * Stride]: Stride 1 is the split layout,
+  /// Stride 2 an interleaved `std::complex` buffer.
+  template <std::size_t Stride>
+  void dif(double* re, double* im) const;
+  template <std::size_t Stride>
+  void dit(double* re, double* im) const;
+  void permute(std::vector<Complex>& x) const;
 
   std::size_t n_ = 1;
   /// Bit-reversal permutation as flattened (i, j) swap pairs with i < j.
@@ -68,6 +95,12 @@ class FftPlan {
   std::vector<double> twiddle_im_;
 };
 
+/// Pointwise complex product z *= k over split re/im arrays of equal
+/// length, two lanes at a time. The order of the bins does not matter, so
+/// it serves bit-reversed spectra as well as natural-order ones.
+void multiply_spectra(std::span<double> z_re, std::span<double> z_im,
+                      std::span<const double> k_re, std::span<const double> k_im);
+
 /// Reusable scratch buffers for the FFT/convolution hot paths. A Workspace
 /// is deliberately dumb: callers ask for a slot resized to the length they
 /// need and must overwrite every element they read back. It is NOT
@@ -75,18 +108,15 @@ class FftPlan {
 /// one per `detect` call, the ASP stage one per mic channel) and never share
 /// it across threads. Repeated calls of one loop reuse the same capacity, so
 /// the steady state of a block-convolution loop performs zero allocations.
+/// `OlsConvolver` keeps its transform pair in slots 0 (re) and 1 (im).
 class Workspace {
  public:
   static constexpr std::size_t kSlots = 2;
-
-  /// Complex scratch buffer `slot`, resized to `size`; contents unspecified.
-  [[nodiscard]] std::vector<Complex>& complex_scratch(std::size_t slot, std::size_t size);
 
   /// Real scratch buffer `slot`, resized to `size`; contents unspecified.
   [[nodiscard]] std::vector<double>& real_scratch(std::size_t slot, std::size_t size);
 
  private:
-  std::array<std::vector<Complex>, kSlots> complex_;
   std::array<std::vector<double>, kSlots> real_;
 };
 
@@ -126,11 +156,5 @@ void ifft_to_real_into(std::vector<Complex>& spectrum, std::vector<double>& out,
 /// automatically. bench_micro_dsp records the gap between the two.
 [[nodiscard]] std::vector<double> fft_convolve(std::span<const double> a,
                                                std::span<const double> b);
-
-/// Workspace-backed monolithic convolution: same result as `fft_convolve`
-/// (bit-identical), with the two spectra held in workspace slots so batch
-/// callers skip the per-call allocations.
-[[nodiscard]] std::vector<double> fft_convolve(std::span<const double> a,
-                                               std::span<const double> b, Workspace& ws);
 
 }  // namespace hyperear::dsp

@@ -76,28 +76,39 @@ std::size_t choose_ols_fft_size(std::size_t kernel_len, std::size_t window_len) 
 OlsConvolver::OlsConvolver(std::vector<double> kernel, std::size_t fft_size)
     : kernel_(std::move(kernel)),
       plan_(fft_size == 0 ? choose_ols_fft_size(kernel_.empty() ? 1 : kernel_.size())
-                          : fft_size) {
+                          : fft_size),
+      spectrum_re_(plan_.size(), 0.0),
+      spectrum_im_(plan_.size(), 0.0) {
   HE_EXPECTS(!kernel_.empty());
   HE_ASSERT_FINITE(kernel_);
   require(!kernel_.empty(), "OlsConvolver: empty kernel");
   require(is_pow2(plan_.size()) && plan_.size() >= kernel_.size(),
           "OlsConvolver: fft_size must be a power of two >= the kernel length");
-  fft_real_into(kernel_, plan_.size(), spectrum_, &plan_);
+  std::copy(kernel_.begin(), kernel_.end(), spectrum_re_.begin());
+  plan_.forward_to_bitrev(spectrum_re_, spectrum_im_);
+  // The inverse transform is unnormalized. 1/N is a power of two, so
+  // folding it into the kernel spectrum changes no rounding (barring
+  // underflow): each pair comes out exactly as a normalized inverse of the
+  // unscaled product would.
+  const double inv_n = 1.0 / static_cast<double>(plan_.size());
+  for (double& v : spectrum_re_) v *= inv_n;
+  for (double& v : spectrum_im_) v *= inv_n;
   // The overlap-save identity needs at least one alias-free sample per
   // block; plan >= kernel guarantees it, restated here in the algorithm's
   // own terms so a future block-sizing change can't silently break it.
   HE_ENSURES(block_size() >= 1);
-  HE_ENSURES(spectrum_.size() == plan_.size());
 }
 
-std::vector<Complex>& OlsConvolver::transform_pair(std::span<const double> x,
-                                                   std::ptrdiff_t x_start,
-                                                   std::size_t b, bool paired,
-                                                   Workspace& ws) const {
+OlsConvolver::PairLanes OlsConvolver::pair_lanes(Workspace& ws) const {
+  const std::size_t n = plan_.size();
+  return {ws.real_scratch(0, n), ws.real_scratch(1, n)};
+}
+
+void OlsConvolver::transform_pair(std::span<const double> x, std::ptrdiff_t x_start,
+                                  std::size_t b, bool paired, PairLanes z) const {
   const std::size_t m = kernel_.size();
   const std::size_t n = plan_.size();
   const std::size_t block = block_size();
-  std::vector<Complex>& z = ws.complex_scratch(0, n);
 
   // Block b produces full-convolution samples [b*block, b*block + block)
   // from input window [b*block - (m-1), b*block + block) (zero-padded
@@ -106,67 +117,46 @@ std::vector<Complex>& OlsConvolver::transform_pair(std::span<const double> x,
   // identity. Consecutive blocks share one transform pair via the
   // real-input fast path: with real blocks a, b and kernel spectrum K,
   //   IFFT(FFT(a + i*b) . K) = (a*k) + i*(b*k)
-  // by linearity, both parts real — so the real parts carry block b's
-  // result and the imaginary parts block b+1's, halving the FFT count.
+  // by linearity, both parts real — so the re lane carries block b's
+  // result and the im lane block b+1's, halving the FFT count.
   //
-  // No copy loop carries a per-sample bounds check. A pair whose input
-  // window lies inside `x` (every pair but the edge ones) interleaves the
-  // two blocks in one pass; otherwise each lane (re or im) is filled as
-  // zeros | window samples | zeros, the runs clipped once per lane.
-  double* zd = reinterpret_cast<double*>(z.data());
+  // Each lane is filled as zeros | window samples | zeros, the runs
+  // clipped once per lane; a pair inside `x` is two plain copies.
   const std::ptrdiff_t x_end = x_start + static_cast<std::ptrdiff_t>(x.size());
-  const auto fill_lane = [&](double* lane, std::ptrdiff_t base) {
+  const auto fill_lane = [&](std::span<double> lane, std::ptrdiff_t base) {
     const auto clip = [n](std::ptrdiff_t v) {
       return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
           v, 0, static_cast<std::ptrdiff_t>(n)));
     };
     // Lane position j reads signal index base + j, i.e. x[base + j - x_start].
     const std::size_t lo = clip(x_start - base);
-    const std::size_t hi = clip(x_end - base);
-    std::size_t j = 0;
-    for (; j < std::min(lo, hi); ++j) lane[2 * j] = 0.0;
+    const std::size_t hi = std::max(lo, clip(x_end - base));
+    double* d = lane.data();
+    std::fill(d, d + lo, 0.0);
     if (lo < hi) {
       const double* src = x.data() + (base + static_cast<std::ptrdiff_t>(lo) - x_start);
-      for (; j < hi; ++j) lane[2 * j] = src[j - lo];
+      std::copy(src, src + (hi - lo), d + lo);
     }
-    for (; j < n; ++j) lane[2 * j] = 0.0;
+    std::fill(d + hi, d + n, 0.0);
   };
   const std::ptrdiff_t base0 =
       static_cast<std::ptrdiff_t>(b * block) - static_cast<std::ptrdiff_t>(m - 1);
-  const std::ptrdiff_t base1 = base0 + static_cast<std::ptrdiff_t>(block);
-  if (paired && base0 >= x_start && base1 + static_cast<std::ptrdiff_t>(n) <= x_end) {
-    const double* s0 = x.data() + (base0 - x_start);
-    const double* s1 = s0 + block;
-    for (std::size_t j = 0; j < n; ++j) {
-      zd[2 * j] = s0[j];
-      zd[2 * j + 1] = s1[j];
-    }
-  } else if (paired) {
-    fill_lane(zd, base0);
-    fill_lane(zd + 1, base1);
+  fill_lane(z.re, base0);
+  if (paired) {
+    fill_lane(z.im, base0 + static_cast<std::ptrdiff_t>(block));
   } else {
-    fill_lane(zd, base0);
-    for (std::size_t j = 0; j < n; ++j) zd[2 * j + 1] = 0.0;
+    std::fill(z.im.begin(), z.im.end(), 0.0);
   }
-  plan_.forward(z);
-  // Pointwise spectrum multiply in explicit re/im arithmetic: the same
-  // products and sums as std::complex's operator*=, without GCC's
-  // NaN-recovery call.
-  const double* kd = reinterpret_cast<const double*>(spectrum_.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    const double ar = zd[2 * j];
-    const double ai = zd[2 * j + 1];
-    const double br = kd[2 * j];
-    const double bi = kd[2 * j + 1];
-    zd[2 * j] = ar * br - ai * bi;
-    zd[2 * j + 1] = ar * bi + ai * br;
-  }
-  plan_.inverse(z);
-  return z;
+  // Forward leaves the spectrum bit-reversed, the kernel spectrum is stored
+  // in the same order, and the inverse takes bit-reversed input: no
+  // permutation anywhere.
+  plan_.forward_to_bitrev(z.re, z.im);
+  multiply_spectra(z.re, z.im, spectrum_re_, spectrum_im_);
+  plan_.inverse_from_bitrev(z.re, z.im);
 }
 
-void OlsConvolver::copy_pair_halves(const std::vector<Complex>& z, std::size_t b,
-                                    bool paired, std::size_t offset, std::size_t count,
+void OlsConvolver::copy_pair_halves(PairLanes z, std::size_t b, bool paired,
+                                    std::size_t offset, std::size_t count,
                                     std::size_t full_len, double* out) const {
   const std::size_t m = kernel_.size();
   const std::size_t block = block_size();
@@ -174,10 +164,9 @@ void OlsConvolver::copy_pair_halves(const std::vector<Complex>& z, std::size_t b
     const std::size_t start = (b + half) * block;
     const std::size_t lo = std::max(start, offset);
     const std::size_t hi = std::min({start + block, offset + count, full_len});
-    for (std::size_t g = lo; g < hi; ++g) {
-      const Complex& v = z[m - 1 + (g - start)];
-      out[g - offset] = half == 0 ? v.real() : v.imag();
-    }
+    if (lo >= hi) continue;
+    const double* lane = (half == 0 ? z.re : z.im).data() + (m - 1);
+    std::copy(lane + (lo - start), lane + (hi - start), out + (lo - offset));
   }
 }
 
@@ -205,9 +194,10 @@ void OlsConvolver::convolve_into(std::span<const double> x, std::size_t offset,
   // the requested window must sit inside it.
   HE_EXPECTS(first_block % 2 == 0);
   HE_EXPECTS(last_block < total_blocks);
+  const PairLanes z = pair_lanes(ws);
   for (std::size_t b = first_block; b <= last_block; b += 2) {
     const bool paired = b + 1 < total_blocks;
-    const std::vector<Complex>& z = transform_pair(x, 0, b, paired, ws);
+    transform_pair(x, 0, b, paired, z);
     copy_pair_halves(z, b, paired, offset, count, full_len, out);
   }
 }
@@ -223,8 +213,8 @@ void OlsConvolver::convolve_pair_into(std::span<const double> x, std::size_t x_s
   require(offset <= full_len && count <= full_len - offset,
           "OlsConvolver: output window exceeds the full convolution");
   if (count == 0) return;
-  const std::vector<Complex>& z = transform_pair(
-      x, static_cast<std::ptrdiff_t>(x_start), block_index, paired, ws);
+  const PairLanes z = pair_lanes(ws);
+  transform_pair(x, static_cast<std::ptrdiff_t>(x_start), block_index, paired, z);
   copy_pair_halves(z, block_index, paired, offset, count, full_len, out);
 }
 

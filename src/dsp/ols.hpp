@@ -22,7 +22,10 @@
 ///  * the kernel is transformed ONCE at construction, never per call;
 ///  * consecutive blocks ride one complex transform pair (see
 ///    `convolve_into`): the real-input fast path packs block b into the real
-///    parts and block b+1 into the imaginary parts, halving the FFT count.
+///    parts and block b+1 into the imaginary parts, halving the FFT count;
+///  * no block pays for a bit-reversal permutation: the forward transform
+///    leaves its spectrum in bit-reversed order, the kernel spectrum is
+///    stored in that order, and the inverse transform takes it back.
 ///
 /// Accuracy: overlap-save computes the same linear convolution as the
 /// direct sum, within FFT round-off (~1e-13 for unit-scale inputs; the
@@ -85,9 +88,6 @@ class OlsConvolver {
     return plan_.size() - kernel_.size() + 1;
   }
   [[nodiscard]] const std::vector<double>& kernel() const { return kernel_; }
-  [[nodiscard]] const FftPlan& plan() const { return plan_; }
-  /// FFT of the zero-padded kernel at the block transform size.
-  [[nodiscard]] const std::vector<Complex>& kernel_spectrum() const { return spectrum_; }
 
   /// Write full-convolution samples [offset, offset + count) of
   /// kernel * x into `out` (which must hold `count` doubles). The full
@@ -146,25 +146,33 @@ class OlsConvolver {
                             Workspace& ws) const;
 
  private:
-  /// The shared pair transform: fill ws.complex_scratch(0, fft_size) with
-  /// the circular convolution of blocks (b, b+1) packed as (real, imag),
-  /// reading signal index `idx` as x[idx - x_start] when inside the window
-  /// and zero otherwise. Every public spelling routes its block arithmetic
-  /// through here, which is what makes windowed, full, and streamed calls
-  /// bit-identical.
-  std::vector<Complex>& transform_pair(std::span<const double> x,
-                                       std::ptrdiff_t x_start, std::size_t b,
-                                       bool paired, Workspace& ws) const;
+  /// The pair buffer: split re/im lanes of fft_size doubles each, held in
+  /// ws.real_scratch slots 0 and 1.
+  struct PairLanes {
+    std::span<double> re;
+    std::span<double> im;
+  };
+  [[nodiscard]] PairLanes pair_lanes(Workspace& ws) const;
+  /// The shared pair transform: fill `z` with the circular convolution of
+  /// blocks b (re lane) and b+1 (im lane), reading signal index `idx` as
+  /// x[idx - x_start] when inside the window and zero otherwise. Every
+  /// public spelling routes its block arithmetic through here, which is
+  /// what makes windowed, full, and streamed calls bit-identical.
+  void transform_pair(std::span<const double> x, std::ptrdiff_t x_start, std::size_t b,
+                      bool paired, PairLanes z) const;
   /// Copy the alias-free halves of a transformed pair into the caller's
   /// output window [offset, offset + count), clipped to the full
   /// convolution [0, full_len).
-  void copy_pair_halves(const std::vector<Complex>& z, std::size_t b, bool paired,
-                        std::size_t offset, std::size_t count, std::size_t full_len,
-                        double* out) const;
+  void copy_pair_halves(PairLanes z, std::size_t b, bool paired, std::size_t offset,
+                        std::size_t count, std::size_t full_len, double* out) const;
 
   std::vector<double> kernel_;
   FftPlan plan_;
-  std::vector<Complex> spectrum_;
+  /// FFT of the zero-padded kernel in bit-reversed order (the layout
+  /// `FftPlan::forward_to_bitrev` produces), scaled by 1/fft_size so the
+  /// unnormalized inverse transform needs no pass of its own.
+  std::vector<double> spectrum_re_;
+  std::vector<double> spectrum_im_;
 };
 
 }  // namespace hyperear::dsp

@@ -137,6 +137,55 @@ TEST(FftPlan, MatchesNaiveDftAtEverySize) {
   }
 }
 
+/// Bit reversal of `i` over log2(n) bits.
+std::size_t bit_reverse(std::size_t i, std::size_t n) {
+  std::size_t r = 0;
+  for (std::size_t bit = 1; bit < n; bit <<= 1) {
+    r = (r << 1) | ((i & bit) != 0 ? 1 : 0);
+  }
+  return r;
+}
+
+TEST(FftPlan, BitReversedPairMatchesNaiveDftAtEverySize) {
+  // The permutation-free pair overlap-save runs: forward_to_bitrev leaves
+  // DFT bin bitrev(i) at index i, and inverse_from_bitrev of that
+  // bit-reversed spectrum returns N * x.
+  Rng rng(27);
+  for (unsigned bits = 0; bits <= 12; ++bits) {
+    const std::size_t n = std::size_t{1} << bits;
+    const double tol = 1e-12 * std::max(1.0, static_cast<double>(bits));
+    std::vector<Complex> x(n);
+    for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+    const std::vector<Complex> dft = naive_dft(x, false);
+    const FftPlan plan(n);
+    std::vector<double> re(n);
+    std::vector<double> im(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      re[i] = x[i].real();
+      im[i] = x[i].imag();
+    }
+    plan.forward_to_bitrev(re, im);
+    std::vector<Complex> got(n);
+    std::vector<Complex> want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      got[i] = Complex(re[i], im[i]);
+      want[i] = dft[bit_reverse(i, n)];
+    }
+    EXPECT_LE(relative_error(got, want), tol) << "forward n=" << n;
+
+    for (std::size_t i = 0; i < n; ++i) {
+      re[i] = want[i].real();
+      im[i] = want[i].imag();
+    }
+    plan.inverse_from_bitrev(re, im);
+    std::vector<Complex> back(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      back[i] = Complex(re[i], im[i]) / static_cast<double>(n);
+    }
+    EXPECT_LE(relative_error(back, x), tol) << "inverse n=" << n;
+  }
+}
+
 TEST(FftPlan, RoundTripAtOverlapSaveSizes) {
   // 2048 and 32768 are the block sizes choose_ols_fft_size picks for the
   // 255-tap band-pass and the 2205-tap chirp reference; 8192 is the
@@ -158,6 +207,10 @@ TEST(FftPlan, RejectsBadSizes) {
   const FftPlan plan(8);
   std::vector<Complex> x(4);
   EXPECT_THROW(plan.forward(x), PreconditionError);
+  std::vector<double> re(8);
+  std::vector<double> im(4);
+  EXPECT_THROW(plan.forward_to_bitrev(re, im), PreconditionError);
+  EXPECT_THROW(plan.inverse_from_bitrev(im, re), PreconditionError);
 }
 
 TEST(FftReal, PadsToPowerOfTwo) {

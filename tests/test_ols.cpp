@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -173,6 +174,25 @@ TEST(OlsConvolver, KernelLongerThanBlock) {
   EXPECT_LT(max_abs_diff(ols.convolve_full(x), direct_full_conv(x, k)), kTol);
 }
 
+TEST(OlsConvolver, MatchesDirectAtEveryExplicitFftSize) {
+  // Every power-of-two block transform from the kernel length up to 2^13:
+  // N = 1 and 2 (no radix-4 stage), the single-lane quarter-1 stage at
+  // even log2 N, the radix-2 pass at odd log2 N, and blocks of one sample
+  // (N == m).
+  Rng rng(43);
+  for (const std::size_t m : {1u, 2u, 3u, 255u, 2205u}) {
+    const std::vector<double> k = rng.gaussian_vector(m);
+    for (std::size_t n = next_pow2(m); n <= (std::size_t{1} << 13); n <<= 1) {
+      const OlsConvolver ols(k, n);
+      // A few blocks, so both lanes of a pair and an unpaired last block
+      // are exercised at every size.
+      const std::vector<double> x = rng.gaussian_vector(3 * ols.block_size() + m + 5);
+      EXPECT_LT(max_abs_diff(ols.convolve_full(x), direct_full_conv(x, k)), kTol)
+          << "m=" << m << " n=" << n;
+    }
+  }
+}
+
 TEST(OlsConvolver, WindowedOutputMatchesSliceOfFull) {
   Rng rng(17);
   const std::size_t m = 101;
@@ -254,6 +274,37 @@ TEST(OlsOverloads, CorrelateFullSpellingsAreBitIdentical) {
   }
 }
 
+TEST(OlsOverloads, CorrelateFullBelowLimitIsTheDirectSum) {
+  // Below kDirectProductLimit both correlate_full spellings evaluate the
+  // direct sum: full-convolution sample g of x with the reversed template,
+  // the terms taken in ascending template-reversal index j.
+  Rng rng(53);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {7, 3}, {3, 7}, {200, 255}, {256, 256}, {2000, 32}};
+  for (const auto& [n, m] : shapes) {
+    ASSERT_LE(n * m, kDirectProductLimit);
+    const std::vector<double> x = rng.gaussian_vector(n);
+    const std::vector<double> h = rng.gaussian_vector(m);
+    std::vector<double> want(n + m - 1);
+    for (std::size_t g = 0; g < want.size(); ++g) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (j <= g && g - j < n) s += x[g - j] * h[m - 1 - j];
+      }
+      want[g] = s;
+    }
+    const OlsConvolver reversed(std::vector<double>(h.rbegin(), h.rend()));
+    const std::vector<double> planless = correlate_full(x, h);
+    const std::vector<double> planned = correlate_full(x, reversed);
+    ASSERT_EQ(planless.size(), want.size());
+    ASSERT_EQ(planned.size(), want.size());
+    for (std::size_t g = 0; g < want.size(); ++g) {
+      EXPECT_EQ(planless[g], want[g]) << "n=" << n << " m=" << m << " g=" << g;
+      EXPECT_EQ(planned[g], want[g]) << "n=" << n << " m=" << m << " g=" << g;
+    }
+  }
+}
+
 TEST(OlsWorkspace, ReuseAcrossMixedSizesDoesNotPerturbResults) {
   Rng rng(37);
   std::vector<double> k = rng.gaussian_vector(127);
@@ -272,13 +323,48 @@ TEST(OlsWorkspace, ReuseAcrossMixedSizesDoesNotPerturbResults) {
   }
 }
 
+TEST(OlsWorkspace, WarmedDirtyWorkspaceMatchesFresh) {
+  // A workspace warmed by a larger convolver and then filled with NaN must
+  // not leak into any spelling: every lane element is written before it is
+  // read.
+  Rng rng(47);
+  const std::vector<double> k = rng.gaussian_vector(255);
+  const OlsConvolver ols(k);
+  const OlsConvolver larger(rng.gaussian_vector(2205));
+  const std::vector<double> x = rng.gaussian_vector(9000);
+  Workspace dirty;
+  (void)larger.convolve_full(x, &dirty);
+  for (std::size_t slot = 0; slot < Workspace::kSlots; ++slot) {
+    std::vector<double>& lane = dirty.real_scratch(slot, 1u << 15);
+    std::fill(lane.begin(), lane.end(), std::nan(""));
+  }
+  const std::vector<double> fresh = ols.convolve_full(x);
+  const std::vector<double> reused = ols.convolve_full(x, &dirty);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(reused[i], fresh[i]) << "i=" << i;
+  }
+  // The streamed spelling: one pair, windowed out of the same signal.
+  std::vector<double> pair_fresh(2 * ols.block_size());
+  std::vector<double> pair_dirty(pair_fresh.size());
+  Workspace fresh_ws;
+  ols.convolve_pair_into(x, 0, x.size(), 2, true, 2 * ols.block_size(), pair_fresh.size(),
+                         pair_fresh.data(), fresh_ws);
+  ols.convolve_pair_into(x, 0, x.size(), 2, true, 2 * ols.block_size(), pair_dirty.size(),
+                         pair_dirty.data(), dirty);
+  for (std::size_t i = 0; i < pair_fresh.size(); ++i) {
+    EXPECT_EQ(pair_dirty[i], pair_fresh[i]) << "i=" << i;
+    EXPECT_EQ(pair_fresh[i], fresh[2 * ols.block_size() + i]) << "i=" << i;
+  }
+}
+
 TEST(FftInto, MatchesAllocatingSpellings) {
   Rng rng(41);
   std::vector<double> x = rng.gaussian_vector(300);
   const std::vector<Complex> want = fft_real(x, 1024);
   const FftPlan plan(1024);
   Workspace ws;
-  std::vector<Complex>& spectrum = ws.complex_scratch(0, 4096);  // dirty, oversized
+  std::vector<Complex> spectrum(4096, Complex(-7.0, 3.0));  // dirty, oversized
   fft_real_into(x, 1024, spectrum, &plan);
   ASSERT_EQ(spectrum.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
