@@ -16,6 +16,12 @@
 /// traffic after warm-up (the cold rows above pay the one-time buffer
 /// growth), and its results must also match the baseline bit-for-bit.
 ///
+/// The "engine_single_session" rows submit one session at a time to an
+/// idle engine (after one warm-up session) at 1 and at hardware-concurrency
+/// threads: ns_per_op is the wall time per session, i.e. request latency
+/// with an empty queue, where the other workers help with the session's
+/// ASP chunk tasks. Results must match the baseline bit-for-bit.
+///
 /// HYPEREAR_TRIALS scales the batch size (default 8 sessions).
 
 #include <algorithm>
@@ -162,6 +168,34 @@ int main() {
                 seconds,
                 static_cast<double>(steady_bytes / n_sessions) / 1024.0,
                 same ? "bit-identical" : "MISMATCH");
+  }
+
+  // Single-session latency on an idle engine: with one worker the session
+  // runs alone; with all of them, idle workers help with its ASP tasks.
+  std::printf("\n%8s %14s %9s %13s\n", "threads", "ms/session", "speedup", "identical");
+  double single_ms_1 = 0.0;
+  for (const std::size_t threads : std::set<std::size_t>{1, hw}) {
+    runtime::BatchEngine engine({}, threads);
+    (void)engine.submit(sessions[0]).get();  // warm the plans and one workspace
+    double wall_ms = 0.0;
+    bool same = true;
+    for (std::size_t i = 0; i < n_sessions; ++i) {
+      const Clock::time_point t0 = Clock::now();
+      const runtime::SessionReport report = engine.submit(sessions[i]).get();
+      wall_ms += std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+      same = same && identical(report.result, baseline[i].result);
+    }
+    all_identical = all_identical && same;
+    const double per_session = wall_ms / static_cast<double>(n_sessions);
+    if (threads == 1) single_ms_1 = per_session;
+    std::printf("%8zu %14.2f %8.2fx %13s\n", threads, per_session,
+                single_ms_1 / per_session, same ? "yes" : "MISMATCH");
+    bench::BenchRow row;
+    row.op = "engine_single_session";
+    row.variant = "engine-threads-" + std::to_string(threads);
+    row.n = n_sessions;
+    row.ns_per_op = per_session * 1e6;
+    rows.push_back(row);
   }
 
   // Observability overhead (the bench_obs_overhead rows): the same serial

@@ -67,7 +67,7 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
                                 const AspOptions& options,
                                 const PipelineContext* context,
                                 SessionWorkspace* workspace,
-                                const PairExecutor* executor,
+                                const ChunkExecutor* executor,
                                 const obs::ObsContext* obs) {
   require(!recording.mic1.empty() && recording.mic1.size() == recording.mic2.size(),
           "preprocess_audio: bad recording");
@@ -93,27 +93,56 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
   AspResult result;
   result.estimated_period = nominal_period;
 
-  // Each channel is an independent filter+detect pass over shared immutable
-  // plans with a channel-private workspace slot, so the two closures can
-  // run on different threads. Results cannot depend on the schedule: the
-  // closures touch disjoint slots and outputs and never read each other's
-  // state.
-  const auto process_channel = [&](const std::vector<double>& mic, std::size_t slot,
-                                   std::vector<ChirpEvent>& events) {
-    ChannelWorkspace& ch = workspace->channel(slot);
-    if (options.bandpass) {
-      dsp::filter_same_into(mic, *context->bandpass_convolver(), ch.filtered,
-                            ch.detector.fft);
-      context->detector().detect_into(ch.filtered, ch.detector, ch.detections, obs);
-    } else {
-      context->detector().detect_into(mic, ch.detector, ch.detections, obs);
+  // One task per (channel, detector chunk), channel-major: band-pass the
+  // chunk's window and run the detector's chunk-local pass into the
+  // task's own result slot. Tasks read shared immutable plans and the
+  // recording and write only their slot and their executor-provided
+  // scratch, so they may run in any order on any threads.
+  const dsp::MatchedFilterDetector& detector = context->detector();
+  const std::size_t n = recording.mic1.size();
+  const std::size_t chunks = detector.chunk_count(n);
+  workspace->asp_tasks().clear();
+  for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
+    for (std::size_t k = 0; k < chunks; ++k) {
+      workspace->asp_tasks().push_back({slot, detector.chunk_span(k, n)});
     }
-    convert_chirp_events(ch.detections, events);
+  }
+  const std::vector<AspChunkTask>& tasks = workspace->asp_tasks();
+  workspace->chunk_passes().resize(tasks.size());
+  std::vector<dsp::ChunkPass>& passes = workspace->chunk_passes();
+  const auto run_task = [&](std::size_t t, ChunkScratch& scratch) {
+    const AspChunkTask& task = tasks[t];
+    const std::vector<double>& mic = task.channel == 0 ? recording.mic1 : recording.mic2;
+    std::span<const double> seg(mic.data() + task.span.start, task.span.size);
+    if (options.bandpass) {
+      dsp::filter_same_window_into(mic, *context->bandpass_convolver(), task.span.start,
+                                   task.span.size, scratch.window, scratch.detector.fft);
+      seg = scratch.window;
+    }
+    detector.chunk_pass(seg, task.span.start, task.span.final_chunk, scratch.detector,
+                        passes[t]);
   };
-  const SerialPairExecutor serial;
-  const PairExecutor& exec = executor != nullptr ? *executor : serial;
-  exec.run_pair([&] { process_channel(recording.mic1, 0, result.mic1); },
-                [&] { process_channel(recording.mic2, 1, result.mic2); });
+  const SerialChunkExecutor serial(workspace->scratch());
+  const ChunkExecutor& exec = executor != nullptr ? *executor : serial;
+  const std::size_t helped = exec.run(tasks.size(), run_task);
+
+  // Serial stitch per channel, in chunk order: the cross-chunk rules and
+  // the global passes see exactly what one thread streaming the chunks
+  // would have produced.
+  for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
+    ChannelWorkspace& ch = workspace->channel(slot);
+    dsp::DetectorStream stream;
+    detector.stream_begin(stream, ch.detector);
+    for (std::size_t k = 0; k < chunks; ++k) {
+      detector.stitch(passes[slot * chunks + k], stream, ch.detector);
+    }
+    detector.stream_end(stream, ch.detector, ch.detections, obs);
+    convert_chirp_events(ch.detections, slot == 0 ? result.mic1 : result.mic2);
+  }
+  if (obs != nullptr && obs->metrics != nullptr) {
+    obs->metrics->counter("asp.chunk_tasks_total").inc(static_cast<double>(tasks.size()));
+    obs->metrics->counter("asp.chunk_tasks_helped_total").inc(static_cast<double>(helped));
+  }
 
   finish_asp(result, nominal_period, calibration_duration, options,
              workspace->arena(), obs);
@@ -172,20 +201,19 @@ double estimate_period(const std::vector<ChirpEvent>& events, double nominal_per
 AspResult preprocess_audio(const sim::StereoRecording& recording,
                            double nominal_period, double calibration_duration,
                            const PipelineContext& context, SessionWorkspace& workspace,
-                           const obs::ObsContext* obs) {
+                           const obs::ObsContext* obs, const ChunkExecutor* executor) {
   return preprocess_audio_impl(recording, context.chirp_params(), nominal_period,
                                calibration_duration, context.asp_options(), &context,
-                               &workspace, nullptr, obs);
+                               &workspace, executor, obs);
 }
 
 AspResult preprocess_audio(const sim::StereoRecording& recording,
                            const dsp::ChirpParams& chirp_params, double nominal_period,
                            double calibration_duration, const AspOptions& options,
-                           const PipelineContext* context, const PairExecutor* executor,
-                           const obs::ObsContext* obs) {
+                           const PipelineContext* context, const obs::ObsContext* obs) {
   return preprocess_audio_impl(recording, chirp_params, nominal_period,
                                calibration_duration, options, context, nullptr,
-                               executor, obs);
+                               nullptr, obs);
 }
 
 }  // namespace hyperear::core

@@ -67,7 +67,7 @@ struct AspResult {
 };
 
 class PipelineContext;
-class PairExecutor;
+class ChunkExecutor;
 class SessionWorkspace;
 
 /// Run ASP on a stereo recording — the canonical spelling. `nominal_period`
@@ -82,42 +82,40 @@ class SessionWorkspace;
 /// rate), so results never silently depend on a stale cache.
 ///
 /// `workspace` (core/session_workspace.hpp) is the mutable counterpart:
-/// per-channel filter/detector scratch and the per-session arena, reset on
-/// entry and reusable across sessions. A warmed workspace makes the stage
-/// allocation-free in the steady state; results are bit-identical to a
-/// fresh one.
+/// the chunk-task list and results, per-channel detection staging and the
+/// per-session arena, reset on entry and reusable across sessions. A
+/// warmed workspace makes the stage allocation-free in the steady state;
+/// results are bit-identical to a fresh one.
+///
+/// The stage runs as (channel, detector-chunk) tasks — each band-passes
+/// one chunk window and runs the detector's chunk-local pass — followed by
+/// a serial stitch per channel in chunk order. `executor`
+/// (core/parallel.hpp) runs the tasks; null runs them serially on the
+/// workspace's scratch. The AspResult is byte-identical for every executor,
+/// since the tasks share no mutable state and the stitch is serial.
 ///
 /// `obs` (obs/trace.hpp) optionally receives stage telemetry (detector
-/// counters, SFO-estimate outcomes) on its registry. Null records nothing;
-/// the AspResult is byte-identical either way.
+/// counters, chunk-task counts, SFO-estimate outcomes) on its registry.
+/// Null records nothing; the AspResult is byte-identical either way.
 [[nodiscard]] AspResult preprocess_audio(const sim::StereoRecording& recording,
                                          double nominal_period,
                                          double calibration_duration,
                                          const PipelineContext& context,
                                          SessionWorkspace& workspace,
-                                         const obs::ObsContext* obs = nullptr);
+                                         const obs::ObsContext* obs = nullptr,
+                                         const ChunkExecutor* executor = nullptr);
 
 /// Context-free wrapper over the canonical spelling (one implementation —
 /// this forwards, it does not duplicate): builds a session-local context
 /// when `context` is null or was built for different options/chirp/rate,
 /// and a call-local workspace, so results never depend on whether a cache
-/// was supplied.
-///
-/// `executor` (core/parallel.hpp) lets the caller overlap the two
-/// per-microphone filter+detect passes — they read shared immutable plans
-/// and write disjoint workspace slots, so they are safe to run
-/// concurrently. Pass nullptr for the serial order; either way the results
-/// are identical because the channels never exchange data. (The batch
-/// engine no longer routes sessions through a shared executor — workers
-/// are session-parallel instead — but the spelling remains for callers
-/// that want intra-session overlap.)
+/// was supplied. The chunk tasks run serially.
 [[nodiscard]] AspResult preprocess_audio(const sim::StereoRecording& recording,
                                          const dsp::ChirpParams& chirp,
                                          double nominal_period,
                                          double calibration_duration,
                                          const AspOptions& options = {},
                                          const PipelineContext* context = nullptr,
-                                         const PairExecutor* executor = nullptr,
                                          const obs::ObsContext* obs = nullptr);
 
 /// Estimate the beacon period as seen by the phone clock from arrivals of a

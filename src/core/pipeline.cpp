@@ -184,7 +184,7 @@ namespace {
 Expected<LocalizationResult, PipelineError> try_localize_impl(
     const sim::Session& session, const PipelineConfig& config,
     const PipelineContext* context, SessionWorkspace* workspace,
-    StageMetrics* metrics, const obs::ObsContext* obs) {
+    StageMetrics* metrics, const obs::ObsContext* obs, const ChunkExecutor* executor) {
   StageMetrics local;
   if (metrics != nullptr) *metrics = local;
 
@@ -214,12 +214,12 @@ Expected<LocalizationResult, PipelineError> try_localize_impl(
     if (context_ok && workspace != nullptr) {
       asp = preprocess_audio(session.audio, session.prior.nominal_period,
                              session.prior.calibration_duration, *context,
-                             *workspace, obs);
+                             *workspace, obs, executor);
     } else {
       asp = preprocess_audio(session.audio, session.prior.chirp,
                              session.prior.nominal_period,
                              session.prior.calibration_duration, config.asp,
-                             context_ok ? context : nullptr, nullptr, obs);
+                             context_ok ? context : nullptr, obs);
     }
     local.asp_ms = obs::ms_since(t0);
     local.chirps_mic1 = asp.mic1.size();
@@ -245,15 +245,16 @@ Expected<LocalizationResult, PipelineError> try_localize_impl(
 Expected<LocalizationResult, PipelineError> try_localize(
     const sim::Session& session, const PipelineConfig& config,
     const PipelineContext& context, SessionWorkspace& workspace,
-    StageMetrics* metrics, const obs::ObsContext* obs) {
-  return try_localize_impl(session, config, &context, &workspace, metrics, obs);
+    StageMetrics* metrics, const obs::ObsContext* obs, const ChunkExecutor* executor) {
+  return try_localize_impl(session, config, &context, &workspace, metrics, obs,
+                           executor);
 }
 
 Expected<LocalizationResult, PipelineError> try_localize(const sim::Session& session,
                                                          const PipelineConfig& config,
                                                          StageMetrics* metrics,
                                                          const obs::ObsContext* obs) {
-  return try_localize_impl(session, config, nullptr, nullptr, metrics, obs);
+  return try_localize_impl(session, config, nullptr, nullptr, metrics, obs, nullptr);
 }
 
 LocalizationResult localize(const sim::Session& session, const PipelineConfig& config) {

@@ -84,6 +84,7 @@ struct LocalizationResult {
   [[nodiscard]] bool used_3d() const { return ple.has_value(); }
 };
 
+class ChunkExecutor;
 class PipelineContext;
 class SessionWorkspace;
 
@@ -125,10 +126,16 @@ namespace hyperear::core {
 /// Null (the default) is the null sink — no clock reads beyond the
 /// StageMetrics ones, nothing recorded — and the LocalizationResult is
 /// byte-identical with and without it (tests/test_obs.cpp locks this in).
+///
+/// `executor` (core/parallel.hpp) runs the ASP stage's (channel,
+/// detector-chunk) tasks — runtime::BatchEngine passes one that fans them
+/// out over its idle workers. Null runs them serially on the workspace's
+/// scratch; the result is byte-identical either way.
 [[nodiscard]] Expected<LocalizationResult, PipelineError> try_localize(
     const sim::Session& session, const PipelineConfig& config,
     const PipelineContext& context, SessionWorkspace& workspace,
-    StageMetrics* metrics = nullptr, const obs::ObsContext* obs = nullptr);
+    StageMetrics* metrics = nullptr, const obs::ObsContext* obs = nullptr,
+    const ChunkExecutor* executor = nullptr);
 
 /// Context-free wrapper over the canonical spelling (one implementation —
 /// this forwards, it does not duplicate): the DSP plans and the workspace

@@ -6,6 +6,7 @@
 
 #include "common/arena.hpp"
 #include "common/contracts.hpp"
+#include "core/parallel.hpp"
 #include "dsp/matched_filter.hpp"
 
 /// @file session_workspace.hpp
@@ -15,24 +16,40 @@
 /// The context/workspace split is the pipeline's ownership model. A
 /// `PipelineContext` is deeply immutable and shared read-only by any number
 /// of concurrent runs; a `SessionWorkspace` is all the mutable state of one
-/// run — per-channel filter output, matched-filter scratch, detection
-/// staging, and an arena for per-session transients — and is therefore
-/// strictly single-owner: one workspace per call stack, never shared across
-/// threads (runtime::WorkspacePool hands each engine worker an exclusive
-/// lease). Buffer contents carry no information between sessions; only
-/// capacity is retained, so a warmed workspace makes the steady-state batch
-/// path allocation-free while results stay bit-identical to a fresh one —
-/// and to the context-free path, which simply builds a call-local workspace.
+/// run — the ASP chunk-task list and per-task results, per-channel
+/// detection staging, serial chunk scratch, and an arena for per-session
+/// transients — and is therefore single-owner: one workspace per session
+/// in flight (runtime::WorkspacePool hands each engine worker an exclusive
+/// lease). The ASP fan-out's helper threads touch only their own task's
+/// result slot, and only while the owning session waits for them. Buffer
+/// contents carry no information between sessions; only capacity is
+/// retained, so a warmed workspace makes the steady-state batch path
+/// allocation-free while results stay bit-identical to a fresh one — and
+/// to the context-free path, which simply builds a call-local workspace.
+///
+/// Chunk scratch (the band-passed window and the detector's per-chunk
+/// buffers, ~4 MiB at the default chunk) belongs to the executing thread:
+/// a pool fan-out brings one per worker (core::ChunkExecutor), and the
+/// workspace's own `scratch()` serves only the serial default.
 
 namespace hyperear::core {
 
-/// Scratch for one microphone channel of the ASP stage. Two of these let
-/// the legacy PairExecutor spelling overlap the channels: the slots are
-/// disjoint, so the closures never share mutable state.
+/// Per-channel detection staging of the ASP stage: the stitch's candidate
+/// list and the detections of one microphone.
 struct ChannelWorkspace {
-  std::vector<double> filtered;            ///< band-passed recording
-  dsp::DetectorWorkspace detector;         ///< matched-filter scratch (incl. FFT)
+  /// Band-passed whole channel. The pipeline no longer fills it (chunk
+  /// tasks band-pass their own windows); it stays for callers that replay
+  /// the stage call by call with `dsp::filter_same_into`.
+  std::vector<double> filtered;
+  dsp::DetectorWorkspace detector;         ///< stitch and pass-2 staging
   std::vector<dsp::Detection> detections;  ///< detector output staging
+};
+
+/// One task of the ASP fan-out: band-pass one detector chunk of one
+/// channel and run the detector's chunk-local pass over it.
+struct AspChunkTask {
+  std::size_t channel = 0;
+  dsp::ChunkSpan span;
 };
 
 /// Reusable per-worker state for the canonical pipeline entry points
@@ -50,6 +67,13 @@ class SessionWorkspace {
     return channels_[index];
   }
 
+  /// The ASP stage's task list, channel-major in schedule order.
+  [[nodiscard]] std::vector<AspChunkTask>& asp_tasks() { return asp_tasks_; }
+  /// Per-task chunk-pass results, parallel to `asp_tasks()`.
+  [[nodiscard]] std::vector<dsp::ChunkPass>& chunk_passes() { return chunk_passes_; }
+  /// Chunk scratch for the serial executor (no pool fan-out).
+  [[nodiscard]] ChunkScratch& scratch() { return scratch_; }
+
   /// Bump allocator for per-session transients (e.g. the SFO fit's scratch
   /// series): allocation is a pointer bump, and `reset` recycles the whole
   /// region for the next session without returning memory to the heap.
@@ -63,6 +87,9 @@ class SessionWorkspace {
 
  private:
   std::array<ChannelWorkspace, kChannels> channels_;
+  std::vector<AspChunkTask> asp_tasks_;
+  std::vector<dsp::ChunkPass> chunk_passes_;
+  ChunkScratch scratch_;
   MonotonicArena arena_;
 };
 

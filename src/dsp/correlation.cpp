@@ -92,6 +92,13 @@ std::vector<double> correlate_valid(std::span<const double> x,
 }
 // NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
 
+void correlate_valid_direct_into(std::span<const double> x, std::span<const double> h,
+                                 std::vector<double>& out) {
+  require(!x.empty() && !h.empty(), "correlate_valid: empty input");
+  require(h.size() <= x.size(), "correlate_valid: template longer than signal");
+  correlate_valid_direct_into(x, h, false, out);
+}
+
 void correlate_valid_into(std::span<const double> x,
                           const OlsConvolver& reversed_template,
                           std::vector<double>& out, Workspace& ws) {

@@ -45,6 +45,15 @@ void correlate_valid_into(std::span<const double> x,
                           const OlsConvolver& reversed_template,
                           std::vector<double>& out, Workspace& ws);
 
+/// The direct (time-domain) valid-mode correlation into a caller-owned
+/// buffer (resized to the valid length, every element overwritten): the
+/// path both `correlate_valid` overloads take for products up to
+/// `kDirectProductLimit`, in the same term order, so the result is
+/// bit-identical to theirs there. Above the limit it is merely slow. The
+/// matched-filter detector uses it when no full chunk reaches the limit.
+void correlate_valid_direct_into(std::span<const double> x, std::span<const double> h,
+                                 std::vector<double>& out);
+
 /// Sliding normalized cross-correlation: correlate_valid divided by the
 /// local L2 norm of x over the template window times ||h||. Values in
 /// [-1, 1]; robust to amplitude variation across the recording.

@@ -121,14 +121,26 @@ std::vector<double> filter_same(std::span<const double> signal, const OlsConvolv
 
 void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel,
                       std::vector<double>& out, Workspace& ws) {
+  filter_same_window_into(signal, kernel, 0, signal.size(), out, ws);
+}
+
+void filter_same_window_into(std::span<const double> signal, const OlsConvolver& kernel,
+                             std::size_t start, std::size_t count,
+                             std::vector<double>& out, Workspace& ws) {
   check_filter_args(signal, kernel.kernel_size());
+  require(start <= signal.size() && count <= signal.size() - start,
+          "filter_same: window exceeds the signal");
   if (signal.size() * kernel.kernel_size() <= kDirectProductLimit) {
+    // A few hundred samples at most: filter the whole signal, keep the window.
     filter_same_direct_into(signal, kernel.kernel(),
                             ws.real_scratch(0, signal.size() + kernel.kernel_size() - 1),
                             out);
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(start));
+    out.resize(count);
     return;
   }
-  kernel.filter_same_into(signal, out, ws);
+  out.resize(count);
+  kernel.convolve_into(signal, kernel.kernel_size() / 2 + start, count, out.data(), ws);
 }
 
 StreamingFirFilter::StreamingFirFilter(const OlsConvolver& kernel) : kernel_(&kernel) {

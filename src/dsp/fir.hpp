@@ -61,6 +61,17 @@ class Workspace;
 void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel,
                       std::vector<double>& out, Workspace& ws);
 
+/// Samples [start, start + count) of `filter_same_into(signal, kernel)`,
+/// bit for bit, into `out` (resized to `count`). On the overlap-save path
+/// only the blocks that intersect the window are transformed: block
+/// pairing is anchored to the whole signal's convolution, so a window
+/// repeats exactly the arithmetic of the whole-signal call. The ASP
+/// fan-out band-passes each detector chunk this way, with no whole-channel
+/// copy. Requires start + count <= signal.size().
+void filter_same_window_into(std::span<const double> signal, const OlsConvolver& kernel,
+                             std::size_t start, std::size_t count,
+                             std::vector<double>& out, Workspace& ws);
+
 /// Frequency response magnitude of an FIR at the given frequency.
 [[nodiscard]] double fir_magnitude_at(std::span<const double> taps, double freq_hz,
                                       double sample_rate);

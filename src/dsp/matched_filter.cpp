@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "dsp/correlation.hpp"
@@ -168,9 +169,9 @@ void MatchedFilterDetector::correlate_chunk(std::span<const double> seg,
                                             DetectorWorkspace& ws) const {
   if (!ols_) {
     // No cached convolver means every full chunk is below the direct-path
-    // threshold; the planless overload always evaluates directly here. The
-    // move assignment reuses ws.raw's capacity when it fits.
-    ws.raw = correlate_valid(seg, reference_);
+    // threshold, where the planless overload evaluates directly: take that
+    // path into the persistent chunk buffer.
+    correlate_valid_direct_into(seg, reference_, ws.raw);
     return;
   }
   // The into-spelling takes the same direct path as the planless overload
@@ -197,34 +198,47 @@ void MatchedFilterDetector::detect_into(std::span<const double> recording,
   // the fixed chunk schedule — one implementation, so the two paths cannot
   // drift. A recording shorter than the reference streams zero chunks and
   // still passes through stream_end, which clears the output and staging
-  // and keeps the telemetry consistent (the old early return skipped both).
+  // and keeps the telemetry consistent.
   DetectorStream stream;
   stream_begin(stream, ws);
-  const std::size_t ref_len = reference_.size();
-  const std::size_t chunk = config_.chunk;
-  while (stream.next_start < recording.size()) {
-    const std::size_t start = stream.next_start;
-    const std::size_t end = std::min(start + chunk, recording.size());
-    if (end - start < ref_len) break;
-    const bool final_chunk = end == recording.size();
-    stream_chunk(recording.subspan(start, end - start), final_chunk, stream, ws);
-    if (final_chunk) break;
+  const std::size_t chunks = chunk_count(recording.size());
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const ChunkSpan span = chunk_span(k, recording.size());
+    stream_chunk(recording.subspan(span.start, span.size), span.final_chunk, stream, ws);
   }
   stream_end(stream, ws, out, obs);
 }
 
+std::size_t MatchedFilterDetector::chunk_count(std::size_t n) const {
+  const std::size_t ref_len = reference_.size();
+  const std::size_t chunk = config_.chunk;
+  if (n < ref_len) return 0;
+  if (n <= chunk) return 1;
+  // Chunk k is the last when k * hop + chunk >= n; that chunk is dropped
+  // when it holds fewer samples than the reference (its lags don't exist).
+  const std::size_t last = (n - chunk + hop() - 1) / hop();
+  return n - last * hop() < ref_len ? last : last + 1;
+}
+
+ChunkSpan MatchedFilterDetector::chunk_span(std::size_t index, std::size_t n) const {
+  const std::size_t start = index * hop();
+  HE_EXPECTS(start < n);
+  const std::size_t size = std::min(config_.chunk, n - start);
+  return {start, size, start + size == n};
+}
+
 void MatchedFilterDetector::stream_begin(DetectorStream& stream,
                                          DetectorWorkspace& ws) const {
-  // Pass 1 (run chunk by chunk in stream_chunk) collects every
-  // above-threshold local maximum per chunk, WITHOUT spacing-gating inside
-  // the chunk — spacing is a global property and is enforced once over all
-  // chunks in stream_end, so the detections cannot depend on where the
-  // chunk boundaries happened to fall. Correlation lags are contiguous
-  // across chunks (chunks overlap by ref_len - 1 samples), and the
-  // local-maximum test and the parabolic refinement read their neighbors
-  // across chunk boundaries: a first-lag candidate uses the previous
-  // chunk's last values, and a last-lag candidate is held pending until
-  // the next chunk's first lag is known.
+  // Pass 1 (chunk_pass + stitch, per chunk) collects every above-threshold
+  // local maximum per chunk, WITHOUT spacing-gating inside the chunk —
+  // spacing is a global property and is enforced once over all chunks in
+  // stream_end, so the detections cannot depend on where the chunk
+  // boundaries happened to fall. Correlation lags are contiguous across
+  // chunks (chunks overlap by ref_len - 1 samples), and the local-maximum
+  // test and the parabolic refinement read their neighbors across chunk
+  // boundaries: the stitch resolves a first-lag candidate against the
+  // previous chunk's last values, and holds a last-lag candidate pending
+  // until the next chunk's first lag is known.
   stream = DetectorStream{};
   ws.candidates.clear();
 }
@@ -232,7 +246,13 @@ void MatchedFilterDetector::stream_begin(DetectorStream& stream,
 void MatchedFilterDetector::stream_chunk(std::span<const double> seg, bool final_chunk,
                                          DetectorStream& stream,
                                          DetectorWorkspace& ws) const {
-  using Candidate = DetectorWorkspace::Candidate;
+  chunk_pass(seg, stream.next_start, final_chunk, ws, ws.pass);
+  stitch(ws.pass, stream, ws);
+}
+
+void MatchedFilterDetector::chunk_pass(std::span<const double> seg, std::size_t start,
+                                       bool final_chunk, DetectorWorkspace& scratch,
+                                       ChunkPass& out) const {
   const std::size_t ref_len = reference_.size();
   require(seg.size() >= ref_len && seg.size() <= config_.chunk,
           "stream_chunk: segment must span [reference, chunk] samples");
@@ -241,67 +261,91 @@ void MatchedFilterDetector::stream_chunk(std::span<const double> seg, bool final
   const auto min_spacing =
       static_cast<std::size_t>(config_.min_spacing_s * config_.sample_rate);
   const auto exclusion = static_cast<std::size_t>(1.2e-3 * config_.sample_rate);
-  const std::size_t start = stream.next_start;
 
-  ++stream.chunks_streamed;
-  correlate_chunk(seg, ws);
-  const std::vector<double>& raw = ws.raw;
+  correlate_chunk(seg, scratch);
+  const std::vector<double>& raw = scratch.raw;
   // Candidate gating on the normalized statistic, ranking on amplitude:
   // one pass suppresses sub-threshold shapes, finds local maxima of the
   // gated |raw|, and indexes the ungated |raw| local maxima for the echo
   // competition below.
-  const WindowNormalizer norm(seg, ref_len, reference_norm_, ws.prefix);
-  const CorrelationScan scan = scan_correlation(raw, norm, config_.threshold, ws);
+  const WindowNormalizer norm(seg, ref_len, reference_norm_, scratch.prefix);
+  const CorrelationScan scan = scan_correlation(raw, norm, config_.threshold, scratch);
 
-  // The previous chunk's boundary candidate can be resolved now that its
-  // right neighbor (this chunk's first lag) is known.
-  if (stream.pending) {
-    DetectorStream::Pending& p = *stream.pending;
-    if (p.candidate.key > scan.first_masked) {
-      finish_detection(p.candidate.detection, p.chunk_start,
-                       p.candidate.global_index - p.chunk_start, p.left_raw, p.peak_raw,
-                       raw.front(), p.runner, config_.sample_rate);
-      ws.candidates.push_back(p.candidate);
-    }
-    stream.pending.reset();
-  }
-
-  for (const std::size_t i : ws.peaks) {
-    // The first lag's left neighbor is the previous chunk's last lag.
-    if (i == 0 && stream.have_prev && !(scan.first_masked >= stream.prev_last_masked)) {
-      continue;
-    }
-    std::optional<double> left;
-    if (i > 0) {
-      left = raw[i - 1];
-    } else if (stream.have_prev) {
-      left = stream.prev_last_raw;
-    }
+  out.start = start;
+  out.interior.clear();
+  out.head.reset();
+  out.tail.reset();
+  out.first_masked = scan.first_masked;
+  out.last_masked = scan.last_masked;
+  out.first_raw = raw.front();
+  out.last_raw = raw.back();
+  const std::size_t last = raw.size() - 1;
+  for (const std::size_t i : scratch.peaks) {
     // Echo competition: strongest |raw| local max in the same window but
     // outside the exclusion zone around the winner (the autocorrelation
     // main lobe plus near sidelobes span ~1 ms; only arrivals beyond that
     // are genuine competing paths).
     const double runner =
-        echo_runner(ws.local_max, ws.block_max, i, min_spacing, exclusion);
-    Candidate c{Detection{}, std::abs(raw[i]), start + i};
+        echo_runner(scratch.local_max, scratch.block_max, i, min_spacing, exclusion);
+    DetectionCandidate c{Detection{}, std::abs(raw[i]), start + i};
     c.detection.score = raw[i] / norm.denominator(i);
-    if (i + 1 == raw.size() && !final_chunk) {
-      // The right neighbor lives in the next chunk: defer the local-maximum
-      // test and the refinement.
-      stream.pending = DetectorStream::Pending{c, start, left, raw[i], runner};
+    if (i == 0) {
+      // The left neighbor is the previous chunk's last lag. A non-final
+      // chunk is full, hence longer than one lag, so a head is never also
+      // a pending tail.
+      std::optional<double> right;
+      if (last > 0) right = raw[1];
+      out.head = ChunkPass::Edge{c, raw[0], right, runner};
+      continue;
+    }
+    if (i == last && !final_chunk) {
+      // The right neighbor lives in the next chunk.
+      out.tail = ChunkPass::Edge{c, raw[i], raw[i - 1], runner};
       continue;
     }
     std::optional<double> right;
-    if (i + 1 < raw.size()) right = raw[i + 1];
+    if (i < last) right = raw[i + 1];
     // Refine timing on the raw correlation around the winning sample.
-    finish_detection(c.detection, start, i, left, raw[i], right, runner,
+    finish_detection(c.detection, start, i, raw[i - 1], raw[i], right, runner,
                      config_.sample_rate);
+    out.interior.push_back(c);
+  }
+}
+
+void MatchedFilterDetector::stitch(const ChunkPass& pass, DetectorStream& stream,
+                                   DetectorWorkspace& ws) const {
+  require(pass.start == stream.next_start, "stitch: chunk out of schedule order");
+  ++stream.chunks_streamed;
+  // The previous chunk's tail can be resolved now that its right neighbor
+  // (this chunk's first lag) is known.
+  if (stream.pending) {
+    const DetectorStream::Pending& p = *stream.pending;
+    if (p.edge.candidate.key > pass.first_masked) {
+      DetectionCandidate c = p.edge.candidate;
+      finish_detection(c.detection, p.chunk_start, c.global_index - p.chunk_start,
+                       p.edge.inner_raw, p.edge.peak_raw, pass.first_raw,
+                       p.edge.runner, config_.sample_rate);
+      ws.candidates.push_back(c);
+    }
+    stream.pending.reset();
+  }
+  // The head's local-maximum test and refinement read the previous chunk's
+  // last lag as the left neighbor.
+  if (pass.head &&
+      !(stream.have_prev && !(pass.first_masked >= stream.prev_last_masked))) {
+    std::optional<double> left;
+    if (stream.have_prev) left = stream.prev_last_raw;
+    DetectionCandidate c = pass.head->candidate;
+    finish_detection(c.detection, pass.start, 0, left, pass.head->peak_raw,
+                     pass.head->inner_raw, pass.head->runner, config_.sample_rate);
     ws.candidates.push_back(c);
   }
-  stream.prev_last_masked = scan.last_masked;
-  stream.prev_last_raw = raw.back();
+  ws.candidates.insert(ws.candidates.end(), pass.interior.begin(), pass.interior.end());
+  if (pass.tail) stream.pending = DetectorStream::Pending{*pass.tail, pass.start};
+  stream.prev_last_masked = pass.last_masked;
+  stream.prev_last_raw = pass.last_raw;
   stream.have_prev = true;
-  stream.next_start = start + (config_.chunk - (ref_len - 1));
+  stream.next_start = pass.start + hop();
 }
 
 void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace& ws,
@@ -315,11 +359,12 @@ void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace
   // than the reference): the held-back candidate has no right neighbor and
   // stands.
   if (stream.pending) {
-    DetectorStream::Pending& p = *stream.pending;
-    finish_detection(p.candidate.detection, p.chunk_start,
-                     p.candidate.global_index - p.chunk_start, p.left_raw, p.peak_raw,
-                     std::nullopt, p.runner, config_.sample_rate);
-    ws.candidates.push_back(p.candidate);
+    const DetectorStream::Pending& p = *stream.pending;
+    DetectionCandidate c = p.edge.candidate;
+    finish_detection(c.detection, p.chunk_start, c.global_index - p.chunk_start,
+                     p.edge.inner_raw, p.edge.peak_raw, std::nullopt, p.edge.runner,
+                     config_.sample_rate);
+    ws.candidates.push_back(c);
     stream.pending.reset();
   }
 

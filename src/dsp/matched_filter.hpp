@@ -56,6 +56,52 @@ struct DetectorConfig {
   double relative_amplitude_gate = 0.35;
 };
 
+/// A chunk-local peak awaiting the global min-spacing pass.
+struct DetectionCandidate {
+  Detection detection;
+  double key = 0.0;  ///< masked correlation height (selection strength)
+  std::size_t global_index = 0;  ///< unrefined correlation lag in the recording
+};
+
+/// One chunk of the detector's fixed schedule: recording samples
+/// [start, start + size), and whether the chunk ends the recording.
+struct ChunkSpan {
+  std::size_t start = 0;
+  std::size_t size = 0;
+  bool final_chunk = false;
+};
+
+/// What the detector's chunk-local pass (`MatchedFilterDetector::chunk_pass`)
+/// hands the serial stitch. Everything in it is a function of the chunk's
+/// samples alone, so the chunks of a recording can be passed in any order,
+/// on any threads, and stitched afterwards in schedule order.
+struct ChunkPass {
+  /// A peak on one of the chunk's edge lags. Its neighbor on the far side
+  /// of the seam belongs to the adjacent chunk, so the stitch finishes it:
+  /// the lag-0 peak (`head`) needs the previous chunk's last values for its
+  /// local-maximum test and refinement; the last-lag peak of a non-final
+  /// chunk (`tail`) is held pending until the next chunk's first lag.
+  struct Edge {
+    /// Score, key and lag are final; time, amplitude and echo ratio are
+    /// filled by the stitch.
+    DetectionCandidate candidate;
+    double peak_raw = 0.0;  ///< raw correlation at the edge lag
+    /// Raw correlation at the in-chunk neighbor: lag 1 for the head (none
+    /// in a one-lag chunk), the second-to-last lag for the tail.
+    std::optional<double> inner_raw;
+    double runner = 0.0;  ///< strongest competing echo in the chunk
+  };
+  std::size_t start = 0;  ///< recording index of the chunk's first sample
+  /// Finished candidates at every other peak lag, in ascending lag order.
+  std::vector<DetectionCandidate> interior;
+  std::optional<Edge> head;
+  std::optional<Edge> tail;
+  double first_masked = 0.0;  ///< gated |raw| at lag 0
+  double last_masked = 0.0;   ///< gated |raw| at the last lag
+  double first_raw = 0.0;     ///< raw correlation at lag 0
+  double last_raw = 0.0;      ///< raw correlation at the last lag
+};
+
 /// Mutable scratch for matched-filter detection, reusable across `detect`
 /// calls, channels, and sessions: the per-chunk correlation buffers, the
 /// echo-competition index, the prefix-sum scratch, and the candidate
@@ -65,15 +111,13 @@ struct DetectorConfig {
 /// between calls; only capacity is retained, so a warmed workspace makes
 /// detection allocation-free in the steady state while the detections stay
 /// bit-identical to a fresh one.
+///
+/// `chunk_pass` uses the per-chunk members (fft through prefix); the stitch
+/// and `stream_end` use the candidate staging. A caller that runs chunk
+/// passes elsewhere (core's ASP fan-out) leaves the per-chunk members of
+/// its stitching workspace empty.
 struct DetectorWorkspace {
-  /// A chunk-local peak awaiting the global min-spacing pass — an
-  /// implementation detail of `detect_into`, surfaced only so its staging
-  /// vectors can live here and keep their capacity across calls.
-  struct Candidate {
-    Detection detection;
-    double key = 0.0;  ///< masked correlation height (selection strength)
-    std::size_t global_index = 0;  ///< unrefined correlation lag in the recording
-  };
+  using Candidate = DetectionCandidate;
 
   Workspace fft;                      ///< FFT scratch for the OLS chunk loop
   std::vector<double> raw;            ///< per-chunk raw correlation
@@ -81,8 +125,9 @@ struct DetectorWorkspace {
   std::vector<double> block_max;      ///< per-kEchoBlock maxima of local_max
   std::vector<std::size_t> peaks;     ///< per-chunk gated local-max lags
   std::vector<double> prefix;         ///< prefix-sum scratch (normalization)
+  ChunkPass pass;                     ///< stream_chunk's chunk-pass staging
   std::vector<double> amps;           ///< amplitude-gate scratch
-  std::vector<Candidate> candidates;  ///< pass-1 staging
+  std::vector<Candidate> candidates;  ///< pass-1 output, in stitch order
   std::vector<Candidate> selected;    ///< pass-2 staging
 };
 
@@ -126,25 +171,21 @@ CorrelationScan scan_correlation(std::span<const double> raw,
                                  std::size_t min_spacing, std::size_t exclusion);
 
 /// Resumable cursor for incremental (streaming) detection: the cross-chunk
-/// state of `detect_into`'s pass-1 loop, lifted out so a caller can run the
-/// chunk schedule itself as samples arrive. Plain data — persist one per
-/// live stream (next to the stream's DetectorWorkspace, whose `candidates`
-/// vector accumulates the pass-1 output between calls) and drive it with
-/// MatchedFilterDetector::stream_begin / stream_chunk / stream_end.
-/// `detect_into` is itself written as begin -> chunk loop -> end over this
-/// struct, so the streamed and batch spellings share every instruction.
+/// state of the stitch, lifted out so a caller can run the chunk schedule
+/// itself as samples arrive. Plain data — persist one per live stream
+/// (next to the stream's DetectorWorkspace, whose `candidates` vector
+/// accumulates the pass-1 output between calls) and drive it with
+/// MatchedFilterDetector::stream_begin / stream_chunk (or chunk_pass +
+/// stitch) / stream_end. `detect_into` is itself written as begin -> chunk
+/// loop -> end over this struct, so the streamed and batch spellings share
+/// every instruction.
 struct DetectorStream {
-  /// A last-lag boundary candidate, held until the next chunk's first lag
-  /// is known: that lag resolves its right-neighbor comparison and is the
-  /// right point of its parabolic refinement.
+  /// The previous chunk's last-lag candidate, held until the next chunk's
+  /// first lag is known: that lag resolves its right-neighbor comparison
+  /// and is the right point of its parabolic refinement.
   struct Pending {
-    /// Score and key are final; time, amplitude and echo ratio are filled
-    /// on resolution.
-    DetectorWorkspace::Candidate candidate;
+    ChunkPass::Edge edge;
     std::size_t chunk_start = 0;  ///< first sample of the candidate's chunk
-    std::optional<double> left_raw;  ///< raw correlation one lag earlier
-    double peak_raw = 0.0;        ///< raw correlation at the candidate's lag
-    double runner = 0.0;          ///< strongest competing echo in its chunk
   };
   std::optional<Pending> pending;
   double prev_last_masked = 0.0;  ///< previous chunk's final masked value
@@ -223,9 +264,37 @@ class MatchedFilterDetector {
   /// samples [stream.next_start, stream.next_start + seg.size()) and must
   /// satisfy reference().size() <= seg.size() <= config().chunk, with
   /// seg.size() == config().chunk unless `final_chunk`. Advances
-  /// stream.next_start by the hop.
+  /// stream.next_start by the hop. Exactly `chunk_pass` into `ws.pass`
+  /// followed by `stitch`.
   void stream_chunk(std::span<const double> seg, bool final_chunk,
                     DetectorStream& stream, DetectorWorkspace& ws) const;
+
+  /// The chunk-local half of `stream_chunk`: correlate the chunk starting
+  /// at recording index `start`, normalize, gate, pick peaks and rank echo
+  /// competitors, all inside the chunk. Peaks that need no sample of
+  /// another chunk are finished into `out.interior`; the edge-lag peaks and
+  /// the edge values go to the other fields of `out` for the stitch. Same
+  /// preconditions on `seg` as `stream_chunk`. Reads nothing but `seg`
+  /// and writes only `scratch`'s per-chunk buffers and `out`, so many
+  /// chunks may be passed concurrently, each with its own scratch and out.
+  void chunk_pass(std::span<const double> seg, std::size_t start, bool final_chunk,
+                  DetectorWorkspace& scratch, ChunkPass& out) const;
+
+  /// The serial half of `stream_chunk`: apply the cross-chunk rules to the
+  /// chunk pass of the chunk starting at stream.next_start (checked). It
+  /// resolves the previous chunk's pending tail against this chunk's first
+  /// lag, runs the head's left-neighbor test against the previous chunk's
+  /// last lag, appends the surviving candidates to `ws.candidates` in lag
+  /// order, defers this chunk's tail, and advances the stream by the hop.
+  void stitch(const ChunkPass& pass, DetectorStream& stream,
+              DetectorWorkspace& ws) const;
+
+  /// Number of chunks `detect_into` processes for a recording of `n`
+  /// samples: the hop schedule up to the first chunk that reaches the end,
+  /// minus that chunk when it is shorter than the reference.
+  [[nodiscard]] std::size_t chunk_count(std::size_t n) const;
+  /// Chunk `index` (< chunk_count(n)) of the schedule over `n` samples.
+  [[nodiscard]] ChunkSpan chunk_span(std::size_t index, std::size_t n) const;
 
   /// Flush the pending boundary candidate, run the global min-spacing pass
   /// and the relative amplitude gate over `ws.candidates`, write the
@@ -244,6 +313,9 @@ class MatchedFilterDetector {
   /// `ws.raw`, streaming through the cached reversed-template convolver
   /// when the product is large enough for the FFT path to pay off.
   void correlate_chunk(std::span<const double> seg, DetectorWorkspace& ws) const;
+  /// Chunk-to-chunk advance: consecutive chunks overlap by reference - 1
+  /// samples, so their correlation lags are contiguous.
+  [[nodiscard]] std::size_t hop() const { return config_.chunk - (reference_.size() - 1); }
 
   std::vector<double> reference_;
   DetectorConfig config_;

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/streaming_session.hpp"
+#include "runtime/fan_out.hpp"
 
 namespace hyperear::runtime {
 
@@ -46,7 +47,8 @@ BatchEngine::BatchEngine(core::PipelineConfig config, std::size_t threads,
       registry_(obs.registry != nullptr ? std::move(obs.registry)
                                         : std::make_shared<obs::MetricsRegistry>()),
       tracer_(std::move(obs.tracer)),
-      pool_(default_threads(threads)) {
+      worker_scratch_(default_threads(threads)),
+      pool_(worker_scratch_.size()) {
   if (std::optional<core::PipelineError> bad = config_.validate()) {
     throw PreconditionError("BatchEngine: " + describe(*bad));
   }
@@ -97,13 +99,18 @@ SessionReport BatchEngine::run_one(const sim::Session& session,
     std::shared_ptr<const core::PipelineContext> context =
         context_for(*lease, session);
     const obs::ObsContext obs{registry_.get(), tracer_.get(), session_id};
+    // This worker owns the session; idle workers may help with its ASP
+    // chunk tasks.
+    const std::size_t worker = pool_.worker_index();
+    HE_EXPECTS(worker < worker_scratch_.size());
+    const PoolChunkExecutor executor(pool_, worker_scratch_[worker], worker_scratch_);
     // Pathological sessions (plans cannot be built) take the context-free
     // spelling, which rebuilds and fails INSIDE the ASP stage so the error
     // is classified against the stage that owns it.
     Expected<core::LocalizationResult, core::PipelineError> outcome =
         context != nullptr
             ? core::try_localize(session, config_, *context, lease->workspace,
-                                 &report.metrics, &obs)
+                                 &report.metrics, &obs, &executor)
             : core::try_localize(session, config_, &report.metrics, &obs);
     if (outcome.has_value()) {
       report.result = *std::move(outcome);

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "core/pipeline_context.hpp"
 #include "obs/metrics.hpp"
@@ -35,8 +36,11 @@
 /// `core::try_localize` against read-only shared plans, so the steady
 /// state crosses no per-session lock and performs (nearly) no heap
 /// allocation; throughput scales with workers because workers share
-/// nothing mutable. The old design — a single context-cache mutex and a
-/// shared intra-session channel executor — is gone from the batch path.
+/// nothing mutable. Within a session, the ASP stage's (channel,
+/// detector-chunk) tasks fan out over workers that would otherwise sit
+/// idle (runtime/fan_out.hpp), each on its own per-worker chunk scratch;
+/// at saturation no worker is idle and the session runs on its own worker
+/// alone. Results are byte-identical either way.
 
 namespace hyperear::runtime {
 
@@ -215,6 +219,10 @@ class BatchEngine {
   /// leased for one session at a time. Declared before pool_: in-flight
   /// sessions return their lease while the pool drains during destruction.
   WorkspacePool workspaces_;
+  /// ASP chunk scratch of each pool worker, indexed by
+  /// ThreadPool::worker_index: used by the session the worker owns and by
+  /// the helper tasks it runs for other sessions, one at a time.
+  std::vector<core::ChunkScratch> worker_scratch_;
   ThreadPool pool_;  // declared last: workers must die before state above
 };
 

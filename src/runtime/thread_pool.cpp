@@ -11,13 +11,17 @@ namespace {
 /// Queue-wait buckets (ms): sub-ms dispatch up to multi-second backlog.
 constexpr double kWaitMsBounds[] = {0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0};
 
+/// The pool and index of the calling worker thread (null pool: not a worker).
+thread_local const ThreadPool* tl_pool = nullptr;
+thread_local std::size_t tl_index = 0;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   require(threads >= 1, "ThreadPool: needs at least one worker");
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -58,11 +62,8 @@ void ThreadPool::post(std::function<void()> task) {
     queue_.push_back(std::move(queued));
     // The +1 must land inside the locked region: note_dequeued's -1 runs
     // under this mutex, so any consumer that pops this task strictly
-    // follows the increment. Incrementing after unlock was safe when the
-    // only consumers were CV-woken workers (the notify below ordered
-    // them), but a try_run_one help-drainer polls the queue without
-    // waiting for the notify and could pop-and-decrement first, driving
-    // the gauge transiently negative (test_stress_pool pins this).
+    // follows the increment, and the gauge never dips below zero
+    // (test_stress_pool pins this).
     if (instrumented) queue_depth_.add(1.0);
   }
   wake_.notify_one();
@@ -77,20 +78,13 @@ void ThreadPool::note_dequeued(const QueuedTask& task) {
   tasks_run_.inc();
 }
 
-bool ThreadPool::try_run_one() {
-  QueuedTask task;
-  {
-    const he::MutexLock lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    note_dequeued(task);
-  }
-  task.fn();
-  return true;
+std::size_t ThreadPool::worker_index() const {
+  return tl_pool == this ? tl_index : workers_.size();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t index) {
+  tl_pool = this;
+  tl_index = index;
   for (;;) {
     QueuedTask task;
     {

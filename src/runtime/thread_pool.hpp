@@ -55,16 +55,10 @@ class ThreadPool {
   /// throws. Idempotent; does not block — the destructor joins.
   void stop() HE_EXCLUDES(mutex_);
 
-  /// Pop one queued task (if any) and run it on the CALLING thread.
-  /// Returns false immediately when the queue is empty. This is the
-  /// help-drain primitive for callers that posted work and are waiting for
-  /// it: instead of blocking while every worker is busy, the waiter runs
-  /// queued tasks itself, which keeps nested fan-out (sessions posting
-  /// per-channel tasks onto the same pool) deadlock-free. Safe from any
-  /// number of threads concurrently with posts — the queue-depth gauge is
-  /// updated under the queue lock on both sides, so it never dips below
-  /// zero even when a help-drainer races the poster.
-  bool try_run_one() HE_EXCLUDES(mutex_);
+  /// Index in [0, size()) of the calling thread when it is one of this
+  /// pool's workers, else size(). Lets a task pick per-worker state (the
+  /// ASP fan-out's chunk scratch) without a lock.
+  [[nodiscard]] std::size_t worker_index() const;
 
   /// True once stop() has been called. Advisory for contract checks: a
   /// false answer can be stale by the time the caller acts on it, so post()
@@ -81,9 +75,9 @@ class ThreadPool {
     std::chrono::steady_clock::time_point posted{};
   };
 
-  void worker_loop() HE_EXCLUDES(mutex_);
-  /// Dequeue bookkeeping shared by worker_loop and try_run_one; called
-  /// with `mutex_` held, right after popping `task` off the queue.
+  void worker_loop(std::size_t index) HE_EXCLUDES(mutex_);
+  /// Dequeue bookkeeping of worker_loop; called with `mutex_` held, right
+  /// after popping `task` off the queue.
   void note_dequeued(const QueuedTask& task) HE_REQUIRES(mutex_);
 
   mutable he::Mutex mutex_ HE_LOCK_LEVEL(pool);

@@ -9,15 +9,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/session_workspace.hpp"
 #include "runtime/context_cache.hpp"
+#include "runtime/fan_out.hpp"
 #include "runtime/workspace_pool.hpp"
 #include "sim/scenario.hpp"
 
@@ -66,6 +73,126 @@ TEST(BatchEngine, DeterministicAcrossThreadCounts) {
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     EXPECT_EQ(base[i].status, out[i].status) << "session " << i;
     expect_identical(base[i].result, out[i].result);
+  }
+}
+
+// --- the ASP fan-out is byte-identical for every executor ------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_identical_events(const std::vector<core::ChirpEvent>& a,
+                             const std::vector<core::ChirpEvent>& b, const char* mic) {
+  ASSERT_EQ(a.size(), b.size()) << mic;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(bits(a[i].time_s), bits(b[i].time_s)) << mic << " #" << i;
+    EXPECT_EQ(bits(a[i].score), bits(b[i].score)) << mic << " #" << i;
+    EXPECT_EQ(bits(a[i].amplitude), bits(b[i].amplitude)) << mic << " #" << i;
+    EXPECT_EQ(bits(a[i].echo_competition), bits(b[i].echo_competition))
+        << mic << " #" << i;
+  }
+}
+
+void expect_identical_asp(const core::AspResult& a, const core::AspResult& b) {
+  expect_identical_events(a.mic1, b.mic1, "mic1");
+  expect_identical_events(a.mic2, b.mic2, "mic2");
+  EXPECT_EQ(bits(a.estimated_period), bits(b.estimated_period));
+  EXPECT_EQ(bits(a.sfo_ppm), bits(b.sfo_ppm));
+  EXPECT_EQ(a.sfo_estimated, b.sfo_estimated);
+}
+
+/// Runs the chunk tasks on the calling thread in a fixed permutation of
+/// their indices — reversed, or a seeded shuffle — cycling through several
+/// scratch lanes, so each lane sees a different, stale history.
+class PermutedExecutor final : public core::ChunkExecutor {
+ public:
+  PermutedExecutor(bool reverse, std::uint64_t seed, std::size_t lanes)
+      : reverse_(reverse), seed_(seed), lanes_(lanes) {}
+
+  std::size_t run(std::size_t count, const Task& task) const override {
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (reverse_) {
+      std::reverse(order.begin(), order.end());
+    } else {
+      std::mt19937_64 rng(seed_);
+      std::shuffle(order.begin(), order.end(), rng);
+    }
+    for (std::size_t k = 0; k < count; ++k) task(order[k], lanes_[k % lanes_.size()]);
+    return 0;
+  }
+
+ private:
+  bool reverse_;
+  std::uint64_t seed_;
+  mutable std::vector<core::ChunkScratch> lanes_;
+};
+
+TEST(BatchEngine, AspFanOutIsByteIdenticalForEveryExecutor) {
+  const std::vector<sim::Session> sessions = make_batch(3, 700);
+  const core::PipelineConfig config;
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    SCOPED_TRACE("session " + std::to_string(s));
+    const sim::Session& session = sessions[s];
+    const core::PipelineContext context(config, session.prior.chirp,
+                                        session.audio.sample_rate);
+    core::SessionWorkspace workspace;
+    const auto asp_with = [&](const core::ChunkExecutor* executor) {
+      return core::preprocess_audio(session.audio, session.prior.nominal_period,
+                                    session.prior.calibration_duration, context,
+                                    workspace, nullptr, executor);
+    };
+    const auto fix_with = [&](const core::ChunkExecutor* executor) {
+      auto r = core::try_localize(session, config, context, workspace, nullptr, nullptr,
+                                  executor);
+      EXPECT_TRUE(r.has_value());
+      return r.has_value() ? *r : core::LocalizationResult{};
+    };
+    const core::AspResult serial_asp = asp_with(nullptr);
+    const core::LocalizationResult serial_fix = fix_with(nullptr);
+    ASSERT_GE(serial_asp.mic1.size(), 10u);
+    expect_identical(serial_fix, core::localize(session, config));
+
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("pool of " + std::to_string(threads));
+      ThreadPool pool(threads);
+      std::vector<core::ChunkScratch> lanes(threads);
+      core::ChunkScratch owner;
+      const PoolChunkExecutor executor(pool, owner, lanes);
+      expect_identical_asp(asp_with(&executor), serial_asp);
+      expect_identical(fix_with(&executor), serial_fix);
+    }
+    const PermutedExecutor reversed(true, 0, 3);
+    expect_identical_asp(asp_with(&reversed), serial_asp);
+    expect_identical(fix_with(&reversed), serial_fix);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const PermutedExecutor shuffled(false, seed, 2 + seed);
+      expect_identical_asp(asp_with(&shuffled), serial_asp);
+      expect_identical(fix_with(&shuffled), serial_fix);
+    }
+  }
+}
+
+TEST(BatchEngine, SingleSessionsMatchTheSerialPipelineAtEveryWidth) {
+  // One session at a time on an otherwise idle engine: every other worker
+  // is free to help with its ASP chunk tasks, and the fix must not move.
+  const std::vector<sim::Session> sessions = make_batch(3, 700);
+  std::vector<core::LocalizationResult> serial;
+  for (const sim::Session& s : sessions) serial.push_back(core::localize(s));
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    BatchEngine engine({}, threads);
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      const SessionReport report = engine.submit(sessions[i]).get();
+      EXPECT_EQ(report.status, SessionStatus::ok) << threads << " threads, session " << i;
+      expect_identical(report.result, serial[i]);
+    }
+    obs::MetricsRegistry& m = engine.metrics();
+    const double tasks = m.counter("asp.chunk_tasks_total").value();
+    const double helped = m.counter("asp.chunk_tasks_helped_total").value();
+    EXPECT_GT(tasks, 0.0);
+    EXPECT_LE(helped, tasks);
+    if (threads == 1) {
+      EXPECT_EQ(helped, 0.0);
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -208,6 +210,39 @@ TEST(FilterSame, FftAndDirectPathsAgree) {
   // Away from the tail boundary the outputs must agree.
   for (std::size_t i = 0; i + 11 < small.size(); ++i) {
     EXPECT_NEAR(ys[i], yl[i], 1e-9) << i;
+  }
+}
+
+TEST(FilterSame, WindowIsBitIdenticalToTheWholeSignalSlice) {
+  // The ASP fan-out band-passes each detector chunk on its own; every
+  // window must equal the matching slice of the whole-signal output bit
+  // for bit — on the overlap-save path (pairing anchored to the whole
+  // convolution) and on the direct path (a signal short enough that the
+  // whole product stays under kDirectProductLimit).
+  Rng rng(77);
+  const OlsConvolver kernel(design_bandpass(2000.0, 6400.0, 44100.0, 255));
+  const std::vector<double> long_signal = rng.gaussian_vector(40000);
+  const std::vector<double> short_signal = rng.gaussian_vector(200);
+  ASSERT_GT(long_signal.size() * kernel.kernel_size(), kDirectProductLimit);
+  ASSERT_LE(short_signal.size() * kernel.kernel_size(), kDirectProductLimit);
+  for (const std::vector<double>* signal : {&long_signal, &short_signal}) {
+    Workspace ws;
+    std::vector<double> whole;
+    filter_same_into(*signal, kernel, whole, ws);
+    const std::size_t n = signal->size();
+    std::vector<double> window;
+    for (const auto& [start, count] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, n}, {0, 1}, {n - 1, 1}, {n / 3, n / 2}, {7, n - 7}, {n, 0}}) {
+      filter_same_window_into(*signal, kernel, start, count, window, ws);
+      ASSERT_EQ(window.size(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(window[i], whole[start + i])
+            << "n " << n << " window [" << start << ", +" << count << ") at " << i;
+      }
+    }
+    EXPECT_THROW(filter_same_window_into(*signal, kernel, n - 1, 2, window, ws),
+                 PreconditionError);
   }
 }
 

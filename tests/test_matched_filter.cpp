@@ -8,9 +8,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "dsp/chirp.hpp"
 #include "dsp/correlation.hpp"
 #include "dsp/fir.hpp"
@@ -328,6 +331,297 @@ TEST(MatchedFilter, SeamLagsRefinedLikeOneChunk) {
 
 /// Bit pattern of a double, so NaN results compare equal to themselves.
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// --- chunk_pass + stitch ---------------------------------------------------
+
+/// A detector small enough for the direct correlation path (chunk x
+/// reference <= kDirectProductLimit), so a test can recompute its raw
+/// correlation bit for bit with the planless correlate_valid.
+struct SmallDetector {
+  static constexpr std::size_t kRef = 48;
+  static constexpr std::size_t kChunk = 1024;
+  static constexpr std::size_t kHop = kChunk - (kRef - 1);
+  std::vector<double> reference;
+  MatchedFilterDetector det;
+
+  SmallDetector() : reference(make_reference()), det(reference, config()) {}
+
+  /// A Hann-windowed 1.5-4.5 kHz chirp: its correlation main lobe spans
+  /// several lags above the gate, so a peak on a seam lag has gated
+  /// neighbors on the far side of the seam that the stitch must reject.
+  static std::vector<double> make_reference() {
+    std::vector<double> ref(kRef);
+    const double n = static_cast<double>(kRef);
+    for (std::size_t j = 0; j < kRef; ++j) {
+      const double t = static_cast<double>(j) / kFs;
+      const double duration = n / kFs;
+      const double phase = 2.0 * kPi * (1500.0 * t + 0.5 * (3000.0 / duration) * t * t);
+      const double hann = 0.5 - 0.5 * std::cos(2.0 * kPi * (static_cast<double>(j) + 0.5) / n);
+      ref[j] = hann * std::sin(phase);
+    }
+    return ref;
+  }
+  static DetectorConfig config() {
+    DetectorConfig cfg;
+    cfg.sample_rate = kFs;
+    cfg.chunk = kChunk;
+    cfg.min_spacing_s = 0.002;
+    cfg.threshold = 0.5;
+    return cfg;
+  }
+  /// Noise plus a copy of the reference starting at each of `lags`.
+  std::vector<double> recording(std::size_t n, const std::vector<std::size_t>& lags,
+                                std::uint64_t seed) const {
+    Rng rng(seed);
+    std::vector<double> x = rng.gaussian_vector(n);
+    for (double& v : x) v *= 0.02;
+    for (const std::size_t lag : lags) {
+      for (std::size_t j = 0; j < kRef; ++j) x[lag + j] += reference[j];
+    }
+    return x;
+  }
+};
+static_assert(SmallDetector::kChunk * SmallDetector::kRef <= kDirectProductLimit);
+
+/// The detector's per-chunk step as one serial function, in the form it
+/// had before it split into chunk_pass + stitch: correlate, scan, then
+/// resolve the pending tail, test the head against the previous chunk and
+/// defer the new tail, all in one loop over the peaks.
+struct OracleStream {
+  struct Pending {
+    DetectionCandidate candidate;
+    std::size_t chunk_start = 0;
+    std::optional<double> left_raw;
+    double peak_raw = 0.0;
+    double runner = 0.0;
+  };
+  std::optional<Pending> pending;
+  double prev_last_masked = 0.0;
+  double prev_last_raw = 0.0;
+  bool have_prev = false;
+  std::vector<DetectionCandidate> candidates;
+};
+
+void oracle_finish(Detection& d, std::size_t start, std::size_t i,
+                   std::optional<double> left, double peak, std::optional<double> right,
+                   double runner) {
+  double offset = 0.0;
+  double value = peak;
+  if (left && right) {
+    const ParabolicFit fit = parabolic_fit(*left, peak, *right);
+    offset = fit.offset;
+    value = fit.value;
+  }
+  d.time_s = (static_cast<double>(start) + (static_cast<double>(i) + offset)) / kFs;
+  d.amplitude = std::abs(value);
+  d.echo_competition = d.amplitude > 0.0 ? runner / d.amplitude : 0.0;
+}
+
+void oracle_stream_chunk(const MatchedFilterDetector& det, std::span<const double> seg,
+                         std::size_t start, bool final_chunk, OracleStream& st) {
+  const std::vector<double>& ref = det.reference();
+  const DetectorConfig& cfg = det.config();
+  const auto min_spacing = static_cast<std::size_t>(cfg.min_spacing_s * cfg.sample_rate);
+  const auto exclusion = static_cast<std::size_t>(1.2e-3 * cfg.sample_rate);
+  double energy = 0.0;
+  for (double v : ref) energy += v * v;
+  const std::vector<double> raw = correlate_valid(seg, ref);
+  std::vector<double> prefix;
+  const WindowNormalizer norm(seg, ref.size(), std::sqrt(energy), prefix);
+  DetectorWorkspace ws;
+  const CorrelationScan scan = scan_correlation(raw, norm, cfg.threshold, ws);
+  if (st.pending) {
+    OracleStream::Pending& p = *st.pending;
+    if (p.candidate.key > scan.first_masked) {
+      oracle_finish(p.candidate.detection, p.chunk_start,
+                    p.candidate.global_index - p.chunk_start, p.left_raw, p.peak_raw,
+                    raw.front(), p.runner);
+      st.candidates.push_back(p.candidate);
+    }
+    st.pending.reset();
+  }
+  for (const std::size_t i : ws.peaks) {
+    if (i == 0 && st.have_prev && !(scan.first_masked >= st.prev_last_masked)) continue;
+    std::optional<double> left;
+    if (i > 0) {
+      left = raw[i - 1];
+    } else if (st.have_prev) {
+      left = st.prev_last_raw;
+    }
+    const double runner = echo_runner(ws.local_max, ws.block_max, i, min_spacing, exclusion);
+    DetectionCandidate c{Detection{}, std::abs(raw[i]), start + i};
+    c.detection.score = raw[i] / norm.denominator(i);
+    if (i + 1 == raw.size() && !final_chunk) {
+      st.pending = OracleStream::Pending{c, start, left, raw[i], runner};
+      continue;
+    }
+    std::optional<double> right;
+    if (i + 1 < raw.size()) right = raw[i + 1];
+    oracle_finish(c.detection, start, i, left, raw[i], right, runner);
+    st.candidates.push_back(c);
+  }
+  st.prev_last_masked = scan.last_masked;
+  st.prev_last_raw = raw.back();
+  st.have_prev = true;
+}
+
+void expect_same_candidate(const DetectionCandidate& a, const DetectionCandidate& b,
+                           const std::string& where) {
+  EXPECT_EQ(a.global_index, b.global_index) << where;
+  EXPECT_EQ(bits(a.key), bits(b.key)) << where;
+  EXPECT_EQ(bits(a.detection.time_s), bits(b.detection.time_s)) << where;
+  EXPECT_EQ(bits(a.detection.score), bits(b.detection.score)) << where;
+  EXPECT_EQ(bits(a.detection.amplitude), bits(b.detection.amplitude)) << where;
+  EXPECT_EQ(bits(a.detection.echo_competition), bits(b.detection.echo_competition))
+      << where;
+}
+
+/// Pass every chunk of `x` first — in reverse order, through one shared
+/// scratch — then stitch in schedule order, checking the stitched
+/// candidates and the pending tail against the oracle after every chunk.
+/// Returns the chunk passes.
+std::vector<ChunkPass> expect_split_matches_oracle(const MatchedFilterDetector& det,
+                                                   std::span<const double> x) {
+  const std::size_t chunks = det.chunk_count(x.size());
+  std::vector<ChunkPass> passes(chunks);
+  DetectorWorkspace scratch;
+  for (std::size_t k = chunks; k-- > 0;) {
+    const ChunkSpan span = det.chunk_span(k, x.size());
+    det.chunk_pass(x.subspan(span.start, span.size), span.start, span.final_chunk, scratch,
+                   passes[k]);
+  }
+  DetectorWorkspace ws;
+  DetectorStream stream;
+  det.stream_begin(stream, ws);
+  OracleStream oracle;
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const ChunkSpan span = det.chunk_span(k, x.size());
+    det.stitch(passes[k], stream, ws);
+    oracle_stream_chunk(det, x.subspan(span.start, span.size), span.start,
+                        span.final_chunk, oracle);
+    const std::string where = "after chunk " + std::to_string(k);
+    EXPECT_EQ(stream.next_start, span.start + (det.config().chunk - (det.reference().size() - 1)));
+    EXPECT_EQ(stream.chunks_streamed, k + 1);
+    EXPECT_EQ(bits(stream.prev_last_masked), bits(oracle.prev_last_masked)) << where;
+    EXPECT_EQ(bits(stream.prev_last_raw), bits(oracle.prev_last_raw)) << where;
+    EXPECT_EQ(ws.candidates.size(), oracle.candidates.size()) << where;
+    for (std::size_t i = 0; i < std::min(ws.candidates.size(), oracle.candidates.size()); ++i) {
+      expect_same_candidate(ws.candidates[i], oracle.candidates[i],
+                            where + " candidate " + std::to_string(i));
+    }
+    EXPECT_EQ(stream.pending.has_value(), oracle.pending.has_value()) << where;
+    if (stream.pending && oracle.pending) {
+      const DetectorStream::Pending& got = *stream.pending;
+      const OracleStream::Pending& want = *oracle.pending;
+      expect_same_candidate(got.edge.candidate, want.candidate, where + " pending");
+      EXPECT_EQ(got.chunk_start, want.chunk_start) << where;
+      EXPECT_EQ(got.edge.inner_raw, want.left_raw) << where;
+      EXPECT_EQ(bits(got.edge.peak_raw), bits(want.peak_raw)) << where;
+      EXPECT_EQ(bits(got.edge.runner), bits(want.runner)) << where;
+    }
+  }
+  return passes;
+}
+
+TEST(MatchedFilter, ChunkPassAndStitchMatchTheSerialChunkStep) {
+  const SmallDetector small;
+  const std::size_t hop = SmallDetector::kHop;
+  const std::size_t ref = SmallDetector::kRef;
+  // A peak exactly on a chunk's first lag (head), on a chunk's last lag
+  // (tail, resolved by the next chunk), and alone in a one-lag final chunk
+  // (head and final at once), plus interior peaks around them.
+  // The correlation main lobe spans several gated lags, so each seam peak
+  // leaves an edge candidate on the far side of the seam that the stitch
+  // must drop: the rising lobe's last lag before a first-lag peak (a tail
+  // that loses against the next chunk's first lag), or the falling lobe's
+  // first lag after a last-lag peak (a head that fails the left-neighbor
+  // test).
+  struct Case {
+    const char* name;
+    std::size_t n;
+    std::vector<std::size_t> lags;
+    std::size_t seam_lag;
+    std::size_t seam_chunk;  ///< the chunk whose first lag is at or after the seam
+  };
+  const std::vector<Case> cases{
+      {"first lag", 5 * hop + 400, {2 * hop, 2 * hop + 300, 700}, 2 * hop, 2},
+      {"last lag", 5 * hop + 400, {2 * hop - 1, 2 * hop - 400, 4 * hop + 10}, 2 * hop - 1,
+       2},
+      {"one-lag final chunk", 3 * hop + ref, {3 * hop, 3 * hop - 200}, 3 * hop, 3},
+  };
+  std::uint64_t seed = 91;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<double> x = small.recording(c.n, c.lags, seed++);
+    const std::vector<ChunkPass> passes = expect_split_matches_oracle(small.det, x);
+    ASSERT_GT(passes.size(), c.seam_chunk);
+    EXPECT_TRUE(passes[c.seam_chunk].head.has_value());
+    EXPECT_TRUE(passes[c.seam_chunk - 1].tail.has_value());
+    if (c.n == 3 * hop + ref) {
+      ASSERT_EQ(passes.size(), 4u);
+      const ChunkSpan last = small.det.chunk_span(3, x.size());
+      EXPECT_EQ(last.size, ref);  // one lag
+      EXPECT_TRUE(last.final_chunk);
+      EXPECT_FALSE(passes[3].tail.has_value());
+    }
+    // The seam peak is detected, on its lag.
+    const std::vector<Detection> found = small.det.detect(x);
+    const bool seen = std::any_of(found.begin(), found.end(), [&](const Detection& d) {
+      return std::abs(d.time_s * kFs - static_cast<double>(c.seam_lag)) < 0.5;
+    });
+    EXPECT_TRUE(seen);
+  }
+}
+
+TEST(MatchedFilter, ChunkScheduleMatchesTheStreamingLoop) {
+  // chunk_count/chunk_span against the schedule loop every streaming
+  // caller runs: advance by the hop, stop after the final chunk, drop a
+  // tail shorter than the reference.
+  const SmallDetector small;
+  const std::size_t chunk = SmallDetector::kChunk;
+  const std::size_t ref = SmallDetector::kRef;
+  const std::size_t hop = SmallDetector::kHop;
+  for (std::size_t n = 0; n < 4 * chunk; n += (n < 2 * chunk ? 1 : 7)) {
+    std::vector<ChunkSpan> want;
+    for (std::size_t start = 0; start < n; start += hop) {
+      const std::size_t end = std::min(start + chunk, n);
+      if (end - start < ref) break;
+      want.push_back({start, end - start, end == n});
+      if (end == n) break;
+    }
+    ASSERT_EQ(small.det.chunk_count(n), want.size()) << "n " << n;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const ChunkSpan got = small.det.chunk_span(k, n);
+      EXPECT_EQ(got.start, want[k].start) << "n " << n << " k " << k;
+      EXPECT_EQ(got.size, want[k].size) << "n " << n << " k " << k;
+      EXPECT_EQ(got.final_chunk, want[k].final_chunk) << "n " << n << " k " << k;
+    }
+  }
+}
+
+TEST(MatchedFilter, DirectCorrelationReusesTheChunkBuffer) {
+  // Below kDirectProductLimit the detector has no cached convolver and
+  // correlates each chunk directly — into the workspace's raw buffer,
+  // whose storage must survive from one detect_into call to the next.
+  const SmallDetector small;
+  const std::vector<double> x =
+      small.recording(3 * SmallDetector::kHop + 500, {100, 1500, 2500}, 95);
+  DetectorWorkspace ws;
+  std::vector<Detection> first;
+  small.det.detect_into(x, ws, first);
+  ASSERT_FALSE(first.empty());
+  const double* raw = ws.raw.data();
+  std::vector<Detection> second;
+  small.det.detect_into(x, ws, second);
+  EXPECT_EQ(ws.raw.data(), raw);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(bits(second[i].time_s), bits(first[i].time_s)) << i;
+    EXPECT_EQ(bits(second[i].score), bits(first[i].score)) << i;
+    EXPECT_EQ(bits(second[i].amplitude), bits(first[i].amplitude)) << i;
+    EXPECT_EQ(bits(second[i].echo_competition), bits(first[i].echo_competition)) << i;
+  }
+}
 
 /// The echo competition as the detector computed it before the range-max
 /// index: a scan of the whole min_spacing window around lag i. Kept as the

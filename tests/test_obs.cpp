@@ -19,6 +19,8 @@
 
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
+#include "core/pipeline_context.hpp"
+#include "core/session_workspace.hpp"
 #include "core/status.hpp"
 #include "obs/trace.hpp"
 #include "runtime/engine.hpp"
@@ -313,6 +315,41 @@ TEST(Obs, PipelineResultBitIdenticalWithAndWithoutRegistry) {
   EXPECT_EQ(spans[0].name, "session");
   EXPECT_EQ(spans[0].session, 42u);
   EXPECT_EQ(spans[1].parent, spans[0].id);  // stages nest under the root
+}
+
+TEST(Obs, AspChunkTaskCountersCountEveryTaskAndOnlyHelpedOnes) {
+  // The ASP stage counts its (channel, detector-chunk) tasks on the
+  // session's registry; the serial executor has no helpers.
+  const sim::Session session = small_session(901);
+  const core::PipelineConfig config;
+  const core::PipelineContext context(config, session.prior.chirp,
+                                      session.audio.sample_rate);
+  core::SessionWorkspace workspace;
+  MetricsRegistry registry;
+  const ObsContext obs{&registry, nullptr, 7};
+  const auto traced = core::try_localize(session, config, context, workspace, nullptr, &obs);
+  const auto plain = core::try_localize(session, config, context, workspace);
+  ASSERT_TRUE(traced.has_value());
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(traced->estimated_position.x, plain->estimated_position.x);
+  EXPECT_EQ(traced->estimated_position.y, plain->estimated_position.y);
+  EXPECT_EQ(traced->estimated_period, plain->estimated_period);
+
+  const std::size_t chunks = context.detector().chunk_count(session.audio.mic1.size());
+  ASSERT_GE(chunks, 2u);
+  EXPECT_EQ(registry.counter("asp.chunk_tasks_total").value(),
+            static_cast<double>(core::SessionWorkspace::kChannels * chunks));
+  EXPECT_EQ(registry.counter("asp.chunk_tasks_helped_total").value(), 0.0);
+
+  // Through a one-worker engine: the same tasks, still nobody to help.
+  auto engine_registry = std::make_shared<MetricsRegistry>();
+  runtime::EngineObs eo;
+  eo.registry = engine_registry;
+  runtime::BatchEngine engine(config, 1, eo);
+  ASSERT_EQ(engine.submit(session).get().status, runtime::SessionStatus::ok);
+  EXPECT_EQ(engine_registry->counter("asp.chunk_tasks_total").value(),
+            static_cast<double>(core::SessionWorkspace::kChannels * chunks));
+  EXPECT_EQ(engine_registry->counter("asp.chunk_tasks_helped_total").value(), 0.0);
 }
 
 // --------------------------------------------------------------------------
