@@ -122,7 +122,7 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
     detector.chunk_pass(seg, task.span.start, task.span.final_chunk, scratch.detector,
                         passes[t]);
   };
-  const SerialChunkExecutor serial(workspace->scratch());
+  const SerialChunkExecutor serial;
   const ChunkExecutor& exec = executor != nullptr ? *executor : serial;
   const std::size_t helped = exec.run(tasks.size(), run_task);
 

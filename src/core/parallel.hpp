@@ -22,15 +22,39 @@
 
 namespace hyperear::core {
 
-/// Scratch for one ASP chunk task: the band-passed chunk window and the
+/// Scratch for one ASP chunk pass: the band-passed chunk window and the
 /// detector's per-chunk buffers (FFT lanes, raw correlation, echo index,
-/// prefix sums). It belongs to the thread that executes the task, not to
-/// the session, so a pool needs one per worker however many sessions are
-/// in flight. Contents carry no information between tasks; only capacity
-/// is retained.
+/// prefix sums, the pass result handed to the stitch). It belongs to the
+/// thread that runs the pass, not to the session, so memory is threads x
+/// one chunk's working set however many sessions are open. Contents carry
+/// no information between passes; only capacity is retained.
 struct ChunkScratch {
   std::vector<double> window;       ///< band-passed chunk
   dsp::DetectorWorkspace detector;  ///< per-chunk detector scratch
+};
+
+/// Exclusive use of the calling thread's ChunkScratch for the lease's
+/// lifetime. Every chunk pass in the library runs on one: the serial and
+/// pool executors take one per task, StreamingSession one per push. Each
+/// thread owns exactly one scratch, created on its first lease and freed
+/// when the thread exits. A second lease on the same thread while one is
+/// live would hand two passes the same buffers; checked builds fail that
+/// precondition loudly (DESIGN.md §11) instead.
+class ThreadScratchLease {
+ public:
+  ThreadScratchLease();
+  ~ThreadScratchLease();
+  ThreadScratchLease(const ThreadScratchLease&) = delete;
+  ThreadScratchLease& operator=(const ThreadScratchLease&) = delete;
+
+  [[nodiscard]] ChunkScratch& scratch() const;
+
+ private:
+  struct State;
+  /// The calling thread's state: a function-local thread_local.
+  static State& this_thread();
+
+  State* state_;
 };
 
 /// Runs a batch of independent tasks, possibly concurrently. `run` calls
@@ -41,10 +65,9 @@ struct ChunkScratch {
 /// exception of the lowest-index failing task once every started task has
 /// finished; the serial and pool executors start tasks in index order, so
 /// that exception is a function of the inputs alone. Returns the number of
-/// tasks that ran on a thread other than the caller's. A pool-backed
-/// implementation is safe to invoke from several threads at once;
-/// SerialChunkExecutor borrows one scratch and is as single-owner as the
-/// workspace that scratch comes from.
+/// tasks that ran on a thread other than the caller's. The library's
+/// executors hand each task the scratch of the thread running it and are
+/// safe to invoke from several threads at once.
 class ChunkExecutor {
  public:
   using Task = std::function<void(std::size_t index, ChunkScratch& scratch)>;
@@ -54,19 +77,15 @@ class ChunkExecutor {
 };
 
 /// The default policy: run the tasks on the calling thread, in index
-/// order, all on one scratch. The first throwing task ends the run — it is
-/// the lowest-index failure by construction.
+/// order, on that thread's scratch. The first throwing task ends the run —
+/// it is the lowest-index failure by construction.
 class SerialChunkExecutor final : public ChunkExecutor {
  public:
-  explicit SerialChunkExecutor(ChunkScratch& scratch) : scratch_(&scratch) {}
-
   std::size_t run(std::size_t count, const Task& task) const override {
-    for (std::size_t i = 0; i < count; ++i) task(i, *scratch_);
+    const ThreadScratchLease lease;
+    for (std::size_t i = 0; i < count; ++i) task(i, lease.scratch());
     return 0;
   }
-
- private:
-  ChunkScratch* scratch_;
 };
 
 }  // namespace hyperear::core

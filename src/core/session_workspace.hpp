@@ -6,7 +6,6 @@
 
 #include "common/arena.hpp"
 #include "common/contracts.hpp"
-#include "core/parallel.hpp"
 #include "dsp/matched_filter.hpp"
 
 /// @file session_workspace.hpp
@@ -17,25 +16,28 @@
 /// `PipelineContext` is deeply immutable and shared read-only by any number
 /// of concurrent runs; a `SessionWorkspace` is all the mutable state of one
 /// run — the ASP chunk-task list and per-task results, per-channel
-/// detection staging, serial chunk scratch, and an arena for per-session
-/// transients — and is therefore single-owner: one workspace per session
-/// in flight (runtime::WorkspacePool hands each engine worker an exclusive
-/// lease). The ASP fan-out's helper threads touch only their own task's
-/// result slot, and only while the owning session waits for them. Buffer
+/// detection staging, and an arena for per-session transients — and is
+/// therefore single-owner: one workspace per session in flight
+/// (runtime::WorkspacePool hands each engine worker an exclusive lease).
+/// The ASP fan-out's helper threads touch only their own task's result
+/// slot, and only while the owning session waits for them. Buffer
 /// contents carry no information between sessions; only capacity is
 /// retained, so a warmed workspace makes the steady-state batch path
 /// allocation-free while results stay bit-identical to a fresh one — and
 /// to the context-free path, which simply builds a call-local workspace.
 ///
 /// Chunk scratch (the band-passed window and the detector's per-chunk
-/// buffers, ~4 MiB at the default chunk) belongs to the executing thread:
-/// a pool fan-out brings one per worker (core::ChunkExecutor), and the
-/// workspace's own `scratch()` serves only the serial default.
+/// buffers, ~4 MiB at the default chunk) is not here: it belongs to the
+/// thread that runs the chunk pass (core::ThreadScratchLease), for batch
+/// and streaming sessions alike. A workspace therefore never holds a
+/// chunk's working set — the per-chunk members of its detector slots stay
+/// empty — and a session that is open but idle costs only its staging.
 
 namespace hyperear::core {
 
 /// Per-channel detection staging of the ASP stage: the stitch's candidate
-/// list and the detections of one microphone.
+/// list and the detections of one microphone. The pipeline leaves the
+/// detector's per-chunk members (fft through prefix, pass) empty.
 struct ChannelWorkspace {
   /// Band-passed whole channel. The pipeline no longer fills it (chunk
   /// tasks band-pass their own windows); it stays for callers that replay
@@ -71,8 +73,6 @@ class SessionWorkspace {
   [[nodiscard]] std::vector<AspChunkTask>& asp_tasks() { return asp_tasks_; }
   /// Per-task chunk-pass results, parallel to `asp_tasks()`.
   [[nodiscard]] std::vector<dsp::ChunkPass>& chunk_passes() { return chunk_passes_; }
-  /// Chunk scratch for the serial executor (no pool fan-out).
-  [[nodiscard]] ChunkScratch& scratch() { return scratch_; }
 
   /// Bump allocator for per-session transients (e.g. the SFO fit's scratch
   /// series): allocation is a pointer bump, and `reset` recycles the whole
@@ -89,7 +89,6 @@ class SessionWorkspace {
   std::array<ChannelWorkspace, kChannels> channels_;
   std::vector<AspChunkTask> asp_tasks_;
   std::vector<dsp::ChunkPass> chunk_passes_;
-  ChunkScratch scratch_;
   MonotonicArena arena_;
 };
 

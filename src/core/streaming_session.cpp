@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "core/pipeline_context.hpp"
@@ -60,11 +61,22 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
     ctx_error_ = std::current_exception();
   }
   if (context_ != nullptr) {
+    // The ring's high-water mark: run_detector leaves at most one detector
+    // chunk behind, and one ingest slice adds at most the slice plus the
+    // filter's pending output (under one transform pair and half a
+    // kernel), so a ring reserved at that bound never regrows.
+    std::size_t ring_capacity = context_->detector().config().chunk + kIngestSlice;
+    if (context_->asp_options().bandpass) {
+      const dsp::OlsConvolver& bandpass = *context_->bandpass_convolver();
+      ring_capacity += 2 * bandpass.block_size() + bandpass.kernel_size();
+    }
     for (std::size_t slot = 0; slot < 2; ++slot) {
       Channel& ch = channels_[slot];
       if (context_->asp_options().bandpass) {
         ch.filter.emplace(*context_->bandpass_convolver());
       }
+      // NOLINTNEXTLINE(hyperear-hotpath) -- once per session, at its bound
+      ch.ring.reserve(ring_capacity);
       context_->detector().stream_begin(ch.stream, ws_->channel(slot).detector);
     }
   }
@@ -91,26 +103,36 @@ void StreamingSession::push(std::span<const double> mic1, std::span<const double
   // stream that can never be processed.
   if (context_ == nullptr) return;
   const obs::MonotonicTime t0 = obs::monotonic_now();
-  append_filtered(channels_[0], mic1);
-  append_filtered(channels_[1], mic2);
-  run_detector(false);
-  note_retained();
+  const ThreadScratchLease lease;
+  // Filter and detect one bounded slice at a time, so a large push (a
+  // whole recording, a drained inbox) never holds more than the ring's
+  // reserved bound. Every stage is chunking-invariant, so the slicing
+  // changes no result.
+  for (std::size_t pos = 0; pos < mic1.size(); pos += kIngestSlice) {
+    const std::size_t n = std::min(kIngestSlice, mic1.size() - pos);
+    append_filtered(channels_[0], mic1.subspan(pos, n), lease.scratch());
+    append_filtered(channels_[1], mic2.subspan(pos, n), lease.scratch());
+    note_retained();
+    run_detector(false, lease.scratch());
+  }
   asp_ms_ += obs::ms_since(t0);
 }
 
-void StreamingSession::append_filtered(Channel& ch, std::span<const double> chunk) {
+void StreamingSession::append_filtered(Channel& ch, std::span<const double> slice,
+                                       ChunkScratch& scratch) {
+  const std::size_t capacity = ch.ring.capacity();
   if (ch.filter) {
-    const std::size_t slot = &ch == &channels_[0] ? 0 : 1;
-    ch.filter->push(chunk, ch.ring, ws_->channel(slot).detector.fft);
+    ch.filter->push(slice, ch.ring, scratch.detector.fft);
   } else {
     // No band-pass: the detector reads the raw signal, exactly like the
     // batch path's non-bandpass branch.
-    ch.ring.insert(ch.ring.end(), chunk.begin(), chunk.end());
+    ch.ring.insert(ch.ring.end(), slice.begin(), slice.end());
   }
+  HE_ENSURES(ch.ring.capacity() == capacity);  // reserved at the bound
   ch.ring_total = ch.ring_start + ch.ring.size();
 }
 
-void StreamingSession::run_detector(bool drain_all) {
+void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
   const dsp::MatchedFilterDetector& det = context_->detector();
   const std::size_t ref_len = det.reference().size();
   const std::size_t chunk = det.config().chunk;
@@ -142,7 +164,8 @@ void StreamingSession::run_detector(bool drain_all) {
       Channel& ch = channels_[slot];
       const std::span<const double> seg(ch.ring.data() + (start - ch.ring_start),
                                         end - start);
-      det.stream_chunk(seg, final_chunk, ch.stream, ws_->channel(slot).detector);
+      det.chunk_pass(seg, start, final_chunk, scratch.detector, scratch.detector.pass);
+      det.stitch(scratch.detector.pass, ch.stream, ws_->channel(slot).detector);
       collect_candidates(slot, ch);
     }
     next_chunk_start_ = channels_[0].stream.next_start;
@@ -294,15 +317,17 @@ Expected<LocalizationResult, PipelineError> StreamingSession::finalize(
     // a context).
     require(total_ > 0, "preprocess_audio: bad recording");
     if (ctx_error_) std::rethrow_exception(ctx_error_);
-    for (std::size_t slot = 0; slot < 2; ++slot) {
-      Channel& ch = channels_[slot];
-      if (ch.filter) {
-        ch.filter->finish(ch.ring, ws_->channel(slot).detector.fft);
-        ch.ring_total = ch.ring_start + ch.ring.size();
+    {
+      const ThreadScratchLease lease;
+      for (Channel& ch : channels_) {
+        if (ch.filter) {
+          ch.filter->finish(ch.ring, lease.scratch().detector.fft);
+          ch.ring_total = ch.ring_start + ch.ring.size();
+        }
       }
+      note_retained();
+      run_detector(true, lease.scratch());
     }
-    run_detector(true);
-    note_retained();
     scan_zero_crossings(true);
     advance_phase(total_);
     for (std::size_t slot = 0; slot < 2; ++slot) {

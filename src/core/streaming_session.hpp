@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/expected.hpp"
+#include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "core/pipeline_context.hpp"
 #include "core/sdf.hpp"
@@ -33,17 +34,24 @@
 /// (`dsp::StreamingFirFilter`, the detector's stream_begin/chunk/end
 /// protocol). tests/test_streaming.cpp holds the property test.
 ///
-/// Memory: only the filter's raw lookback and the detector's current
-/// correlation window are retained — `retained_samples()` is bounded by a
-/// constant independent of how long the user records
-/// (`peak_retained_samples()` reports the high-water mark, asserted in
-/// tests and reported in BENCH_streaming.json).
+/// Memory: a session holds per channel the filter's raw lookback and a
+/// ring of filtered samples reserved once at its bound — one detector
+/// chunk, one ingest slice, and the band-pass filter's pending output
+/// (~1.06 MiB at the default 131072-sample chunk) — plus the stitch's
+/// candidates in its workspace. `push` filters and detects in bounded
+/// slices, so the bound holds for a push of any size, and
+/// `retained_samples()` (high-water mark: `peak_retained_samples()`) is a
+/// constant independent of how long the user records. The detector's
+/// per-chunk working set is not the session's: each push leases the
+/// calling thread's core::ChunkScratch, so an idle open session costs no
+/// chunk scratch at all.
 ///
 /// Ownership follows the pipeline's context/workspace split: the optional
 /// `PipelineContext` is shared immutable plans; the `SessionWorkspace`
-/// (caller-leased or session-owned) is single-owner scratch. A
-/// StreamingSession is therefore single-owner too — one thread at a time
-/// (runtime::StreamingEngine serializes each session onto its drain task).
+/// (caller-leased or session-owned) is single-owner stitch and pass-2
+/// staging. A StreamingSession is therefore single-owner too — one thread
+/// at a time (runtime::StreamingEngine serializes each session onto its
+/// drain task).
 
 namespace hyperear::obs {
 struct ObsContext;
@@ -148,7 +156,9 @@ class StreamingSession {
  private:
   struct Channel {
     std::optional<dsp::StreamingFirFilter> filter;  ///< engaged iff bandpass
-    std::vector<double> ring;       ///< filtered samples [ring_start, ...)
+    /// Filtered samples [ring_start, ...); capacity reserved once, at the
+    /// retention bound.
+    std::vector<double> ring;
     std::size_t ring_start = 0;     ///< recording index of ring[0]
     std::size_t ring_total = 0;     ///< filtered samples produced so far
     dsp::DetectorStream stream;     ///< resumable detector cursor
@@ -156,10 +166,16 @@ class StreamingSession {
     std::vector<ChirpEvent> live;   ///< provisional events (pass-1 basis)
   };
 
-  void append_filtered(Channel& ch, std::span<const double> chunk);
+  /// Raw samples per channel that `push` filters before it runs the
+  /// detector again: the retention bound's in-flight term.
+  static constexpr std::size_t kIngestSlice = 4096;
+
+  void append_filtered(Channel& ch, std::span<const double> slice,
+                       ChunkScratch& scratch);
   /// Run every detector chunk that is certainly full and non-final; after
-  /// `drain_all`, run the batch tail schedule instead.
-  void run_detector(bool drain_all);
+  /// `drain_all`, run the batch tail schedule instead. Chunk passes run on
+  /// `scratch`, the calling thread's; only the stitch touches the session.
+  void run_detector(bool drain_all, ChunkScratch& scratch);
   /// Consume newly appended pass-1 candidates of one channel into events.
   void collect_candidates(std::size_t slot, Channel& ch);
   /// Emit sdf_zero_cross events that can no longer change, or (at

@@ -114,8 +114,9 @@ struct ChunkPass {
 ///
 /// `chunk_pass` uses the per-chunk members (fft through prefix); the stitch
 /// and `stream_end` use the candidate staging. A caller that runs chunk
-/// passes elsewhere (core's ASP fan-out) leaves the per-chunk members of
-/// its stitching workspace empty.
+/// passes elsewhere (core's ASP fan-out and StreamingSession, on the
+/// thread's core::ChunkScratch) leaves the per-chunk members of its
+/// stitching workspace empty.
 struct DetectorWorkspace {
   using Candidate = DetectionCandidate;
 
@@ -125,7 +126,7 @@ struct DetectorWorkspace {
   std::vector<double> block_max;      ///< per-kEchoBlock maxima of local_max
   std::vector<std::size_t> peaks;     ///< per-chunk gated local-max lags
   std::vector<double> prefix;         ///< prefix-sum scratch (normalization)
-  ChunkPass pass;                     ///< stream_chunk's chunk-pass staging
+  ChunkPass pass;                     ///< chunk-pass staging of a serial caller
   std::vector<double> amps;           ///< amplitude-gate scratch
   std::vector<Candidate> candidates;  ///< pass-1 output, in stitch order
   std::vector<Candidate> selected;    ///< pass-2 staging

@@ -47,8 +47,7 @@ BatchEngine::BatchEngine(core::PipelineConfig config, std::size_t threads,
       registry_(obs.registry != nullptr ? std::move(obs.registry)
                                         : std::make_shared<obs::MetricsRegistry>()),
       tracer_(std::move(obs.tracer)),
-      worker_scratch_(default_threads(threads)),
-      pool_(worker_scratch_.size()) {
+      pool_(default_threads(threads)) {
   if (std::optional<core::PipelineError> bad = config_.validate()) {
     throw PreconditionError("BatchEngine: " + describe(*bad));
   }
@@ -101,9 +100,7 @@ SessionReport BatchEngine::run_one(const sim::Session& session,
     const obs::ObsContext obs{registry_.get(), tracer_.get(), session_id};
     // This worker owns the session; idle workers may help with its ASP
     // chunk tasks.
-    const std::size_t worker = pool_.worker_index();
-    HE_EXPECTS(worker < worker_scratch_.size());
-    const PoolChunkExecutor executor(pool_, worker_scratch_[worker], worker_scratch_);
+    const PoolChunkExecutor executor(pool_);
     // Pathological sessions (plans cannot be built) take the context-free
     // spelling, which rebuilds and fails INSIDE the ASP stage so the error
     // is classified against the stage that owns it.

@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "core/pipeline_context.hpp"
 #include "obs/metrics.hpp"
@@ -219,10 +218,6 @@ class BatchEngine {
   /// leased for one session at a time. Declared before pool_: in-flight
   /// sessions return their lease while the pool drains during destruction.
   WorkspacePool workspaces_;
-  /// ASP chunk scratch of each pool worker, indexed by
-  /// ThreadPool::worker_index: used by the session the worker owns and by
-  /// the helper tasks it runs for other sessions, one at a time.
-  std::vector<core::ChunkScratch> worker_scratch_;
   ThreadPool pool_;  // declared last: workers must die before state above
 };
 

@@ -5,8 +5,6 @@
 #include <exception>
 #include <memory>
 
-#include "common/contracts.hpp"
-
 namespace hyperear::runtime {
 
 namespace {
@@ -94,15 +92,10 @@ std::size_t fan_out(ThreadPool& pool, std::size_t count,
   return g->helped.load(std::memory_order_relaxed);
 }
 
-PoolChunkExecutor::PoolChunkExecutor(ThreadPool& pool, core::ChunkScratch& owner,
-                                     std::span<core::ChunkScratch> workers)
-    : pool_(&pool), owner_(&owner), workers_(workers) {
-  HE_EXPECTS(workers.size() == pool.size());
-}
-
 std::size_t PoolChunkExecutor::run(std::size_t count, const Task& task) const {
-  return fan_out(*pool_, count, [&](std::size_t i, bool helper) {
-    task(i, helper ? workers_[pool_->worker_index()] : *owner_);
+  return fan_out(*pool_, count, [&](std::size_t i, bool) {
+    const core::ThreadScratchLease lease;
+    task(i, lease.scratch());
   });
 }
 

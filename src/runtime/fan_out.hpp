@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
 
 #include "core/parallel.hpp"
 #include "runtime/thread_pool.hpp"
@@ -45,22 +44,17 @@ namespace hyperear::runtime {
 std::size_t fan_out(ThreadPool& pool, std::size_t count,
                     const std::function<void(std::size_t index, bool helper)>& task);
 
-/// core::ChunkExecutor over fan_out. The owner's tasks run on `owner`;
-/// a helper's run on `workers[w]`, the scratch of pool worker w. Each
-/// worker runs one task at a time, and an owner that is itself a pool
-/// worker passes its own slot, so no scratch is ever shared. The pool and
-/// every scratch must outlive the executor.
+/// core::ChunkExecutor over fan_out. Every task runs on the scratch of
+/// the thread that runs it (core::ThreadScratchLease), owner and helpers
+/// alike. The pool must outlive the executor.
 class PoolChunkExecutor final : public core::ChunkExecutor {
  public:
-  PoolChunkExecutor(ThreadPool& pool, core::ChunkScratch& owner,
-                    std::span<core::ChunkScratch> workers);
+  explicit PoolChunkExecutor(ThreadPool& pool) : pool_(&pool) {}
 
   std::size_t run(std::size_t count, const Task& task) const override;
 
  private:
   ThreadPool* pool_;
-  core::ChunkScratch* owner_;
-  std::span<core::ChunkScratch> workers_;
 };
 
 }  // namespace hyperear::runtime

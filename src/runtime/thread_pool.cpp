@@ -11,17 +11,13 @@ namespace {
 /// Queue-wait buckets (ms): sub-ms dispatch up to multi-second backlog.
 constexpr double kWaitMsBounds[] = {0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0};
 
-/// The pool and index of the calling worker thread (null pool: not a worker).
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_index = 0;
-
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   require(threads >= 1, "ThreadPool: needs at least one worker");
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -78,13 +74,7 @@ void ThreadPool::note_dequeued(const QueuedTask& task) {
   tasks_run_.inc();
 }
 
-std::size_t ThreadPool::worker_index() const {
-  return tl_pool == this ? tl_index : workers_.size();
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
-  tl_pool = this;
-  tl_index = index;
+void ThreadPool::worker_loop() {
   for (;;) {
     QueuedTask task;
     {

@@ -55,11 +55,6 @@ class ThreadPool {
   /// throws. Idempotent; does not block — the destructor joins.
   void stop() HE_EXCLUDES(mutex_);
 
-  /// Index in [0, size()) of the calling thread when it is one of this
-  /// pool's workers, else size(). Lets a task pick per-worker state (the
-  /// ASP fan-out's chunk scratch) without a lock.
-  [[nodiscard]] std::size_t worker_index() const;
-
   /// True once stop() has been called. Advisory for contract checks: a
   /// false answer can be stale by the time the caller acts on it, so post()
   /// still revalidates under the lock.
@@ -75,7 +70,7 @@ class ThreadPool {
     std::chrono::steady_clock::time_point posted{};
   };
 
-  void worker_loop(std::size_t index) HE_EXCLUDES(mutex_);
+  void worker_loop() HE_EXCLUDES(mutex_);
   /// Dequeue bookkeeping of worker_loop; called with `mutex_` held, right
   /// after popping `task` off the queue.
   void note_dequeued(const QueuedTask& task) HE_REQUIRES(mutex_);

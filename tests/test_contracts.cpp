@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "core/parallel.hpp"
 #include "core/status.hpp"
 #include "dsp/ols.hpp"
 #include "geom/triangulation.hpp"
@@ -69,6 +70,23 @@ TEST(Contracts, AssertFiniteSweepsRangesAndPassesCleanOnes) {
   EXPECT_NO_THROW(HE_ASSERT_FINITE(xs));
   xs[1] = std::numeric_limits<double>::infinity();
   EXPECT_THROW(HE_ASSERT_FINITE(xs), core::InvariantError);
+}
+
+TEST(ContractsRetrofit, NestedChunkPassOnOneThreadFiresTheContract) {
+  // Both passes would run on the thread's one scratch; the lease refuses
+  // the inner one, and unwinding releases the outer one.
+  const core::SerialChunkExecutor serial;
+  const core::ChunkExecutor::Task nested = [&](std::size_t, core::ChunkScratch&) {
+    (void)serial.run(1, [](std::size_t, core::ChunkScratch&) {});
+  };
+  try {
+    (void)serial.run(1, nested);
+    FAIL() << "a nested chunk pass was let through";
+  } catch (const core::InvariantError& e) {
+    EXPECT_TRUE(mentions(e, "!state_->leased"));
+  }
+  const core::ThreadScratchLease lease;  // released on the way out
+  EXPECT_THROW(core::ThreadScratchLease{}, core::InvariantError);
 }
 
 TEST(Contracts, PassingConditionsAreSilent) {

@@ -11,18 +11,21 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/session_workspace.hpp"
+#include "core/streaming_session.hpp"
 #include "runtime/context_cache.hpp"
 #include "runtime/fan_out.hpp"
 #include "runtime/workspace_pool.hpp"
@@ -155,9 +158,7 @@ TEST(BatchEngine, AspFanOutIsByteIdenticalForEveryExecutor) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE("pool of " + std::to_string(threads));
       ThreadPool pool(threads);
-      std::vector<core::ChunkScratch> lanes(threads);
-      core::ChunkScratch owner;
-      const PoolChunkExecutor executor(pool, owner, lanes);
+      const PoolChunkExecutor executor(pool);
       expect_identical_asp(asp_with(&executor), serial_asp);
       expect_identical(fix_with(&executor), serial_fix);
     }
@@ -193,6 +194,87 @@ TEST(BatchEngine, SingleSessionsMatchTheSerialPipelineAtEveryWidth) {
     if (threads == 1) {
       EXPECT_EQ(helped, 0.0);
     }
+  }
+}
+
+TEST(BatchEngine, LiveStreamsAndFanOutsShareEachWorkersThreadScratch) {
+  // Live streams pushed from the workers of one pool while the same pool
+  // fans out batch sessions' ASP: a worker runs chunk passes for both, one
+  // after the other, on its one thread scratch. Under tsan this is the
+  // race check of that sharing; everywhere, every fix must stay bit-equal
+  // to the serial pipeline.
+  const std::vector<sim::Session> sessions = make_batch(4, 760);
+  const core::PipelineConfig config;
+  std::vector<core::LocalizationResult> expect;
+  for (const sim::Session& s : sessions) {
+    auto r = core::try_localize(s, config);
+    ASSERT_TRUE(r.has_value());
+    expect.push_back(*r);
+  }
+
+  using Outcome = Expected<core::LocalizationResult, core::PipelineError>;
+  struct Job {
+    const sim::Session* source = nullptr;
+    std::unique_ptr<core::StreamingSession> stream;  // null: batch
+    std::size_t pushed = 0;
+    std::promise<Outcome> done;
+  };
+  std::vector<Job> jobs(sessions.size());
+  std::vector<core::SessionWorkspace> workspaces(sessions.size());
+  std::function<void(Job&)> step;
+  // Declared last: the workers are joined before anything they touch dies.
+  ThreadPool pool(3);
+  const PoolChunkExecutor executor(pool);
+  // One push per posted task, re-posted until the audio runs out: each
+  // stream stays single-owner while it hops between workers.
+  step = [&](Job& job) {
+    try {
+      const sim::StereoRecording& audio = job.source->audio;
+      const std::size_t n = std::min<std::size_t>(4410, audio.mic1.size() - job.pushed);
+      job.stream->push(std::span<const double>(audio.mic1).subspan(job.pushed, n),
+                       std::span<const double>(audio.mic2).subspan(job.pushed, n));
+      job.pushed += n;
+      if (job.pushed < audio.mic1.size()) {
+        pool.post([&step, &job] { step(job); });
+      } else {
+        job.done.set_value(job.stream->finalize());
+      }
+    } catch (...) {
+      job.done.set_exception(std::current_exception());
+    }
+  };
+  std::vector<std::future<Outcome>> outcomes;
+  for (Job& job : jobs) outcomes.push_back(job.done.get_future());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    Job& job = jobs[i];
+    job.source = &sessions[i];
+    if (i % 2 == 1) {
+      sim::Session meta = sessions[i];
+      meta.audio.mic1.clear();
+      meta.audio.mic2.clear();
+      job.stream = std::make_unique<core::StreamingSession>(std::move(meta), config,
+                                                            nullptr, &workspaces[i]);
+      pool.post([&step, &job] { step(job); });
+    } else {
+      pool.post([&, i] {
+        try {
+          const sim::Session& s = sessions[i];
+          const core::PipelineContext context(config, s.prior.chirp,
+                                              s.audio.sample_rate);
+          jobs[i].done.set_value(core::try_localize(s, config, context, workspaces[i],
+                                                    nullptr, nullptr, &executor));
+        } catch (...) {
+          jobs[i].done.set_exception(std::current_exception());
+        }
+      });
+    }
+  }
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    SCOPED_TRACE(std::string(i % 2 == 1 ? "streamed" : "fanned-out") + " session " +
+                 std::to_string(i));
+    const Outcome got = outcomes[i].get();
+    ASSERT_TRUE(got.has_value());
+    expect_identical(*got, expect[i]);
   }
 }
 

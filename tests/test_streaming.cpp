@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,43 @@
 #include "dsp/matched_filter.hpp"
 #include "runtime/engine.hpp"
 #include "sim/scenario.hpp"
+
+// Heap probe: the largest single block requested on this thread while
+// armed. It sees what a session's own accounting cannot — a buffer that
+// held a whole recording and was compacted before `push` returned still
+// shows up here. The replaced operators are plain malloc/free, so they
+// pair with each other under every sanitizer.
+namespace {
+thread_local bool probe_armed = false;
+thread_local std::size_t probe_largest = 0;
+
+void* probe_alloc(std::size_t size) {
+  if (probe_armed && size > probe_largest) probe_largest = size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so GCC's -Wmismatched-new-delete does not see a `free` of
+// an operator-new pointer once a delete is inlined into its caller.
+[[gnu::noinline]] void probe_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) { return probe_alloc(size); }
+void* operator new[](std::size_t size) { return probe_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (probe_armed && size > probe_largest) probe_largest = size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  if (probe_armed && size > probe_largest) probe_largest = size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { probe_free(p); }
+void operator delete[](void* p) noexcept { probe_free(p); }
+void operator delete(void* p, std::size_t) noexcept { probe_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { probe_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { probe_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { probe_free(p); }
 
 namespace hyperear::runtime {
 namespace {
@@ -224,6 +263,65 @@ TEST(StreamingSession, PeakRetainedMemoryStaysBounded) {
   // And that constant really is "bounded": well below full retention of
   // this recording (2 * total across the two channels).
   EXPECT_LT(bound, total) << "recording too short to demonstrate bounding";
+}
+
+TEST(StreamingSession, WholeRecordingPushStaysInsideTheRetentionBound) {
+  // The recording of PeakRetainedMemoryStaysBounded arriving in ONE push
+  // (a phone uploading after the fact, a drained StreamingEngine inbox)
+  // must respect the same duration-independent bound as a live cadence.
+  sim::ScenarioConfig c = small_scenario();
+  c.slides_per_stature = 5;
+  Rng rng(830);
+  sim::Session batch = sim::make_localization_session(c, rng);
+  const auto expect = core::try_localize(batch, {});
+  ASSERT_TRUE(expect.has_value());
+  const SplitSession s = split(std::move(batch));
+  const std::size_t total = s.mic1.size();
+  std::size_t peak = 0;
+  probe_largest = 0;
+  probe_armed = true;
+  const auto got = run_streamed(s, {total}, nullptr, &peak);
+  probe_armed = false;
+  ASSERT_TRUE(got.has_value());
+  expect_identical(*got, *expect);
+  const std::size_t chunk = dsp::DetectorConfig{}.chunk;
+  const std::size_t bound = 2 * (chunk + 2048) + 32768;
+  EXPECT_LT(peak, bound) << "total " << total;
+  // The bound is per session; no single buffer — a channel's ring, the
+  // thread's chunk scratch — may take more than one channel's share.
+  EXPECT_LT(probe_largest, bound / 2 * sizeof(double)) << "total " << total;
+  EXPECT_LT(bound, total) << "recording too short to demonstrate bounding";
+}
+
+TEST(StreamingSession, LeasedWorkspaceHoldsNoChunkScratch) {
+  // Chunk passes run on the pushing thread's scratch, so a workspace leased
+  // to a stream (or a batch run) never grows the detector's per-chunk
+  // buffers: an open session costs its staging, not a chunk's working set.
+  sim::Session batch = make_session(870);
+  core::SessionWorkspace workspace;
+  const auto expect_empty_chunk_buffers = [&] {
+    for (std::size_t slot = 0; slot < core::SessionWorkspace::kChannels; ++slot) {
+      const dsp::DetectorWorkspace& d = workspace.channel(slot).detector;
+      EXPECT_EQ(d.raw.capacity(), 0u) << "slot " << slot;
+      EXPECT_EQ(d.local_max.capacity(), 0u) << "slot " << slot;
+      EXPECT_EQ(d.prefix.capacity(), 0u) << "slot " << slot;
+      EXPECT_FALSE(d.candidates.empty()) << "slot " << slot;  // it did stitch
+    }
+  };
+  const core::PipelineContext context(core::PipelineConfig{}, batch.prior.chirp,
+                                      batch.audio.sample_rate);
+  ASSERT_TRUE(core::try_localize(batch, {}, context, workspace).has_value());
+  expect_empty_chunk_buffers();
+
+  const SplitSession s = split(std::move(batch));
+  core::StreamingSession session(s.meta, {}, nullptr, &workspace);
+  for (std::size_t pos = 0; pos < s.mic1.size(); pos += 4410) {
+    const std::size_t len = std::min<std::size_t>(4410, s.mic1.size() - pos);
+    session.push(std::span<const double>(s.mic1).subspan(pos, len),
+                 std::span<const double>(s.mic2).subspan(pos, len));
+  }
+  ASSERT_TRUE(session.finalize().has_value());
+  expect_empty_chunk_buffers();
 }
 
 TEST(StreamingSession, ErrorTaxonomyMatchesBatch) {

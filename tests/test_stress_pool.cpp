@@ -260,36 +260,6 @@ TEST(ThreadPoolStress, NestedFanOutCompletesOnFullPool) {
   nested_fan_out_completes(hardware_threads());
 }
 
-TEST(ThreadPoolStress, WorkerIndexIdentifiesEachWorkerOnce) {
-  constexpr std::size_t kThreads = 3;
-  ThreadPool pool(kThreads);
-  EXPECT_EQ(pool.worker_index(), kThreads);  // not a worker
-  ThreadPool other(1);
-  std::vector<std::atomic<int>> seen(kThreads);
-  {
-    // Hold every worker at once, so each index must show up exactly once.
-    std::promise<void> release;
-    std::shared_future<void> gate = release.get_future().share();
-    std::vector<std::future<void>> arrived;
-    for (std::size_t w = 0; w < kThreads; ++w) {
-      auto here = std::make_shared<std::promise<void>>();
-      arrived.push_back(here->get_future());
-      pool.post([&, here, gate] {
-        const std::size_t index = pool.worker_index();
-        EXPECT_LT(index, kThreads);
-        EXPECT_EQ(other.worker_index(), other.size());  // another pool's view
-        if (index < kThreads) seen[index].fetch_add(1);
-        here->set_value();
-        gate.wait();
-      });
-    }
-    for (std::future<void>& f : arrived) f.wait();
-    release.set_value();
-  }
-  pool.stop();
-  for (std::size_t w = 0; w < kThreads; ++w) EXPECT_EQ(seen[w].load(), 1) << w;
-}
-
 TEST(ThreadPoolStress, DrainOnStopRunsEveryAcceptedTaskExactlyOnce) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 400;

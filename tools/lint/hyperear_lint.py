@@ -12,7 +12,10 @@ applied regex/AST-lite style over the checked-in sources:
                 common/rng.hpp.
   ownership     no naked new/delete in library code (src/): containers and
                 smart pointers own everything; bench binaries may replace
-                the global allocator.
+                the global allocator. thread_local appears in library code
+                only in the files of THREAD_LOCAL_ALLOWED: hidden
+                per-thread state stays a reviewed decision, and an entry
+                whose file no longer declares one is stale and fails.
   logging       no printf/puts/cout-style output in library code (src/):
                 snprintf formatting into a caller buffer is fine, writing
                 to stdout from a library is not.
@@ -72,6 +75,10 @@ SCAN_DIRS = ["src", "bench", "tools", "tests", "examples"]
 
 # Library code: the determinism/ownership/logging rules apply here.
 LIBRARY_PREFIX = "src/"
+# The only library files that may declare thread_local state (ownership
+# rule): the metrics registry's shard index and the per-thread ASP chunk
+# scratch.
+THREAD_LOCAL_ALLOWED = {"src/obs/metrics.cpp", "src/core/parallel.cpp"}
 # Telemetry layers where the monotonic clock is sanctioned.
 STEADY_CLOCK_ALLOWED = ("src/obs/", "src/runtime/")
 
@@ -178,6 +185,7 @@ class Linter:
         self.findings: list[dict] = []
         self.hotpath_files = load_hotpath_manifest(root)
         self.hotpath_seen: set[str] = set()
+        self.thread_local_seen: set[str] = set()
         self.lock_levels, self.lock_rows, self.lock_manifest_errors = (
             load_lock_order_manifest(root)
         )
@@ -248,7 +256,7 @@ class Linter:
                 self.check_header_line(path, idx, code)
             if is_library:
                 self.check_determinism(path, idx, code, steady_ok)
-                self.check_ownership(path, idx, code)
+                self.check_ownership(path, rel, idx, code)
                 self.check_logging(path, idx, code)
             if rel != THREAD_ANNOTATIONS_HEADER:
                 self.check_tsa_suppression(path, idx, code, line)
@@ -315,7 +323,20 @@ class Linter:
     NAKED_NEW = re.compile(r"(?<![\w_])new\s+[A-Za-z_(:<]")
     NAKED_DELETE = re.compile(r"(?<![\w_])delete(\s*\[\s*\])?\s+[A-Za-z_(:*]")
 
-    def check_ownership(self, path: Path, idx: int, code: str) -> None:
+    THREAD_LOCAL = re.compile(r"\bthread_local\b")
+
+    def check_ownership(self, path: Path, rel: str, idx: int, code: str) -> None:
+        if self.THREAD_LOCAL.search(code):
+            self.thread_local_seen.add(rel)
+            if rel not in THREAD_LOCAL_ALLOWED:
+                self.add(
+                    "ownership",
+                    path,
+                    idx,
+                    "thread_local outside the allow-list: per-thread state "
+                    "is a reviewed decision (THREAD_LOCAL_ALLOWED in "
+                    "tools/lint/hyperear_lint.py)",
+                )
         if self.NAKED_NEW.search(code):
             self.add(
                 "ownership", path, idx, "naked new: use containers/make_unique"
@@ -628,6 +649,14 @@ class Linter:
                 self.root / HOTPATH_MANIFEST,
                 1,
                 f"manifest lists `{missing}` but no such file was scanned",
+            )
+        for stale in sorted(THREAD_LOCAL_ALLOWED - self.thread_local_seen):
+            self.add(
+                "ownership",
+                self.root / "tools/lint/hyperear_lint.py",
+                1,
+                f"THREAD_LOCAL_ALLOWED lists `{stale}` but it declares no "
+                "thread_local",
             )
         # This file states its own rule patterns; it is python, not scanned.
         return 1 if self.findings else 0
