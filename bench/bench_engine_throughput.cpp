@@ -123,7 +123,7 @@ int main() {
   }
 
   for (const std::size_t threads : counts) {
-    runtime::BatchEngine engine({}, threads);
+    runtime::Engine engine({}, threads);
     const std::size_t bytes0 = bench::allocated_bytes();
     const Clock::time_point t0 = Clock::now();
     const std::vector<runtime::SessionReport> reports = engine.localize_all(sessions);
@@ -149,7 +149,7 @@ int main() {
     // Steady-state allocator traffic: batch 1 warms every worker's leased
     // SessionWorkspace (and the sharded plan cache); batch 2 on the SAME
     // engine is what a long-running service pays per session.
-    runtime::BatchEngine engine({}, 1);
+    runtime::Engine engine({}, 1);
     (void)engine.localize_all(sessions);  // warm-up batch
     const std::size_t bytes0 = bench::allocated_bytes();
     const Clock::time_point t0 = Clock::now();
@@ -175,7 +175,7 @@ int main() {
   std::printf("\n%8s %14s %9s %13s\n", "threads", "ms/session", "speedup", "identical");
   double single_ms_1 = 0.0;
   for (const std::size_t threads : std::set<std::size_t>{1, hw}) {
-    runtime::BatchEngine engine({}, threads);
+    runtime::Engine engine({}, threads);
     (void)engine.submit(sessions[0]).get();  // warm the plans and one workspace
     double wall_ms = 0.0;
     bool same = true;

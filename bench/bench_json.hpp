@@ -94,83 +94,6 @@ inline bool validate_bench_rows(const std::vector<BenchRow>& rows,
       }
     }
   }
-  // Contract of the streaming bench (BENCH_streaming.json): the cadence
-  // ladder must stay complete, and every peak-retention row must report a
-  // window that is (a) actually measured and (b) smaller than one
-  // channel's full retention — the bounded-memory claim the streaming
-  // subsystem makes, enforced at the schema layer so a regression fails
-  // the bench-smoke run rather than surviving into a committed JSON.
-  bool any_streaming = false;
-  for (const BenchRow& r : rows) any_streaming = any_streaming || r.op == "streaming_ingest";
-  if (any_streaming) {
-    for (const char* rung :
-         {"chunk-441", "chunk-4410", "chunk-44100", "chunk-whole"}) {
-      bool found = false;
-      for (const BenchRow& r : rows) {
-        found = found || (r.op == "streaming_ingest" && r.variant == rung);
-      }
-      if (!found) {
-        return fail(std::string("streaming_ingest rows missing cadence variant ") +
-                    rung);
-      }
-    }
-    bool any_peak = false;
-    for (const BenchRow& r : rows) {
-      if (r.op != "streaming_peak_retained") continue;
-      any_peak = true;
-      if (r.bytes_allocated == 0) {
-        return fail("streaming_peak_retained row reports an empty window");
-      }
-      if (r.bytes_allocated >= r.n * sizeof(double)) {
-        return fail("streaming_peak_retained window not bounded below full "
-                    "retention (variant " + r.variant + ")");
-      }
-    }
-    if (!any_peak) {
-      return fail("streaming rows present but no streaming_peak_retained row");
-    }
-  }
-  // Contract of the serving-layer load bench (BENCH_load.json): the
-  // offered-rate ladder needs at least four rungs per row family, observed
-  // queue peaks must stay within the configured bound (on server_load_queue
-  // rows n is the configured max_queued and bytes_allocated the observed
-  // peak), and at least one rung must actually shed (bytes_allocated on
-  // server_load_throughput rows counts unserved requests) — the
-  // past-saturation story. Enforced at the schema layer so a bench edit
-  // that loses the saturation point fails bench-smoke instead of silently
-  // committing a hollow JSON.
-  bool any_load = false;
-  for (const BenchRow& r : rows) {
-    any_load = any_load || r.op.rfind("server_load", 0) == 0;
-  }
-  if (any_load) {
-    for (const char* family : {"server_load_p50", "server_load_p99",
-                               "server_load_throughput", "server_load_queue"}) {
-      std::size_t rungs = 0;
-      for (const BenchRow& r : rows) {
-        if (r.op == family) ++rungs;
-      }
-      if (rungs < 4) {
-        return fail(std::string(family) +
-                    " has fewer than 4 offered-rate rows");
-      }
-    }
-    for (const BenchRow& r : rows) {
-      if (r.op == "server_load_queue" && r.bytes_allocated > r.n) {
-        return fail("server_load_queue peak depth exceeds the configured "
-                    "bound (variant " + r.variant + ")");
-      }
-    }
-    bool any_shed = false;
-    for (const BenchRow& r : rows) {
-      any_shed = any_shed ||
-                 (r.op == "server_load_throughput" && r.bytes_allocated > 0);
-    }
-    if (!any_shed) {
-      return fail("no server_load_throughput row sheds: the offered-rate "
-                  "ladder never passed saturation");
-    }
-  }
   return true;
 }
 

@@ -26,7 +26,7 @@
 ///     lock hierarchy with `HE_LOCK_LEVEL(<level>)`; the checked-in
 ///     manifest tools/lint/lock_order.txt is the canonical ordering and
 ///     the linter cross-validates the two (rule `lockorder`). Function
-///     locals (e.g. the batch join state in BatchEngine::localize_all)
+///     locals (e.g. the batch join state in Engine::localize_all)
 ///     are leaves outside the hierarchy and carry no level.
 ///   - `HE_NO_THREAD_SAFETY_ANALYSIS("<why>")` is the only escape hatch
 ///     and the reason string is mandatory and non-empty.
@@ -113,8 +113,8 @@ namespace hyperear {
 // The runtime's global lock order, outermost first:
 //
 //   server    runtime::Server::mutex_            (admission queue)
-//   streaming runtime::StreamingEngine::sessions_mutex_ (session map)
-//   session   runtime::StreamingEngine::Entry::mutex    (per-session inbox)
+//   streaming runtime::Engine::sessions_mutex_   (live-session map)
+//   session   runtime::Engine::Entry::mutex      (per-session inbox)
 //   engine    runtime::WorkspacePool::mutex_,
 //             runtime::ContextCache::Shard::mutex (per-worker state, plans)
 //   pool      runtime::ThreadPool::mutex_        (task queue)

@@ -17,7 +17,7 @@
 /// layering is common -> ... -> core -> runtime), and spawning threads
 /// inside the pipeline would fight the runtime's own pool sizing.
 /// `ChunkExecutor` inverts the dependency: core states *what* can run
-/// concurrently, the runtime decides *where* (runtime::BatchEngine fans the
+/// concurrently, the runtime decides *where* (runtime::Engine fans the
 /// tasks out over idle pool workers; everyone else runs them serially).
 
 namespace hyperear::core {

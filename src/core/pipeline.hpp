@@ -18,7 +18,7 @@
 /// The primary entry point is the non-throwing `try_localize`, which
 /// returns `Expected<LocalizationResult, PipelineError>`; `localize` is a
 /// thin throwing shim kept for single-session callers. Batch callers
-/// should use `runtime::BatchEngine` (src/runtime/engine.hpp), which runs
+/// should use `runtime::Engine` (src/runtime/engine.hpp), which runs
 /// many sessions concurrently on a thread pool.
 
 namespace hyperear::core {
@@ -52,7 +52,7 @@ struct PipelineConfig {
 
 /// Per-stage observability for one localization attempt. Filled by
 /// `try_localize` when the caller passes a sink; aggregated across
-/// sessions by `runtime::BatchEngine`. Kept OUT of LocalizationResult so
+/// sessions by `runtime::Engine`. Kept OUT of LocalizationResult so
 /// results stay bit-identical across runs and thread counts (wall times
 /// are not deterministic; estimates are).
 struct StageMetrics {
@@ -128,7 +128,7 @@ namespace hyperear::core {
 /// byte-identical with and without it (tests/test_obs.cpp locks this in).
 ///
 /// `executor` (core/parallel.hpp) runs the ASP stage's (channel,
-/// detector-chunk) tasks — runtime::BatchEngine passes one that fans them
+/// detector-chunk) tasks — runtime::Engine passes one that fans them
 /// out over its idle workers. Null runs them serially on the workspace's
 /// scratch; the result is byte-identical either way.
 [[nodiscard]] Expected<LocalizationResult, PipelineError> try_localize(
@@ -141,7 +141,7 @@ namespace hyperear::core {
 /// this forwards, it does not duplicate): the DSP plans and the workspace
 /// are built call-locally, which is exactly what the pre-context pipeline
 /// did per session. Right for one-off calls; batch callers should reuse a
-/// context and a per-worker workspace (or use `runtime::BatchEngine`,
+/// context and a per-worker workspace (or use `runtime::Engine`,
 /// which does both). Results are bit-identical either way.
 [[nodiscard]] Expected<LocalizationResult, PipelineError> try_localize(
     const sim::Session& session, const PipelineConfig& config = {},

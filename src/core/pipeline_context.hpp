@@ -25,7 +25,7 @@
 /// Threading rules: a constructed context is deeply immutable — every
 /// accessor is const and the underlying detector/plan state is read-only —
 /// so one instance may be shared by any number of concurrent pipeline
-/// runs without synchronization. `runtime::BatchEngine` owns a small cache
+/// runs without synchronization. `runtime::Engine` owns a small cache
 /// of contexts (keyed by chirp parameters + sample rate) shared read-only
 /// by all of its workers. Results are bit-identical with and without a
 /// context: the context merely reuses the plans the planless path would

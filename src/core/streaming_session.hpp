@@ -50,7 +50,7 @@
 /// `PipelineContext` is shared immutable plans; the `SessionWorkspace`
 /// (caller-leased or session-owned) is single-owner stitch and pass-2
 /// staging. A StreamingSession is therefore single-owner too — one thread
-/// at a time (runtime::StreamingEngine serializes each session onto its
+/// at a time (runtime::Engine serializes each live session onto its
 /// drain task).
 
 namespace hyperear::obs {

@@ -95,7 +95,7 @@ Server::Server(core::PipelineConfig config, ServerOptions options, EngineObs obs
   // NOLINTNEXTLINE(hyperear-hotpath) -- one-time construction of per-shard telemetry handles
   counters_.shard_dispatched.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
-    shards_.push_back(std::make_unique<BatchEngine>(
+    shards_.push_back(std::make_unique<Engine>(
         config_, options_.threads_per_shard, EngineObs{registry_, tracer_}));
     const std::string shard_prefix = "server.shard." + std::to_string(s);
     counters_.shard_queue_depth.push_back(m.gauge(shard_prefix + ".queue_depth"));
@@ -234,7 +234,7 @@ std::size_t Server::pump_locked(std::vector<Resolution>& resolved) {
     ++in_flight_;
     counters_.in_flight.add(1.0);
     stats_.peak_in_flight = std::max(stats_.peak_in_flight, in_flight_);
-    BatchEngine& engine = *shards_[rec->shard];
+    Engine& engine = *shards_[rec->shard];
     const auto done = [this, rec](SessionReport&& report) {
       complete(rec, std::move(report));
     };
@@ -242,12 +242,9 @@ std::size_t Server::pump_locked(std::vector<Resolution>& resolved) {
     // (FIFO determinism), and the lock order server -> engine-pool never
     // inverts (engine completion callbacks take the server lock only
     // AFTER the pool lock is released).
-    const bool accepted =
-        req.cls == RequestClass::streaming
-            ? engine.try_submit_streamed(std::move(req.session),
-                                         options_.streaming_chunk_samples, done,
-                                         rec->id)
-            : engine.try_submit(std::move(req.session), done, rec->id);
+    const bool accepted = engine.try_submit(
+        std::move(req.session), done, rec->id,
+        req.cls == RequestClass::streaming ? options_.streaming_chunk_samples : 0);
     if (!accepted) {
       // The shard was shut down out from under us (chaos/fault path). The
       // request is cancelled by value — its future still resolves.
@@ -357,7 +354,7 @@ void Server::shutdown() {
     while (in_flight_ != 0) idle_cv_.wait(lock);
   }
   // In-flight work has resolved; now the shard pools can drain and join.
-  for (const std::unique_ptr<BatchEngine>& shard : shards_) shard->shutdown();
+  for (const std::unique_ptr<Engine>& shard : shards_) shard->shutdown();
 }
 
 ServerStats Server::stats() const {

@@ -19,7 +19,7 @@
 
 /// @file server.hpp
 /// The serving layer: a bounded admission queue with per-class deadlines
-/// over a sharded pool of BatchEngines. This is the first surface in the
+/// over a sharded pool of Engines. This is the first surface in the
 /// repo where a request has a LIFECYCLE — submitted, queued, dispatched,
 /// and resolved exactly once as completed / shed / expired / cancelled —
 /// instead of a future that always resolves with a report.
@@ -27,12 +27,12 @@
 /// Admission control is shed-by-value: when the in-flight cap and the
 /// bounded queue are both full, submit() answers `Admission::shed`
 /// immediately rather than queueing without bound (bounded queue depth is
-/// what keeps p99 latency bounded past saturation — bench_load measures
-/// exactly this). Per-class deadlines run on a LOGICAL tick clock
-/// (`tick()`), not wall time, so deadline behavior is a deterministic
-/// function of the request/tick stream; a queued request whose deadline
-/// has passed is cancelled at dispatch time (`expired`), never handed to
-/// an engine.
+/// what keeps p99 latency bounded past saturation — perfbench's
+/// `serve_open` workload measures it). Per-class deadlines run on a
+/// LOGICAL tick clock (`tick()`), not wall time, so deadline behavior is a
+/// deterministic function of the request/tick stream; a queued request
+/// whose deadline has passed is cancelled at dispatch time (`expired`),
+/// never handed to an engine.
 ///
 /// Sharding: requests land on `plan_key_hash(asp, chirp, sample_rate) %
 /// shards`, so every request of one DSP-plan configuration hits the shard
@@ -95,7 +95,7 @@ struct ClassPolicy {
 };
 
 struct ServerOptions {
-  std::size_t shards = 1;             ///< BatchEngines (>= 1)
+  std::size_t shards = 1;             ///< Engines (>= 1)
   std::size_t threads_per_shard = 1;  ///< 0 = hardware_concurrency
   /// Dispatch concurrency cap across all shards: requests handed to
   /// engines but not yet resolved. The admission boundary.
@@ -197,7 +197,7 @@ class Server {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Direct shard access (tests/chaos injection — e.g. shutting one down
   /// mid-flight).
-  [[nodiscard]] BatchEngine& shard(std::size_t index) { return *shards_[index]; }
+  [[nodiscard]] Engine& shard(std::size_t index) { return *shards_[index]; }
   /// Which shard a session's configuration maps to.
   [[nodiscard]] std::size_t shard_for(const sim::Session& session) const;
   [[nodiscard]] const core::PipelineConfig& config() const { return config_; }
@@ -282,7 +282,7 @@ class Server {
   std::shared_ptr<obs::MetricsRegistry> registry_;
   std::shared_ptr<obs::Tracer> tracer_;
   Counters counters_;
-  std::vector<std::unique_ptr<BatchEngine>> shards_;
+  std::vector<std::unique_ptr<Engine>> shards_;
 
   std::atomic<std::uint64_t> tick_{0};
   mutable he::Mutex mutex_ HE_LOCK_LEVEL(server);

@@ -3,7 +3,7 @@
 /// slide ruler, 3D PLE at two statures hand-held — asserting that the
 /// median and 90th-percentile localization error stay within fixed
 /// tolerances of the values recorded from the seed build. Every trial is
-/// seeded, sessions run through the BatchEngine (bit-identical at any
+/// seeded, sessions run through the Engine (bit-identical at any
 /// worker count), and the per-scenario numbers are emitted through the
 /// observability registry so the same series an operator would scrape is
 /// what the test asserts on.
@@ -87,14 +87,14 @@ TEST(AccuracyRegression, MatrixStaysWithinRecordedTolerances) {
   core::PipelineConfig hand;
   hand.ttl.min_slide_distance = 0.45;
   hand.ttl.max_z_rotation_deg = 20.0;
-  runtime::BatchEngine engine_2d({}, 0, {registry, nullptr});
-  runtime::BatchEngine engine_3d(hand, 0, {registry, nullptr});
+  runtime::Engine engine_2d({}, 0, {registry, nullptr});
+  runtime::Engine engine_3d(hand, 0, {registry, nullptr});
 
   for (const Scenario& sc : matrix) {
     std::vector<sim::Session> sessions;
     sessions.reserve(kTrials);
     for (std::size_t t = 0; t < kTrials; ++t) sessions.push_back(make_trial(sc, t));
-    runtime::BatchEngine& engine = sc.three_d ? engine_3d : engine_2d;
+    runtime::Engine& engine = sc.three_d ? engine_3d : engine_2d;
     const std::vector<runtime::SessionReport> reports =
         engine.localize_all(sessions);
     ASSERT_EQ(reports.size(), kTrials);

@@ -127,7 +127,7 @@ TEST(ContractsRetrofit, NegativeSlideDistanceFiresTheContract) {
 }
 
 TEST(ContractsRetrofit, SubmitAfterShutdownFiresTheContract) {
-  runtime::BatchEngine engine({}, 1);
+  runtime::Engine engine({}, 1);
   engine.shutdown();
   sim::Session session;
   try {
@@ -170,7 +170,7 @@ TEST(ContractsRetrofit, NegativeSlideDistanceStillThrowsPreconditionError) {
 }
 
 TEST(ContractsRetrofit, SubmitAfterShutdownStillThrowsPreconditionError) {
-  runtime::BatchEngine engine({}, 1);
+  runtime::Engine engine({}, 1);
   engine.shutdown();
   sim::Session session;
   EXPECT_THROW((void)engine.submit(session), PreconditionError);

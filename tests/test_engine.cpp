@@ -1,7 +1,8 @@
-/// Concurrency tests of the batch-localization engine (ctest label
-/// "engine"; run them under ThreadSanitizer via the `tsan` preset):
-/// results must be bit-identical regardless of the worker count, and one
-/// corrupt session must not poison the rest of its batch.
+/// Concurrency tests of the localization engine (ctest label "engine";
+/// run them under ThreadSanitizer via the `tsan` preset): results must be
+/// bit-identical regardless of the worker count or the intake a session
+/// came through, and one corrupt session must not poison the rest of its
+/// batch.
 
 #include "runtime/engine.hpp"
 
@@ -65,10 +66,10 @@ void expect_identical(const core::LocalizationResult& a,
   EXPECT_EQ(a.sfo_ppm, b.sfo_ppm);
 }
 
-TEST(BatchEngine, DeterministicAcrossThreadCounts) {
+TEST(Engine, DeterministicAcrossThreadCounts) {
   const std::vector<sim::Session> sessions = make_batch(3, 700);
-  BatchEngine serial({}, 1);
-  BatchEngine wide({}, 4);
+  Engine serial({}, 1);
+  Engine wide({}, 4);
   const std::vector<SessionReport> base = serial.localize_all(sessions);
   const std::vector<SessionReport> out = wide.localize_all(sessions);
   ASSERT_EQ(base.size(), sessions.size());
@@ -130,7 +131,7 @@ class PermutedExecutor final : public core::ChunkExecutor {
   mutable std::vector<core::ChunkScratch> lanes_;
 };
 
-TEST(BatchEngine, AspFanOutIsByteIdenticalForEveryExecutor) {
+TEST(Engine, AspFanOutIsByteIdenticalForEveryExecutor) {
   const std::vector<sim::Session> sessions = make_batch(3, 700);
   const core::PipelineConfig config;
   for (std::size_t s = 0; s < sessions.size(); ++s) {
@@ -173,14 +174,14 @@ TEST(BatchEngine, AspFanOutIsByteIdenticalForEveryExecutor) {
   }
 }
 
-TEST(BatchEngine, SingleSessionsMatchTheSerialPipelineAtEveryWidth) {
+TEST(Engine, SingleSessionsMatchTheSerialPipelineAtEveryWidth) {
   // One session at a time on an otherwise idle engine: every other worker
   // is free to help with its ASP chunk tasks, and the fix must not move.
   const std::vector<sim::Session> sessions = make_batch(3, 700);
   std::vector<core::LocalizationResult> serial;
   for (const sim::Session& s : sessions) serial.push_back(core::localize(s));
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    BatchEngine engine({}, threads);
+    Engine engine({}, threads);
     for (std::size_t i = 0; i < sessions.size(); ++i) {
       const SessionReport report = engine.submit(sessions[i]).get();
       EXPECT_EQ(report.status, SessionStatus::ok) << threads << " threads, session " << i;
@@ -197,7 +198,7 @@ TEST(BatchEngine, SingleSessionsMatchTheSerialPipelineAtEveryWidth) {
   }
 }
 
-TEST(BatchEngine, LiveStreamsAndFanOutsShareEachWorkersThreadScratch) {
+TEST(Engine, LiveStreamsAndFanOutsShareEachWorkersThreadScratch) {
   // Live streams pushed from the workers of one pool while the same pool
   // fans out batch sessions' ASP: a worker runs chunk passes for both, one
   // after the other, on its one thread scratch. Under tsan this is the
@@ -278,10 +279,87 @@ TEST(BatchEngine, LiveStreamsAndFanOutsShareEachWorkersThreadScratch) {
   }
 }
 
-TEST(BatchEngine, CorruptSessionDoesNotPoisonTheBatch) {
+TEST(Engine, LiveAndWholeRecordingSessionsShareOneEngine) {
+  // Whole recordings and live streams of the same recordings, in flight at
+  // once on one 2-thread engine: one pool, one plan cache, one set of
+  // counters, and every live report bit-equal to its batch twin.
+  const std::vector<sim::Session> sessions = make_batch(3, 780);
+  Engine engine({}, 2);
+  std::vector<std::future<SessionReport>> batch;
+  for (const sim::Session& s : sessions) batch.push_back(engine.submit(s));
+
+  std::vector<std::uint64_t> ids;
+  for (const sim::Session& s : sessions) {
+    sim::Session meta = s;
+    meta.audio.mic1.clear();
+    meta.audio.mic2.clear();
+    ids.push_back(engine.open(std::move(meta)));
+    ASSERT_NE(ids.back(), 0u);
+  }
+  // Odd-sized slices, interleaved across the streams.
+  const std::size_t slice = 7919;
+  for (std::size_t pos = 0, live = sessions.size(); live > 0; pos += slice) {
+    live = 0;
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      const sim::StereoRecording& audio = sessions[i].audio;
+      if (pos >= audio.mic1.size()) continue;
+      ++live;
+      const std::size_t n = std::min(slice, audio.mic1.size() - pos);
+      const auto mic1 = std::span<const double>(audio.mic1).subspan(pos, n);
+      const auto mic2 = std::span<const double>(audio.mic2).subspan(pos, n);
+      PushStatus status = engine.push(ids[i], mic1, mic2);
+      while (status == PushStatus::overflow) status = engine.push(ids[i], mic1, mic2);
+      ASSERT_EQ(status, PushStatus::accepted);
+    }
+  }
+  // A live session that never receives audio: the empty-recording error.
+  sim::Session empty_meta = sessions[0];
+  empty_meta.audio.mic1.clear();
+  empty_meta.audio.mic2.clear();
+  const std::uint64_t empty_id = engine.open(std::move(empty_meta));
+  ASSERT_NE(empty_id, 0u);
+
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    SCOPED_TRACE("session " + std::to_string(i));
+    const SessionReport whole = batch[i].get();
+    const SessionReport live = engine.finalize(ids[i]).get();
+    ASSERT_EQ(whole.status, SessionStatus::ok);
+    EXPECT_EQ(live.status, whole.status);
+    expect_identical(live.result, whole.result);
+    EXPECT_EQ(live.metrics.chirps_mic1, whole.metrics.chirps_mic1);
+    EXPECT_EQ(live.metrics.chirps_mic2, whole.metrics.chirps_mic2);
+  }
+  const SessionReport empty = engine.finalize(empty_id).get();
+  EXPECT_EQ(empty.status, SessionStatus::error);
+  EXPECT_EQ(empty.error.category, core::ErrorCategory::precondition);
+  EXPECT_EQ(empty.error.stage, core::PipelineStage::asp);
+  EXPECT_EQ(engine.open_sessions(), 0u);
+
+  // One pool: its series live under engine.pool.*, none under streaming.pool.*.
+  const obs::MetricsSnapshot snap = engine.metrics().snapshot();
+  const auto streaming_pool = [](const std::string& name) {
+    return name.rfind("streaming.pool.", 0) == 0;
+  };
+  for (const auto& [name, value] : snap.counters) EXPECT_FALSE(streaming_pool(name)) << name;
+  for (const auto& [name, value] : snap.gauges) EXPECT_FALSE(streaming_pool(name)) << name;
+  for (const auto& h : snap.histograms) EXPECT_FALSE(streaming_pool(h.name)) << h.name;
+  EXPECT_GT(engine.metrics().counter("engine.pool.tasks_run_total").value(), 0.0);
+
+  // Every finished session, whichever intake, is counted once.
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.submitted, 7u);
+  EXPECT_EQ(stats.completed, 7u);
+  EXPECT_EQ(stats.ok, 6u);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.errors_by_category[static_cast<std::size_t>(
+                core::ErrorCategory::precondition)],
+            1u);
+}
+
+TEST(Engine, CorruptSessionDoesNotPoisonTheBatch) {
   std::vector<sim::Session> sessions = make_batch(2, 710);
   sessions.insert(sessions.begin() + 1, sim::Session{});  // empty audio
-  BatchEngine engine({}, 4);
+  Engine engine({}, 4);
   const std::vector<SessionReport> reports = engine.localize_all(sessions);
   ASSERT_EQ(reports.size(), 3u);
 
@@ -304,14 +382,14 @@ TEST(BatchEngine, CorruptSessionDoesNotPoisonTheBatch) {
             1u);
 }
 
-TEST(BatchEngine, StationarySessionReportsNoSolution) {
+TEST(Engine, StationarySessionReportsNoSolution) {
   std::vector<sim::Session> sessions = make_batch(1, 720);
   // The user never slides: keep gravity, erase the motion.
   for (auto* ch : {&sessions[0].imu.accel_x, &sessions[0].imu.accel_y}) {
     std::fill(ch->begin(), ch->end(), 0.0);
   }
   std::fill(sessions[0].imu.accel_z.begin(), sessions[0].imu.accel_z.end(), 9.80665);
-  BatchEngine engine({}, 2);
+  Engine engine({}, 2);
   const std::vector<SessionReport> reports = engine.localize_all(sessions);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].status, SessionStatus::no_solution);
@@ -319,9 +397,9 @@ TEST(BatchEngine, StationarySessionReportsNoSolution) {
   EXPECT_EQ(engine.stats().no_solution, 1u);
 }
 
-TEST(BatchEngine, SubmitFutureAndOwningOverload) {
+TEST(Engine, SubmitFutureAndOwningOverload) {
   std::vector<sim::Session> sessions = make_batch(1, 730);
-  BatchEngine engine({}, 2);
+  Engine engine({}, 2);
 
   std::future<SessionReport> borrowed = engine.submit(sessions[0]);
   const SessionReport r1 = borrowed.get();
@@ -340,13 +418,13 @@ TEST(BatchEngine, SubmitFutureAndOwningOverload) {
   EXPECT_GT(stats.asp_ms, 0.0);
 }
 
-TEST(BatchEngine, SubmitCopiesSessionBeforeCallerScopeDies) {
+TEST(Engine, SubmitCopiesSessionBeforeCallerScopeDies) {
   // Regression: submit(const&) once captured the caller's lvalue by
   // reference, so a session destroyed before a worker picked the task up
   // was read after free. Hold the only worker busy so the probe session is
   // guaranteed to still be queued when its source object dies.
   std::vector<sim::Session> sessions = make_batch(1, 740);
-  BatchEngine engine({}, 1);
+  Engine engine({}, 1);
   std::future<SessionReport> warm = engine.submit(sessions[0]);
   std::future<SessionReport> probe;
   {
@@ -356,13 +434,13 @@ TEST(BatchEngine, SubmitCopiesSessionBeforeCallerScopeDies) {
   EXPECT_EQ(warm.get().status, SessionStatus::ok);
   const SessionReport r = probe.get();
   EXPECT_EQ(r.status, SessionStatus::ok);
-  const SessionReport direct = BatchEngine({}, 1).submit(sessions[0]).get();
+  const SessionReport direct = Engine({}, 1).submit(sessions[0]).get();
   expect_identical(r.result, direct.result);
 }
 
-TEST(BatchEngine, ShutdownRejectsSubmitWithoutStatsDrift) {
+TEST(Engine, ShutdownRejectsSubmitWithoutStatsDrift) {
   std::vector<sim::Session> sessions = make_batch(1, 750);
-  BatchEngine engine({}, 2);
+  Engine engine({}, 2);
   EXPECT_EQ(engine.submit(sessions[0]).get().status, SessionStatus::ok);
   engine.shutdown();
   engine.shutdown();  // idempotent
@@ -376,11 +454,11 @@ TEST(BatchEngine, ShutdownRejectsSubmitWithoutStatsDrift) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
-TEST(BatchEngine, DestructionWithUnconsumedFuturesCompletesQueuedWork) {
+TEST(Engine, DestructionWithUnconsumedFuturesCompletesQueuedWork) {
   std::vector<sim::Session> sessions = make_batch(1, 760);
   std::future<SessionReport> kept;
   {
-    BatchEngine engine({}, 1);
+    Engine engine({}, 1);
     kept = engine.submit(sessions[0]);
     std::future<SessionReport> dropped = engine.submit(sessions[0]);
     // `dropped` dies unconsumed; the engine destructor must still drain
@@ -390,11 +468,11 @@ TEST(BatchEngine, DestructionWithUnconsumedFuturesCompletesQueuedWork) {
   EXPECT_EQ(r.status, SessionStatus::ok);
 }
 
-TEST(BatchEngine, MatchesContextFreePipelineBitExactly) {
+TEST(Engine, MatchesContextFreePipelineBitExactly) {
   // The shared PipelineContext must only remove redundant plan
   // construction — never change a single bit of the results.
   const std::vector<sim::Session> sessions = make_batch(2, 770);
-  BatchEngine engine({}, 2);
+  Engine engine({}, 2);
   const std::vector<SessionReport> reports = engine.localize_all(sessions);
   ASSERT_EQ(reports.size(), sessions.size());
   for (std::size_t i = 0; i < sessions.size(); ++i) {
@@ -405,7 +483,7 @@ TEST(BatchEngine, MatchesContextFreePipelineBitExactly) {
   }
 }
 
-TEST(BatchEngine, StatsViewNeverUnderflowsUnderRacingRejects) {
+TEST(Engine, StatsViewNeverUnderflowsUnderRacingRejects) {
   // Regression: stats() read submitted before rejected. A failing submit
   // increments submitted first and rejected second, so a reader sampling
   // between the two could see the rejected tick without its submitted tick
@@ -415,7 +493,7 @@ TEST(BatchEngine, StatsViewNeverUnderflowsUnderRacingRejects) {
   constexpr std::size_t kRounds = 25;
   constexpr std::size_t kAttempts = 64;
   for (std::size_t round = 0; round < kRounds; ++round) {
-    BatchEngine engine({}, 2);
+    Engine engine({}, 2);
     std::atomic<bool> done{false};
     std::thread reader([&] {
       while (!done.load(std::memory_order_relaxed)) {
@@ -442,14 +520,14 @@ TEST(BatchEngine, StatsViewNeverUnderflowsUnderRacingRejects) {
   }
 }
 
-TEST(BatchEngine, RejectsInvalidConfigAtConstruction) {
+TEST(Engine, RejectsInvalidConfigAtConstruction) {
   core::PipelineConfig bad;
   bad.ttl.max_range = -1.0;
-  EXPECT_THROW(BatchEngine(bad, 1), PreconditionError);
+  EXPECT_THROW(Engine(bad, 1), PreconditionError);
 }
 
-TEST(BatchEngine, DefaultsToAtLeastOneWorker) {
-  BatchEngine engine({}, 0);
+TEST(Engine, DefaultsToAtLeastOneWorker) {
+  Engine engine({}, 0);
   EXPECT_GE(engine.thread_count(), 1u);
 }
 

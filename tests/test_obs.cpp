@@ -345,7 +345,7 @@ TEST(Obs, AspChunkTaskCountersCountEveryTaskAndOnlyHelpedOnes) {
   auto engine_registry = std::make_shared<MetricsRegistry>();
   runtime::EngineObs eo;
   eo.registry = engine_registry;
-  runtime::BatchEngine engine(config, 1, eo);
+  runtime::Engine engine(config, 1, eo);
   ASSERT_EQ(engine.submit(session).get().status, runtime::SessionStatus::ok);
   EXPECT_EQ(engine_registry->counter("asp.chunk_tasks_total").value(),
             static_cast<double>(core::SessionWorkspace::kChannels * chunks));
@@ -376,7 +376,7 @@ TEST(Obs, EveryErrorCategoryRoundTripsThroughTheStatsView) {
 
   runtime::EngineObs obs;
   obs.registry = registry;
-  const runtime::BatchEngine engine({}, 1, obs);
+  const runtime::Engine engine({}, 1, obs);
   const runtime::EngineStats stats = engine.stats();
   for (std::size_t i = 0; i < core::kErrorCategoryCount; ++i) {
     EXPECT_EQ(stats.errors_by_category[i], i + 1)

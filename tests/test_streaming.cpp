@@ -2,10 +2,10 @@
 /// run them): a StreamingSession fed ANY chunking of a recording must
 /// produce the batch pipeline's fix BIT FOR BIT plus a chunking-invariant
 /// incremental event stream, with peak retained memory bounded well below
-/// the recording length; the StreamingEngine must multiplex many such
+/// the recording length; the Engine must multiplex many such live
 /// sessions over its pool without changing a bit of any of them.
 
-#include "runtime/streaming_engine.hpp"
+#include "runtime/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "core/streaming_session.hpp"
 #include "dsp/matched_filter.hpp"
-#include "runtime/engine.hpp"
 #include "sim/scenario.hpp"
 
 // Heap probe: the largest single block requested on this thread while
@@ -267,7 +266,7 @@ TEST(StreamingSession, PeakRetainedMemoryStaysBounded) {
 
 TEST(StreamingSession, WholeRecordingPushStaysInsideTheRetentionBound) {
   // The recording of PeakRetainedMemoryStaysBounded arriving in ONE push
-  // (a phone uploading after the fact, a drained StreamingEngine inbox)
+  // (a phone uploading after the fact, a drained Engine inbox)
   // must respect the same duration-independent bound as a live cadence.
   sim::ScenarioConfig c = small_scenario();
   c.slides_per_stature = 5;
@@ -365,20 +364,18 @@ TEST(StreamingSession, LifecyclePreconditions) {
   EXPECT_THROW(core::StreamingSession{make_session(851)}, PreconditionError);
 }
 
-TEST(StreamingEngine, MultiplexedSessionsMatchBatchBitExactly) {
+TEST(Engine, MultiplexedSessionsMatchBatchBitExactly) {
   // Four live sessions interleaved chunk by chunk over four workers: every
-  // report must equal the batch engine's for the same recordings.
+  // report must equal the whole-recording run of the same recordings.
   std::vector<sim::Session> sessions;
   for (std::uint64_t i = 0; i < 4; ++i) sessions.push_back(make_session(860 + i));
-  BatchEngine batch({}, 2);
+  Engine batch({}, 2);
   const std::vector<SessionReport> expect = batch.localize_all(sessions);
 
   std::vector<SplitSession> splits;
   for (sim::Session& s : sessions) splits.push_back(split(std::move(s)));
 
-  StreamingEngineOptions opt;
-  opt.threads = 4;
-  StreamingEngine engine({}, opt);
+  Engine engine({}, 4);
   std::vector<std::uint64_t> ids;
   for (SplitSession& s : splits) {
     const std::uint64_t id = engine.open(s.meta);
@@ -420,12 +417,11 @@ TEST(StreamingEngine, MultiplexedSessionsMatchBatchBitExactly) {
   EXPECT_EQ(engine.open_sessions(), 0u);
 }
 
-TEST(StreamingEngine, BackpressureSessionLimitsAndLifecycle) {
-  StreamingEngineOptions opt;
-  opt.threads = 1;
-  opt.max_sessions = 1;
-  opt.max_buffered_samples = 64;
-  StreamingEngine engine({}, opt);
+TEST(Engine, BackpressureSessionLimitsAndLifecycle) {
+  LiveLimits limits;
+  limits.max_sessions = 1;
+  limits.max_buffered_samples = 64;
+  Engine engine({}, 1, {}, limits);
   SplitSession s = split(make_session(870));
 
   const std::uint64_t id = engine.open(s.meta);
@@ -457,10 +453,8 @@ TEST(StreamingEngine, BackpressureSessionLimitsAndLifecycle) {
   EXPECT_EQ(r.error.stage, core::PipelineStage::asp);
 }
 
-TEST(StreamingEngine, LogicalClockEviction) {
-  StreamingEngineOptions opt;
-  opt.threads = 1;
-  StreamingEngine engine({}, opt);
+TEST(Engine, LogicalClockEviction) {
+  Engine engine({}, 1);
   SplitSession s = split(make_session(880));
   const std::uint64_t kept = engine.open(s.meta);
   const std::uint64_t idle = engine.open(s.meta);
@@ -501,10 +495,8 @@ TEST(StreamingEngine, LogicalClockEviction) {
   EXPECT_EQ(engine.open_sessions(), 0u);
 }
 
-TEST(StreamingEngine, ShutdownStopsIntake) {
-  StreamingEngineOptions opt;
-  opt.threads = 1;
-  StreamingEngine engine({}, opt);
+TEST(Engine, ShutdownStopsIntake) {
+  Engine engine({}, 1);
   SplitSession s = split(make_session(890));
   const std::uint64_t id = engine.open(s.meta);
   ASSERT_NE(id, 0u);

@@ -108,7 +108,7 @@ TEST(ThreadAnnotations, WaitReleasesTheMutexWhileWaiting) {
 }
 
 TEST(ThreadAnnotations, NotifyUnderLockSurvivesImmediateTeardown) {
-  // The engine's frame-join shape (BatchEngine::localize_all): the last
+  // The engine's frame-join shape (Engine::localize_all): the last
   // worker notifies while still holding the lock, and the condvar/mutex
   // pair is destroyed as soon as the join returns. Notifying under the
   // lock is what makes that teardown safe — the waiter cannot observe the

@@ -19,6 +19,10 @@
 ///       printing each request's admission and outcome plus the final
 ///       lifecycle totals
 ///
+/// Counts and seeds are non-negative decimal integers; anything else
+/// (negative, fractional, malformed) is a usage error: exit 2, before any
+/// work starts.
+///
 /// `localize`, `demo`, and `serve` accept `--metrics-out FILE`: the run executes
 /// with a live metrics registry + tracer and dumps the telemetry to FILE —
 /// Prometheus text format when FILE ends in ".prom", otherwise a JSON
@@ -29,12 +33,14 @@
 /// default beacon chirp), so recorded sessions from elsewhere only need the
 /// two sensor files.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +56,11 @@
 namespace {
 
 using namespace hyperear;
+
+/// A command-line mistake; main() answers it with exit code 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Tiny flag parser: --key value pairs plus boolean switches.
 struct Args {
@@ -77,6 +88,22 @@ struct Args {
   [[nodiscard]] double get_num(const std::string& key, double fallback) const {
     const auto it = values.find(key);
     return it == values.end() ? fallback : std::stod(it->second);
+  }
+  /// A count or seed. Anything but a non-negative decimal integer throws
+  /// UsageError: casting a negative or fractional double to an unsigned
+  /// type is undefined behaviour, and counts size thread pools.
+  [[nodiscard]] std::uint64_t get_count(const std::string& key,
+                                        std::uint64_t fallback) const {
+    const auto it = values.find(key);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+      throw UsageError("--" + key + " needs a non-negative integer, got '" + text + "'");
+    }
+    return value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return flags.count(key) > 0 || values.count(key) > 0;
@@ -163,7 +190,7 @@ int print_fix(const Expected<core::LocalizationResult, core::PipelineError>& out
 
 int cmd_simulate(const Args& args) {
   const std::string prefix = args.get("out-prefix", "/tmp/hyperear_session");
-  Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 1.0)));
+  Rng rng(args.get_count("seed", 1));
   const sim::ScenarioConfig c = config_from(args);
   std::printf("simulating: %s, %.1f m, %s, %s%s\n", c.phone.name.c_str(),
               c.speaker_distance, c.environment.name.c_str(),
@@ -222,7 +249,7 @@ int cmd_localize(const Args& args) {
 }
 
 int cmd_demo(const Args& args) {
-  Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 7.0)));
+  Rng rng(args.get_count("seed", 7));
   sim::ScenarioConfig c = config_from(args);
   const sim::Session s = sim::make_localization_session(c, rng);
   const std::unique_ptr<CliObs> obs = make_obs(args);
@@ -239,14 +266,13 @@ int cmd_demo(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 11.0)));
-  const std::size_t requests =
-      static_cast<std::size_t>(args.get_num("requests", 10.0));
+  Rng rng(args.get_count("seed", 11));
+  const std::size_t requests = args.get_count("requests", 10);
   runtime::ServerOptions opts;
-  opts.shards = static_cast<std::size_t>(args.get_num("shards", 2.0));
-  opts.threads_per_shard = static_cast<std::size_t>(args.get_num("threads", 2.0));
-  opts.max_in_flight = static_cast<std::size_t>(args.get_num("in-flight", 4.0));
-  opts.max_queued = static_cast<std::size_t>(args.get_num("queue", 8.0));
+  opts.shards = args.get_count("shards", 2);
+  opts.threads_per_shard = args.get_count("threads", 2);
+  opts.max_in_flight = args.get_count("in-flight", 4);
+  opts.max_queued = args.get_count("queue", 8);
 
   // A small mixed-traffic pool: quiet ruler, chatting hand-held, and a
   // mall session on a second chirp band so both shard plan keys see work.
@@ -331,6 +357,9 @@ int main(int argc, char** argv) {
     if (cmd == "localize") return cmd_localize(args);
     if (cmd == "demo") return cmd_demo(args);
     if (cmd == "serve") return cmd_serve(args);
+  } catch (const UsageError& e) {
+    std::printf("usage error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::printf("error: %s\n", e.what());
     return 1;
