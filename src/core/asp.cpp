@@ -100,11 +100,12 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
   // scratch, so they may run in any order on any threads.
   const dsp::MatchedFilterDetector& detector = context->detector();
   const std::size_t n = recording.mic1.size();
-  const std::size_t chunks = detector.chunk_count(n);
+  const std::size_t pairs = detector.batch_pairs();
+  const std::size_t chunks = detector.chunk_count(n, pairs);
   workspace->asp_tasks().clear();
   for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
     for (std::size_t k = 0; k < chunks; ++k) {
-      workspace->asp_tasks().push_back({slot, detector.chunk_span(k, n)});
+      workspace->asp_tasks().push_back({slot, detector.chunk_span(k, n, pairs)});
     }
   }
   const std::vector<AspChunkTask>& tasks = workspace->asp_tasks();

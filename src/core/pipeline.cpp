@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
-#include "common/contracts.hpp"
+#include <cmath>
+
 #include "common/error.hpp"
 #include "core/pipeline_context.hpp"
 #include "core/pipeline_detail.hpp"
@@ -118,50 +119,48 @@ Expected<LocalizationResult, PipelineError> detail::localize_from_asp(
 }
 
 std::optional<PipelineError> PipelineConfig::validate() const {
+  // Every float test is written so that a NaN fails it (a NaN compares
+  // false to everything), and the fields the stages convert to counts or
+  // divide by must also be finite: a config built from corrupted
+  // arithmetic is a config error, never a stage failure or undefined
+  // behaviour downstream.
   if (auto e = config_violation(asp.bandpass_taps < 3, "asp.bandpass_taps must be >= 3"))
     return e;
   if (auto e = config_violation(
-          asp.detector_threshold <= 0.0 || asp.detector_threshold >= 1.0,
+          !(asp.detector_threshold > 0.0 && asp.detector_threshold < 1.0),
           "asp.detector_threshold must lie in (0, 1)"))
     return e;
-  if (auto e = config_violation(asp.min_event_spacing_s <= 0.0,
-                                "asp.min_event_spacing_s must be positive"))
+  if (auto e = config_violation(
+          !(asp.min_event_spacing_s > 0.0 && std::isfinite(asp.min_event_spacing_s)),
+          "asp.min_event_spacing_s must be positive and finite"))
     return e;
   if (auto e = config_violation(asp.min_calibration_events < 2,
                                 "asp.min_calibration_events must be >= 2"))
     return e;
   if (auto e = config_violation(msp.sma_length == 0, "msp.sma_length must be >= 1"))
     return e;
-  if (auto e = config_violation(ttl.min_slide_distance < 0.0,
+  if (auto e = config_violation(!(ttl.min_slide_distance >= 0.0),
                                 "ttl.min_slide_distance must be non-negative"))
     return e;
-  if (auto e = config_violation(ttl.max_z_rotation_deg <= 0.0,
+  if (auto e = config_violation(!(ttl.max_z_rotation_deg > 0.0),
                                 "ttl.max_z_rotation_deg must be positive"))
     return e;
-  if (auto e = config_violation(ttl.chirp_duration_s <= 0.0,
-                                "ttl.chirp_duration_s must be positive"))
+  if (auto e = config_violation(
+          !(ttl.chirp_duration_s > 0.0 && std::isfinite(ttl.chirp_duration_s)),
+          "ttl.chirp_duration_s must be positive and finite"))
     return e;
-  if (auto e =
-          config_violation(ttl.lookback_s <= 0.0, "ttl.lookback_s must be positive"))
+  if (auto e = config_violation(!(ttl.lookback_s > 0.0 && std::isfinite(ttl.lookback_s)),
+                                "ttl.lookback_s must be positive and finite"))
     return e;
   if (auto e = config_violation(ttl.max_pairs == 0, "ttl.max_pairs must be >= 1"))
     return e;
-  if (auto e = config_violation(ttl.max_range <= 0.0, "ttl.max_range must be positive"))
+  if (auto e = config_violation(!(ttl.max_range > 0.0 && std::isfinite(ttl.max_range)),
+                                "ttl.max_range must be positive and finite"))
     return e;
-  if (auto e = config_violation(min_stature_change < 0.0,
-                                "min_stature_change must be non-negative"))
+  if (auto e = config_violation(
+          !(min_stature_change >= 0.0 && std::isfinite(min_stature_change)),
+          "min_stature_change must be non-negative and finite"))
     return e;
-  // Checked-build depth the range checks above can't express: a NaN slips
-  // through every `<=` comparison (all false), so a config built from
-  // corrupted arithmetic would pass validation and poison the whole
-  // session. Finiteness is contract-checked on the fields the stages
-  // divide by or integrate over.
-  HE_ASSERT_FINITE(asp.detector_threshold);
-  HE_ASSERT_FINITE(asp.min_event_spacing_s);
-  HE_ASSERT_FINITE(ttl.chirp_duration_s);
-  HE_ASSERT_FINITE(ttl.lookback_s);
-  HE_ASSERT_FINITE(ttl.max_range);
-  HE_ASSERT_FINITE(min_stature_change);
   return std::nullopt;
 }
 

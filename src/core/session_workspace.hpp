@@ -27,7 +27,7 @@
 /// to the context-free path, which simply builds a call-local workspace.
 ///
 /// Chunk scratch (the band-passed window and the detector's per-chunk
-/// buffers, ~4 MiB at the default chunk) is not here: it belongs to the
+/// buffers, ~4 MiB at the batch chunk) is not here: it belongs to the
 /// thread that runs the chunk pass (core::ThreadScratchLease), for batch
 /// and streaming sessions alike. A workspace therefore never holds a
 /// chunk's working set — the per-chunk members of its detector slots stay

@@ -61,11 +61,12 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
     ctx_error_ = std::current_exception();
   }
   if (context_ != nullptr) {
-    // The ring's high-water mark: run_detector leaves at most one detector
+    // The ring's high-water mark: run_detector leaves at most one streaming
     // chunk behind, and one ingest slice adds at most the slice plus the
     // filter's pending output (under one transform pair and half a
     // kernel), so a ring reserved at that bound never regrows.
-    std::size_t ring_capacity = context_->detector().config().chunk + kIngestSlice;
+    const dsp::MatchedFilterDetector& det = context_->detector();
+    std::size_t ring_capacity = det.chunk_samples(det.streaming_pairs()) + kIngestSlice;
     if (context_->asp_options().bandpass) {
       const dsp::OlsConvolver& bandpass = *context_->bandpass_convolver();
       ring_capacity += 2 * bandpass.block_size() + bandpass.kernel_size();
@@ -135,7 +136,7 @@ void StreamingSession::append_filtered(Channel& ch, std::span<const double> slic
 void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
   const dsp::MatchedFilterDetector& det = context_->detector();
   const std::size_t ref_len = det.reference().size();
-  const std::size_t chunk = det.config().chunk;
+  const std::size_t chunk = det.chunk_samples(det.streaming_pairs());
   for (;;) {
     const std::size_t start = next_chunk_start_;
     std::size_t end = 0;
@@ -144,20 +145,19 @@ void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
       // Eager rule: process the schedule's next chunk only when STRICTLY
       // more than its end has been filtered — then the chunk is certainly
       // full and certainly not the recording's last, so `final_chunk =
-      // false` matches what the batch loop will decide once the true
-      // length is known.
+      // false` matches what the schedule will say once the true length
+      // is known.
       const std::size_t avail =
           std::min(channels_[0].ring_total, channels_[1].ring_total);
       if (avail <= start + chunk) break;
       end = start + chunk;
     } else {
-      // End of stream: the final length is known, so this is verbatim the
-      // batch `detect_into` schedule over the (at most one) remaining
-      // chunk.
+      // End of stream: the final length is known, so this is the
+      // streaming schedule's (at most one) remaining chunk, which holds
+      // the recording's last lag.
       const std::size_t n = channels_[0].ring_total;
-      if (start >= n) break;
+      if (n < ref_len || start > n - ref_len) break;
       end = std::min(start + chunk, n);
-      if (end - start < ref_len) break;
       final_chunk = end == n;
     }
     for (std::size_t slot = 0; slot < 2; ++slot) {
@@ -176,9 +176,9 @@ void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
     // compacting would erase past ring.end(). Stop before compaction.
     if (final_chunk) break;
     // Compact the rings below the next chunk's start. This branch runs at
-    // most once per detector hop (~one chunk of samples), so the erase is
-    // O(1) amortized per incoming sample and each ring holds about one
-    // detector chunk at its peak.
+    // most once per streaming chunk, so the erase is O(1) amortized per
+    // incoming sample and each ring holds about one streaming chunk at its
+    // peak.
     for (Channel& ch : channels_) {
       if (next_chunk_start_ > ch.ring_start) {
         ch.ring.erase(ch.ring.begin(),
@@ -191,16 +191,25 @@ void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
 }
 
 void StreamingSession::collect_candidates(std::size_t slot, Channel& ch) {
+  // A stitched candidate's arrival time is final at once; only its echo
+  // ratio waits in the stitch's deferred list for the lags after it. The
+  // events read times alone, so they take the deferred candidates too: all
+  // of ws.candidates, then ws.deferred, in lag order, each lag once.
   const dsp::DetectorWorkspace& dws = ws_->channel(slot).detector;
-  for (std::size_t i = ch.candidates_seen; i < dws.candidates.size(); ++i) {
-    const dsp::Detection& d = dws.candidates[i].detection;
-    if (ch.live.empty()) {
-      events_.push_back({StreamEvent::Kind::beacon_acquired, slot, d.time_s, phase_,
-                         false, 0.0});
+  const auto take = [&](const dsp::DetectionCandidate& c) {
+    if (c.global_index < ch.next_lag) return;  // consumed while deferred
+    ch.next_lag = c.global_index + 1;
+    const double t = c.detection.time_s;
+    if (ch.arrivals.empty()) {
+      events_.push_back({StreamEvent::Kind::beacon_acquired, slot, t, phase_, false, 0.0});
     }
-    ch.live.push_back({d.time_s, d.score, d.amplitude, d.echo_competition});
+    ch.arrivals.push_back(t);
+  };
+  for (std::size_t i = ch.candidates_seen; i < dws.candidates.size(); ++i) {
+    take(dws.candidates[i]);
   }
   ch.candidates_seen = dws.candidates.size();
+  for (const dsp::ChunkPass::Peak& p : dws.deferred) take(p.candidate);
 }
 
 void StreamingSession::scan_zero_crossings(bool final_pass) {
@@ -212,16 +221,14 @@ void StreamingSession::scan_zero_crossings(bool final_pass) {
   // are emitted only from that settled prefix (plus the lookahead the
   // swing gate needs), so the event stream is invariant to chunking; the
   // final pass at finalize() emits the rest.
-  const std::vector<ChirpEvent>& m1 = channels_[0].live;
-  const std::vector<ChirpEvent>& m2 = channels_[1].live;
+  const std::vector<double>& m1 = channels_[0].arrivals;
+  const std::vector<double>& m2 = channels_[1].arrivals;
   tdoa_scratch_.clear();
   std::size_t stable = 0;
   std::size_t j = 0;
   bool settled_so_far = true;
-  for (const ChirpEvent& e1 : m1) {
-    while (j + 1 < m2.size() &&
-           std::abs(m2[j + 1].time_s - e1.time_s) <=
-               std::abs(m2[j].time_s - e1.time_s)) {
+  for (const double t1 : m1) {
+    while (j + 1 < m2.size() && std::abs(m2[j + 1] - t1) <= std::abs(m2[j] - t1)) {
       ++j;
     }
     if (j >= m2.size()) break;
@@ -229,9 +236,9 @@ void StreamingSession::scan_zero_crossings(bool final_pass) {
     // next one was farther: a future mic2 arrival could re-pair this and
     // every later mic1 event.
     if (j + 1 >= m2.size()) settled_so_far = false;
-    const double dt = e1.time_s - m2[j].time_s;
+    const double dt = t1 - m2[j];
     if (std::abs(dt) <= sdf_.max_pairing_offset_s) {
-      tdoa_scratch_.push_back({0.5 * (e1.time_s + m2[j].time_s), dt});
+      tdoa_scratch_.push_back({0.5 * (t1 + m2[j]), dt});
     }
     if (settled_so_far) stable = tdoa_scratch_.size();
   }

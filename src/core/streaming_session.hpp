@@ -35,16 +35,17 @@
 /// protocol). tests/test_streaming.cpp holds the property test.
 ///
 /// Memory: a session holds per channel the filter's raw lookback and a
-/// ring of filtered samples reserved once at its bound — one detector
-/// chunk, one ingest slice, and the band-pass filter's pending output
-/// (~1.06 MiB at the default 131072-sample chunk) — plus the stitch's
-/// candidates in its workspace. `push` filters and detects in bounded
-/// slices, so the bound holds for a push of any size, and
-/// `retained_samples()` (high-water mark: `peak_retained_samples()`) is a
-/// constant independent of how long the user records. The detector's
-/// per-chunk working set is not the session's: each push leases the
-/// calling thread's core::ChunkScratch, so an idle open session costs no
-/// chunk scratch at all.
+/// ring of filtered samples reserved once at its bound — one streaming
+/// chunk (`streaming_pairs()` OLS pairs: 14180 samples by default), one
+/// ingest slice, and the band-pass filter's pending output (173 KiB by
+/// default) — plus the stitch's staging in its workspace (the echo
+/// maxima its deferred candidates still need, and the candidates).
+/// `push` filters and detects in bounded slices, so the bound holds for a
+/// push of any size, and `retained_samples()` (high-water mark:
+/// `peak_retained_samples()`) is a constant independent of how long the
+/// user records. The detector's per-chunk working set is not the
+/// session's: each push leases the calling thread's core::ChunkScratch,
+/// so an idle open session costs no chunk scratch at all.
 ///
 /// Ownership follows the pipeline's context/workspace split: the optional
 /// `PipelineContext` is shared immutable plans; the `SessionWorkspace`
@@ -74,9 +75,9 @@ enum class StreamPhase : std::uint8_t {
 
 /// One incremental event. The event SEQUENCE (kinds, channels, times,
 /// payloads, order) is invariant to how the audio was chunked: events
-/// derived from detector output are keyed to the detector's fixed chunk
-/// schedule, and phase transitions are interleaved by their time mark, not
-/// by which push happened to cross it.
+/// derived from detector output are keyed to the detector's streaming
+/// chunk schedule, and phase transitions are interleaved by their time
+/// mark, not by which push happened to cross it.
 struct StreamEvent {
   enum class Kind : std::uint8_t {
     /// First chirp candidate on a channel — the beacon is audible.
@@ -163,7 +164,8 @@ class StreamingSession {
     std::size_t ring_total = 0;     ///< filtered samples produced so far
     dsp::DetectorStream stream;     ///< resumable detector cursor
     std::size_t candidates_seen = 0;  ///< consumed prefix of ws candidates
-    std::vector<ChirpEvent> live;   ///< provisional events (pass-1 basis)
+    std::size_t next_lag = 0;         ///< candidates below this lag are consumed
+    std::vector<double> arrivals;     ///< provisional arrival times (pass-1 basis)
   };
 
   /// Raw samples per channel that `push` filters before it runs the
@@ -172,11 +174,12 @@ class StreamingSession {
 
   void append_filtered(Channel& ch, std::span<const double> slice,
                        ChunkScratch& scratch);
-  /// Run every detector chunk that is certainly full and non-final; after
-  /// `drain_all`, run the batch tail schedule instead. Chunk passes run on
+  /// Run every streaming-schedule chunk that is certainly full and
+  /// non-final; with `drain_all` (the length is known), every remaining
+  /// chunk through the final one. Chunk passes run on
   /// `scratch`, the calling thread's; only the stitch touches the session.
   void run_detector(bool drain_all, ChunkScratch& scratch);
-  /// Consume newly appended pass-1 candidates of one channel into events.
+  /// Consume newly stitched pass-1 candidates of one channel into events.
   void collect_candidates(std::size_t slot, Channel& ch);
   /// Emit sdf_zero_cross events that can no longer change, or (at
   /// finalize) all remaining ones.

@@ -99,19 +99,6 @@ void correlate_valid_direct_into(std::span<const double> x, std::span<const doub
   correlate_valid_direct_into(x, h, false, out);
 }
 
-void correlate_valid_into(std::span<const double> x,
-                          const OlsConvolver& reversed_template,
-                          std::vector<double>& out, Workspace& ws) {
-  require(!x.empty(), "correlate_valid: empty input");
-  require(reversed_template.kernel_size() <= x.size(),
-          "correlate_valid: template longer than signal");
-  if (x.size() * reversed_template.kernel_size() <= kDirectProductLimit) {
-    correlate_valid_direct_into(x, reversed_template.kernel(), true, out);
-    return;
-  }
-  reversed_template.correlate_valid_into(x, out, ws);
-}
-
 // NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; steady-state callers use normalize_correlation_into
 std::vector<double> correlate_normalized(std::span<const double> x,
                                          std::span<const double> h) {
@@ -133,21 +120,34 @@ std::vector<double> normalize_correlation(std::span<const double> corr,
 // NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
 
 WindowNormalizer::WindowNormalizer(std::span<const double> x, std::size_t h_size,
-                                   double h_norm, std::vector<double>& prefix_scratch)
-    : h_size_(h_size), h_norm_(h_norm) {
+                                   double h_norm, std::vector<double>& scratch,
+                                   std::size_t segment_lags)
+    : h_norm_(h_norm) {
   HE_EXPECTS(h_norm > 0.0 && std::isfinite(h_norm));
   HE_EXPECTS(h_size >= 1 && h_size <= x.size());
+  const std::size_t lags = x.size() - h_size + 1;
+  const std::size_t segment =
+      segment_lags == 0 ? lags : std::min(segment_lags, lags);
   // NOLINTNEXTLINE(hyperear-hotpath) -- caller-owned scratch that keeps its capacity (DetectorWorkspace::prefix on the detector path)
-  prefix_scratch.resize(x.size() + 1);
-  prefix_scratch[0] = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    prefix_scratch[i + 1] = prefix_scratch[i] + x[i] * x[i];
+  scratch.resize(lags + segment + h_size);
+  double* energy = scratch.data();
+  double* prefix = energy + lags;
+  for (std::size_t first = 0; first < lags; first += segment) {
+    const std::size_t seg_lags = std::min(segment, lags - first);
+    const std::size_t seg_samples = seg_lags + h_size - 1;
+    const double* xs = x.data() + first;
+    prefix[0] = 0.0;
+    for (std::size_t i = 0; i < seg_samples; ++i) {
+      prefix[i + 1] = prefix[i] + xs[i] * xs[i];
+    }
+    const double mean_window_energy = prefix[seg_samples] * static_cast<double>(h_size) /
+                                      static_cast<double>(seg_samples);
+    const double floor = std::max(1e-4 * mean_window_energy, 1e-30);
+    for (std::size_t k = 0; k < seg_lags; ++k) {
+      energy[first + k] = std::max(prefix[k + h_size] - prefix[k], floor);
+    }
   }
-  prefix_ = prefix_scratch.data();
-  const double mean_window_energy = prefix_scratch[x.size()] *
-                                    static_cast<double>(h_size) /
-                                    static_cast<double>(x.size());
-  floor_energy_ = std::max(1e-4 * mean_window_energy, 1e-30);
+  energy_ = energy;
 }
 
 void normalize_correlation_into(std::span<const double> corr, std::span<const double> x,

@@ -35,22 +35,13 @@ class Workspace;
                                                   const OlsConvolver& reversed_template,
                                                   Workspace* ws = nullptr);
 
-/// `correlate_valid` against a precomputed reversed-template spectrum, into
-/// a caller-owned buffer (resized to the valid length, every element
-/// overwritten) — the allocation-free spelling for loops whose output
-/// buffer persists across calls (the matched-filter detector's chunk loop).
-/// Takes the direct path below the same size threshold, so all spellings
-/// produce identical bits.
-void correlate_valid_into(std::span<const double> x,
-                          const OlsConvolver& reversed_template,
-                          std::vector<double>& out, Workspace& ws);
-
 /// The direct (time-domain) valid-mode correlation into a caller-owned
 /// buffer (resized to the valid length, every element overwritten): the
 /// path both `correlate_valid` overloads take for products up to
 /// `kDirectProductLimit`, in the same term order, so the result is
 /// bit-identical to theirs there. Above the limit it is merely slow. The
-/// matched-filter detector uses it when no full chunk reaches the limit.
+/// matched-filter detector uses it when one OLS pair's window does not
+/// reach the limit.
 void correlate_valid_direct_into(std::span<const double> x, std::span<const double> h,
                                  std::vector<double>& out);
 
@@ -73,35 +64,39 @@ void correlate_valid_direct_into(std::span<const double> x, std::span<const doub
 
 /// The sliding denominator of a normalized correlation:
 /// sqrt(max(window energy of x, floor)) * ||h|| at every valid lag, read
-/// from a prefix sum of x^2. Silent stretches would otherwise divide by
+/// from prefix sums of x^2. Silent stretches would otherwise divide by
 /// (numerically) zero and amplify FFT round-off into spurious peaks, so
 /// the window energy is floored at 1e-4 of the average window energy
 /// (and at 1e-30). `normalize_correlation_into` and the matched-filter
 /// detector's fused gate pass both divide by this one formula, so their
 /// normalized values agree bit for bit.
+///
+/// The lags may be cut into segments of `segment_lags` lags (0: one
+/// segment): segment q covers lags [q*S, (q+1)*S) and the samples those
+/// lags' windows read, its prefix sums restart at its first sample, and
+/// its floor is 1e-4 of the mean window energy over its own samples. The
+/// matched-filter detector segments by OLS pair, so a lag's energy and
+/// floor depend only on the pair it lies in, not on the chunk around it.
 class WindowNormalizer {
  public:
-  /// Writes the prefix sums of x^2 into `prefix_scratch` (resized to
-  /// x.size() + 1), which must outlive the normalizer. Requires
-  /// 1 <= h_size <= x.size() and h_norm > 0.
+  /// Writes the floored energy of every valid lag, followed by one
+  /// segment's prefix sums, into `scratch` (resized as needed), which must
+  /// outlive the normalizer. Requires 1 <= h_size <= x.size() and
+  /// h_norm > 0.
   WindowNormalizer(std::span<const double> x, std::size_t h_size, double h_norm,
-                   std::vector<double>& prefix_scratch);
+                   std::vector<double>& scratch, std::size_t segment_lags = 0);
 
   /// Floored window energy of x at lag k, for k <= x.size() - h_size.
-  [[nodiscard]] double energy(std::size_t k) const {
-    return std::max(prefix_[k + h_size_] - prefix_[k], floor_energy_);
-  }
+  [[nodiscard]] double energy(std::size_t k) const { return energy_[k]; }
   /// Denominator at lag k: sqrt(energy(k)) * ||h||.
   [[nodiscard]] double denominator(std::size_t k) const {
-    return std::sqrt(energy(k)) * h_norm_;
+    return std::sqrt(energy_[k]) * h_norm_;
   }
   [[nodiscard]] double h_norm() const { return h_norm_; }
 
  private:
-  const double* prefix_;
-  std::size_t h_size_;
+  const double* energy_;
   double h_norm_;
-  double floor_energy_;
 };
 
 /// Allocation-free spelling of `normalize_correlation` for loops: the

@@ -24,14 +24,13 @@ double echo_local_max(double left, double mid, double right) {
   return mid >= left ? right_ok : 0.0;
 }
 
-/// Complete a candidate's detection at lag i of the chunk starting at
-/// `start`: the arrival time refined by the parabola through the lag and
-/// its two neighbors when both exist (with a neighbor missing the lag stays
-/// on the grid, as refine_peak does at an array edge), the amplitude at the
-/// vertex, and the echo ratio against `runner`.
-void finish_detection(Detection& d, std::size_t start, std::size_t i,
-                      std::optional<double> left, double peak,
-                      std::optional<double> right, double runner, double sample_rate) {
+/// Refine a candidate's detection at recording lag k: the arrival time
+/// from the parabola through the lag and its two neighbors when both exist
+/// (with a neighbor missing the lag stays on the grid, as refine_peak does
+/// at an array edge), and the amplitude at the vertex. The time is read
+/// from the recording lag, so it does not depend on where chunks begin.
+void refine_detection(Detection& d, std::size_t k, std::optional<double> left,
+                      double peak, std::optional<double> right, double sample_rate) {
   double offset = 0.0;
   double value = peak;
   if (left && right) {
@@ -39,10 +38,8 @@ void finish_detection(Detection& d, std::size_t start, std::size_t i,
     offset = fit.offset;
     value = fit.value;
   }
-  d.time_s =
-      (static_cast<double>(start) + (static_cast<double>(i) + offset)) / sample_rate;
+  d.time_s = (static_cast<double>(k) + offset) / sample_rate;
   d.amplitude = std::abs(value);
-  d.echo_competition = d.amplitude > 0.0 ? runner / d.amplitude : 0.0;
 }
 
 }  // namespace
@@ -144,40 +141,47 @@ MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
                                              const DetectorConfig& config)
     : reference_(std::move(reference)), config_(config) {
   require(!reference_.empty(), "MatchedFilterDetector: empty reference");
-  require(config_.sample_rate > 0.0, "MatchedFilterDetector: bad sample rate");
-  require(config_.chunk >= 2 * reference_.size(),
-          "MatchedFilterDetector: chunk must be at least twice the reference length");
+  require(std::isfinite(config_.sample_rate) && config_.sample_rate > 0.0,
+          "MatchedFilterDetector: bad sample rate");
   require(config_.threshold > 0.0 && config_.threshold < 1.0,
           "MatchedFilterDetector: threshold must be in (0, 1)");
+  // Converting a NaN or out-of-range spacing to a lag count would be
+  // undefined behaviour; 2^52 lags is far beyond any recording.
+  const double spacing = config_.min_spacing_s * config_.sample_rate;
+  require(config_.min_spacing_s > 0.0 && spacing < 0x1p52,
+          "MatchedFilterDetector: min_spacing_s must be positive and finite");
+  min_spacing_ = static_cast<std::size_t>(spacing);
+  exclusion_ = static_cast<std::size_t>(1.2e-3 * config_.sample_rate);
   double energy = 0.0;
   for (double v : reference_) energy += v * v;
   require(energy > 0.0, "MatchedFilterDetector: zero-energy reference");
   reference_norm_ = std::sqrt(energy);
-  // Precompute the reversed-reference overlap-save convolver: every chunk
-  // of every detect call streams against its cached kernel spectrum, so the
-  // reference is never re-transformed per chunk (or per detect call), and
-  // odd-sized tail chunks reuse the same plan instead of a bespoke
-  // transform. Small signal/reference products take the direct path in
-  // correlate_valid, where an FFT would not pay off.
-  if (config_.chunk * reference_.size() > kDirectProductLimit) {
-    ols_.emplace(std::vector<double>(reference_.rbegin(), reference_.rend()),
-                 choose_ols_fft_size(reference_.size(), config_.chunk));
+  // The pair grid is a function of the reference alone: the FFT size is
+  // costed for kBatchChunkSamples windows whatever chunks a caller runs,
+  // and the direct-vs-OLS choice compares one pair's window with the
+  // product limit every other convolution spelling uses.
+  const std::size_t m = reference_.size();
+  const std::size_t fft_size = choose_ols_fft_size(m, kBatchChunkSamples);
+  block_ = fft_size - m + 1;
+  if (chunk_samples(1) * m > kDirectProductLimit) {
+    ols_.emplace(std::vector<double>(reference_.rbegin(), reference_.rend()), fft_size);
   }
+  const std::size_t batch_lags = kBatchChunkSamples > m ? kBatchChunkSamples - m + 1 : 1;
+  batch_pairs_ = std::max<std::size_t>(1, (batch_lags + pair_lags() / 2) / pair_lags());
+  streaming_pairs_ =
+      std::max<std::size_t>(1, (min_spacing_ + pair_lags() - 1) / pair_lags());
 }
 
-void MatchedFilterDetector::correlate_chunk(std::span<const double> seg,
+void MatchedFilterDetector::correlate_chunk(std::span<const double> seg, std::size_t start,
                                             DetectorWorkspace& ws) const {
   if (!ols_) {
-    // No cached convolver means every full chunk is below the direct-path
-    // threshold, where the planless overload evaluates directly: take that
-    // path into the persistent chunk buffer.
+    // The direct sum computes every lag on its own, so it is chunk-invariant
+    // as it stands.
     correlate_valid_direct_into(seg, reference_, ws.raw);
     return;
   }
-  // The into-spelling takes the same direct path as the planless overload
-  // for small tails, keeping results bit-identical with or without the
-  // cache — and writes into the persistent chunk buffer.
-  correlate_valid_into(seg, *ols_, ws.raw, ws.fft);
+  ws.raw.resize(seg.size() - reference_.size() + 1);
+  ols_->correlate_pairs_into(seg, start, ws.raw.data(), ws.fft);
 }
 
 // NOLINTBEGIN(hyperear-hotpath) -- convenience wrapper: allocates call-local scratch; steady-state callers use detect_into
@@ -195,51 +199,52 @@ void MatchedFilterDetector::detect_into(std::span<const double> recording,
                                         std::vector<Detection>& out,
                                         const obs::ObsContext* obs) const {
   // The batch spelling IS the streaming protocol run to completion over
-  // the fixed chunk schedule — one implementation, so the two paths cannot
+  // the batch chunk schedule — one implementation, so the two paths cannot
   // drift. A recording shorter than the reference streams zero chunks and
   // still passes through stream_end, which clears the output and staging
   // and keeps the telemetry consistent.
   DetectorStream stream;
   stream_begin(stream, ws);
-  const std::size_t chunks = chunk_count(recording.size());
+  const std::size_t chunks = chunk_count(recording.size(), batch_pairs_);
   for (std::size_t k = 0; k < chunks; ++k) {
-    const ChunkSpan span = chunk_span(k, recording.size());
+    const ChunkSpan span = chunk_span(k, recording.size(), batch_pairs_);
     stream_chunk(recording.subspan(span.start, span.size), span.final_chunk, stream, ws);
   }
   stream_end(stream, ws, out, obs);
 }
 
-std::size_t MatchedFilterDetector::chunk_count(std::size_t n) const {
-  const std::size_t ref_len = reference_.size();
-  const std::size_t chunk = config_.chunk;
-  if (n < ref_len) return 0;
-  if (n <= chunk) return 1;
-  // Chunk k is the last when k * hop + chunk >= n; that chunk is dropped
-  // when it holds fewer samples than the reference (its lags don't exist).
-  const std::size_t last = (n - chunk + hop() - 1) / hop();
-  return n - last * hop() < ref_len ? last : last + 1;
+std::size_t MatchedFilterDetector::chunk_count(std::size_t n, std::size_t pairs) const {
+  require(pairs >= 1, "chunk_count: a chunk holds at least one pair");
+  const std::size_t m = reference_.size();
+  if (n < m) return 0;
+  const std::size_t chunk_lags = pairs * pair_lags();
+  return (n - m + 1 + chunk_lags - 1) / chunk_lags;
 }
 
-ChunkSpan MatchedFilterDetector::chunk_span(std::size_t index, std::size_t n) const {
-  const std::size_t start = index * hop();
-  HE_EXPECTS(start < n);
-  const std::size_t size = std::min(config_.chunk, n - start);
-  return {start, size, start + size == n};
+ChunkSpan MatchedFilterDetector::chunk_span(std::size_t index, std::size_t n,
+                                            std::size_t pairs) const {
+  const std::size_t m = reference_.size();
+  const std::size_t chunk_lags = pairs * pair_lags();
+  HE_EXPECTS(pairs >= 1 && n >= m && index * chunk_lags < n - m + 1);
+  const std::size_t lags = n - m + 1;
+  const std::size_t start = index * chunk_lags;
+  const std::size_t end = std::min(start + chunk_lags, lags);
+  return {start, end - start + m - 1, end == lags};
 }
 
 void MatchedFilterDetector::stream_begin(DetectorStream& stream,
                                          DetectorWorkspace& ws) const {
   // Pass 1 (chunk_pass + stitch, per chunk) collects every above-threshold
-  // local maximum per chunk, WITHOUT spacing-gating inside the chunk —
-  // spacing is a global property and is enforced once over all chunks in
-  // stream_end, so the detections cannot depend on where the chunk
-  // boundaries happened to fall. Correlation lags are contiguous across
-  // chunks (chunks overlap by ref_len - 1 samples), and the local-maximum
-  // test and the parabolic refinement read their neighbors across chunk
-  // boundaries: the stitch resolves a first-lag candidate against the
-  // previous chunk's last values, and holds a last-lag candidate pending
-  // until the next chunk's first lag is known.
+  // local maximum, WITHOUT spacing-gating inside the chunk — spacing is a
+  // global property and is enforced once over all chunks in stream_end,
+  // so the detections cannot depend on where the chunk boundaries
+  // happened to fall. Correlation lags are contiguous across chunks, and
+  // every rule that reads a neighbor lag — the local-maximum test, the
+  // parabolic refinement, the echo window — reads it across chunk
+  // boundaries in the stitch.
   stream = DetectorStream{};
+  ws.deferred.clear();
+  ws.echo_maxima.clear();
   ws.candidates.clear();
 }
 
@@ -254,119 +259,209 @@ void MatchedFilterDetector::chunk_pass(std::span<const double> seg, std::size_t 
                                        bool final_chunk, DetectorWorkspace& scratch,
                                        ChunkPass& out) const {
   const std::size_t ref_len = reference_.size();
-  require(seg.size() >= ref_len && seg.size() <= config_.chunk,
-          "stream_chunk: segment must span [reference, chunk] samples");
-  require(final_chunk || seg.size() == config_.chunk,
-          "stream_chunk: only the final chunk may be short");
-  const auto min_spacing =
-      static_cast<std::size_t>(config_.min_spacing_s * config_.sample_rate);
-  const auto exclusion = static_cast<std::size_t>(1.2e-3 * config_.sample_rate);
+  require(seg.size() >= ref_len, "chunk_pass: segment shorter than the reference");
+  const std::size_t lags = seg.size() - ref_len + 1;
+  require(start % pair_lags() == 0, "chunk_pass: chunk must start on an OLS pair");
+  require(final_chunk || lags % pair_lags() == 0,
+          "chunk_pass: only the final chunk may end inside an OLS pair");
 
-  correlate_chunk(seg, scratch);
+  correlate_chunk(seg, start, scratch);
   const std::vector<double>& raw = scratch.raw;
   // Candidate gating on the normalized statistic, ranking on amplitude:
   // one pass suppresses sub-threshold shapes, finds local maxima of the
   // gated |raw|, and indexes the ungated |raw| local maxima for the echo
-  // competition below.
-  const WindowNormalizer norm(seg, ref_len, reference_norm_, scratch.prefix);
+  // competition below. The normalizer restarts at every pair.
+  const WindowNormalizer norm(seg, ref_len, reference_norm_, scratch.prefix, pair_lags());
   const CorrelationScan scan = scan_correlation(raw, norm, config_.threshold, scratch);
 
   out.start = start;
+  out.lags = lags;
+  out.final_chunk = final_chunk;
   out.interior.clear();
   out.head.reset();
   out.tail.reset();
+  out.edge_maxima.clear();
   out.first_masked = scan.first_masked;
   out.last_masked = scan.last_masked;
   out.first_raw = raw.front();
   out.last_raw = raw.back();
-  const std::size_t last = raw.size() - 1;
+  out.second_raw = lags >= 2 ? raw[1] : 0.0;
+  out.penult_raw = lags >= 2 ? raw[lags - 2] : 0.0;
+  const std::size_t last = lags - 1;
   for (const std::size_t i : scratch.peaks) {
-    // Echo competition: strongest |raw| local max in the same window but
+    // Echo competition: strongest |raw| local max in the window but
     // outside the exclusion zone around the winner (the autocorrelation
     // main lobe plus near sidelobes span ~1 ms; only arrivals beyond that
-    // are genuine competing paths).
-    const double runner =
-        echo_runner(scratch.local_max, scratch.block_max, i, min_spacing, exclusion);
-    DetectionCandidate c{Detection{}, std::abs(raw[i]), start + i};
-    c.detection.score = raw[i] / norm.denominator(i);
+    // are genuine competing paths). The stitch extends it past the chunk.
+    ChunkPass::Peak p{DetectionCandidate{Detection{}, std::abs(raw[i]), start + i},
+                      echo_runner(scratch.local_max, scratch.block_max, i, min_spacing_,
+                                  exclusion_),
+                      start + 1, start + last};
+    p.candidate.detection.score = raw[i] / norm.denominator(i);
     if (i == 0) {
       // The left neighbor is the previous chunk's last lag. A non-final
-      // chunk is full, hence longer than one lag, so a head is never also
-      // a pending tail.
-      std::optional<double> right;
-      if (last > 0) right = raw[1];
-      out.head = ChunkPass::Edge{c, raw[0], right, runner};
+      // chunk spans whole pairs, hence more than one lag, so a head is
+      // never also a pending tail.
+      out.head = p;
       continue;
     }
     if (i == last && !final_chunk) {
       // The right neighbor lives in the next chunk.
-      out.tail = ChunkPass::Edge{c, raw[i], raw[i - 1], runner};
+      out.tail = p;
       continue;
     }
     std::optional<double> right;
     if (i < last) right = raw[i + 1];
     // Refine timing on the raw correlation around the winning sample.
-    finish_detection(c.detection, start, i, raw[i - 1], raw[i], right, runner,
+    refine_detection(p.candidate.detection, start + i, raw[i - 1], raw[i], right,
                      config_.sample_rate);
-    out.interior.push_back(c);
+    out.interior.push_back(p);
   }
+  // What a neighbor's echo window can reach of this chunk, sparsely. A
+  // window from a later chunk covers a suffix of the last min_spacing
+  // lags, one from an earlier chunk a prefix of the first min_spacing,
+  // except that the exclusion zone of a candidate just across the seam
+  // may cut it anywhere in the last (first) `exclusion` lags. Those lags
+  // go out whole; of the rest, only the maxima that no lag nearer the
+  // seam exceeds, since a suffix (prefix) maximum is always one of them.
+  // local_max is 0 off the maxima and on the two edge lags, whose status
+  // the stitch decides.
+  const std::vector<double>& lm = scratch.local_max;
+  std::vector<EchoPeak>& edge = out.edge_maxima;
+  const std::size_t reach = std::min(min_spacing_, lags);
+  const std::size_t dense = std::min(exclusion_, reach);
+  const auto put = [&](std::size_t j) {
+    if (lm[j] > 0.0) edge.push_back({start + j, lm[j]});
+  };
+  const auto put_record = [&](std::size_t j, double& record) {
+    if (lm[j] > record) {
+      record = lm[j];
+      edge.push_back({start + j, record});
+    }
+  };
+  for (std::size_t j = 0; j < dense; ++j) put(j);
+  double record = 0.0;
+  for (std::size_t j = dense; j < reach; ++j) put_record(j, record);
+  const std::size_t trailing = edge.size();
+  record = 0.0;
+  for (std::size_t j = lags - dense; j-- > lags - reach;) put_record(j, record);
+  std::reverse(edge.begin() + static_cast<std::ptrdiff_t>(trailing), edge.end());
+  for (std::size_t j = lags - dense; j < lags; ++j) put(j);
+  // A chunk shorter than 2 * min_spacing exported overlapping ranges.
+  if (lags - reach < reach) {
+    std::sort(edge.begin(), edge.end(),
+              [](const EchoPeak& a, const EchoPeak& b) { return a.lag < b.lag; });
+  }
+}
+
+double MatchedFilterDetector::full_runner(const ChunkPass::Peak& peak,
+                                          const std::vector<EchoPeak>& maxima) const {
+  // The window is lags (i - min_spacing, i + min_spacing) less the
+  // exclusion zone; the stitched maxima never include the recording's
+  // first or last lag, which have one neighbor only, so the window is
+  // clipped at the recording's ends and nowhere else.
+  const std::size_t i = peak.candidate.global_index;
+  const std::size_t lo = i >= min_spacing_ ? i - min_spacing_ + 1 : 0;
+  const std::size_t hi = i + min_spacing_;
+  double best = peak.runner;
+  const auto scan = [&](std::size_t from, std::size_t to) {
+    if (from >= to) return;
+    auto it = std::lower_bound(maxima.begin(), maxima.end(), from,
+                               [](const EchoPeak& e, std::size_t lag) { return e.lag < lag; });
+    for (; it != maxima.end() && it->lag < to; ++it) {
+      const std::size_t gap = it->lag > i ? it->lag - i : i - it->lag;
+      if (gap >= exclusion_ && it->value > best) best = it->value;
+    }
+  };
+  scan(lo, std::min(hi, peak.inner_begin));
+  scan(std::max(lo, peak.inner_end), hi);
+  return best;
 }
 
 void MatchedFilterDetector::stitch(const ChunkPass& pass, DetectorStream& stream,
                                    DetectorWorkspace& ws) const {
   require(pass.start == stream.next_start, "stitch: chunk out of schedule order");
   ++stream.chunks_streamed;
-  // The previous chunk's tail can be resolved now that its right neighbor
-  // (this chunk's first lag) is known.
-  if (stream.pending) {
-    const DetectorStream::Pending& p = *stream.pending;
-    if (p.edge.candidate.key > pass.first_masked) {
-      DetectionCandidate c = p.edge.candidate;
-      finish_detection(c.detection, p.chunk_start, c.global_index - p.chunk_start,
-                       p.edge.inner_raw, p.edge.peak_raw, pass.first_raw,
-                       p.edge.runner, config_.sample_rate);
-      ws.candidates.push_back(c);
+  const double fs = config_.sample_rate;
+  if (stream.have_prev) {
+    // The previous chunk's last lag now has its right neighbor: decide
+    // whether it is an echo maximum, and resolve its held-back candidate.
+    const double seam_max = echo_local_max(std::abs(stream.prev_penult_raw),
+                                           std::abs(stream.prev_last_raw),
+                                           std::abs(pass.first_raw));
+    if (seam_max > 0.0) ws.echo_maxima.push_back({pass.start - 1, seam_max});
+    if (stream.pending && stream.pending->candidate.key > pass.first_masked) {
+      ChunkPass::Peak p = *stream.pending;
+      refine_detection(p.candidate.detection, p.candidate.global_index,
+                       stream.prev_penult_raw, stream.prev_last_raw, pass.first_raw, fs);
+      ws.deferred.push_back(p);
     }
     stream.pending.reset();
+    // This chunk's first lag is an echo maximum only with both neighbors:
+    // not the recording's first lag, nor the last (a one-lag final chunk).
+    if (pass.lags >= 2) {
+      const double first_max = echo_local_max(std::abs(stream.prev_last_raw),
+                                              std::abs(pass.first_raw),
+                                              std::abs(pass.second_raw));
+      if (first_max > 0.0) ws.echo_maxima.push_back({pass.start, first_max});
+    }
   }
+  ws.echo_maxima.insert(ws.echo_maxima.end(), pass.edge_maxima.begin(),
+                        pass.edge_maxima.end());
   // The head's local-maximum test and refinement read the previous chunk's
   // last lag as the left neighbor.
   if (pass.head &&
       !(stream.have_prev && !(pass.first_masked >= stream.prev_last_masked))) {
     std::optional<double> left;
     if (stream.have_prev) left = stream.prev_last_raw;
-    DetectionCandidate c = pass.head->candidate;
-    finish_detection(c.detection, pass.start, 0, left, pass.head->peak_raw,
-                     pass.head->inner_raw, pass.head->runner, config_.sample_rate);
-    ws.candidates.push_back(c);
+    std::optional<double> right;
+    if (pass.lags >= 2) right = pass.second_raw;
+    ChunkPass::Peak p = *pass.head;
+    refine_detection(p.candidate.detection, pass.start, left, pass.first_raw, right, fs);
+    ws.deferred.push_back(p);
   }
-  ws.candidates.insert(ws.candidates.end(), pass.interior.begin(), pass.interior.end());
-  if (pass.tail) stream.pending = DetectorStream::Pending{*pass.tail, pass.start};
+  ws.deferred.insert(ws.deferred.end(), pass.interior.begin(), pass.interior.end());
+  if (pass.tail) stream.pending = *pass.tail;
   stream.prev_last_masked = pass.last_masked;
   stream.prev_last_raw = pass.last_raw;
+  stream.prev_penult_raw = pass.penult_raw;
   stream.have_prev = true;
-  stream.next_start = pass.start + hop();
+  const std::size_t end = pass.start + pass.lags;
+  stream.next_start = end;
+
+  // Every lag's echo status is known through end - 2 (the last lag waits
+  // for the next chunk), or everywhere once the chunk is final. A
+  // candidate whose window (i - min_spacing, i + min_spacing) is covered
+  // is complete; candidates leave in lag order.
+  std::size_t done = 0;
+  for (; done < ws.deferred.size(); ++done) {
+    const ChunkPass::Peak& p = ws.deferred[done];
+    if (!pass.final_chunk && p.candidate.global_index + min_spacing_ + 1 > end) break;
+    DetectionCandidate c = p.candidate;
+    const double runner = full_runner(p, ws.echo_maxima);
+    c.detection.echo_competition =
+        c.detection.amplitude > 0.0 ? runner / c.detection.amplitude : 0.0;
+    ws.candidates.push_back(c);
+  }
+  ws.deferred.erase(ws.deferred.begin(),
+                    ws.deferred.begin() + static_cast<std::ptrdiff_t>(done));
+  // Drop the maxima no remaining window reaches: every later candidate
+  // lies at or after `floor`, so its window starts above floor - min_spacing.
+  std::size_t floor = end;
+  if (stream.pending) floor = stream.pending->candidate.global_index;
+  if (!ws.deferred.empty()) floor = std::min(floor, ws.deferred.front().candidate.global_index);
+  const auto keep = std::find_if(ws.echo_maxima.begin(), ws.echo_maxima.end(),
+                                 [&](const EchoPeak& e) { return e.lag + min_spacing_ > floor; });
+  ws.echo_maxima.erase(ws.echo_maxima.begin(), keep);
 }
 
 void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace& ws,
                                        std::vector<Detection>& out,
                                        const obs::ObsContext* obs) const {
   using Candidate = DetectorWorkspace::Candidate;
+  require(!stream.pending && ws.deferred.empty(),
+          "stream_end: the recording's final chunk was not stitched");
   out.clear();
-  const auto min_spacing =
-      static_cast<std::size_t>(config_.min_spacing_s * config_.sample_rate);
-  // The recording ended right at a chunk boundary (the tail was shorter
-  // than the reference): the held-back candidate has no right neighbor and
-  // stands.
-  if (stream.pending) {
-    const DetectorStream::Pending& p = *stream.pending;
-    DetectionCandidate c = p.edge.candidate;
-    finish_detection(c.detection, p.chunk_start, c.global_index - p.chunk_start,
-                     p.edge.inner_raw, p.edge.peak_raw, std::nullopt, p.edge.runner,
-                     config_.sample_rate);
-    ws.candidates.push_back(c);
-    stream.pending.reset();
-  }
 
   // Pass 2: enforce min_spacing once, globally, strongest-first — the same
   // greedy rule find_peaks applies inside a single chunk, so two arrivals
@@ -385,7 +480,7 @@ void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace
       const std::size_t gap = c.global_index > a.global_index
                                   ? c.global_index - a.global_index
                                   : a.global_index - c.global_index;
-      if (gap < min_spacing) {
+      if (gap < min_spacing_) {
         ok = false;
         break;
       }

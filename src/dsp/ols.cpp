@@ -105,17 +105,18 @@ OlsConvolver::PairLanes OlsConvolver::pair_lanes(Workspace& ws) const {
 }
 
 void OlsConvolver::transform_pair(std::span<const double> x, std::ptrdiff_t x_start,
-                                  std::size_t b, bool paired, PairLanes z) const {
-  const std::size_t m = kernel_.size();
+                                  std::ptrdiff_t base, bool paired, PairLanes z) const {
   const std::size_t n = plan_.size();
   const std::size_t block = block_size();
 
-  // Block b produces full-convolution samples [b*block, b*block + block)
-  // from input window [b*block - (m-1), b*block + block) (zero-padded
-  // outside the signal): the circular convolution of that window with the
+  // The circular convolution of an fft_size-sample input window with the
   // kernel is alias-free in its last `block` samples — the overlap-save
-  // identity. Consecutive blocks share one transform pair via the
-  // real-input fast path: with real blocks a, b and kernel spectrum K,
+  // identity. Convolution block b reads window [b*block - (m-1), b*block +
+  // block) for full-convolution samples [b*block, b*block + block);
+  // correlation block b reads [b*block, b*block + n) for lags [b*block,
+  // b*block + block). Outside the signal the window reads zeros.
+  // Consecutive blocks share one transform pair via the real-input fast
+  // path: with real blocks a, b and kernel spectrum K,
   //   IFFT(FFT(a + i*b) . K) = (a*k) + i*(b*k)
   // by linearity, both parts real — so the re lane carries block b's
   // result and the im lane block b+1's, halving the FFT count.
@@ -123,27 +124,25 @@ void OlsConvolver::transform_pair(std::span<const double> x, std::ptrdiff_t x_st
   // Each lane is filled as zeros | window samples | zeros, the runs
   // clipped once per lane; a pair inside `x` is two plain copies.
   const std::ptrdiff_t x_end = x_start + static_cast<std::ptrdiff_t>(x.size());
-  const auto fill_lane = [&](std::span<double> lane, std::ptrdiff_t base) {
+  const auto fill_lane = [&](std::span<double> lane, std::ptrdiff_t from) {
     const auto clip = [n](std::ptrdiff_t v) {
       return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
           v, 0, static_cast<std::ptrdiff_t>(n)));
     };
-    // Lane position j reads signal index base + j, i.e. x[base + j - x_start].
-    const std::size_t lo = clip(x_start - base);
-    const std::size_t hi = std::max(lo, clip(x_end - base));
+    // Lane position j reads signal index from + j, i.e. x[from + j - x_start].
+    const std::size_t lo = clip(x_start - from);
+    const std::size_t hi = std::max(lo, clip(x_end - from));
     double* d = lane.data();
     std::fill(d, d + lo, 0.0);
     if (lo < hi) {
-      const double* src = x.data() + (base + static_cast<std::ptrdiff_t>(lo) - x_start);
+      const double* src = x.data() + (from + static_cast<std::ptrdiff_t>(lo) - x_start);
       std::copy(src, src + (hi - lo), d + lo);
     }
     std::fill(d + hi, d + n, 0.0);
   };
-  const std::ptrdiff_t base0 =
-      static_cast<std::ptrdiff_t>(b * block) - static_cast<std::ptrdiff_t>(m - 1);
-  fill_lane(z.re, base0);
+  fill_lane(z.re, base);
   if (paired) {
-    fill_lane(z.im, base0 + static_cast<std::ptrdiff_t>(block));
+    fill_lane(z.im, base + static_cast<std::ptrdiff_t>(block));
   } else {
     std::fill(z.im.begin(), z.im.end(), 0.0);
   }
@@ -197,7 +196,7 @@ void OlsConvolver::convolve_into(std::span<const double> x, std::size_t offset,
   const PairLanes z = pair_lanes(ws);
   for (std::size_t b = first_block; b <= last_block; b += 2) {
     const bool paired = b + 1 < total_blocks;
-    transform_pair(x, 0, b, paired, z);
+    transform_pair(x, 0, convolution_base(b), paired, z);
     copy_pair_halves(z, b, paired, offset, count, full_len, out);
   }
 }
@@ -214,8 +213,31 @@ void OlsConvolver::convolve_pair_into(std::span<const double> x, std::size_t x_s
           "OlsConvolver: output window exceeds the full convolution");
   if (count == 0) return;
   const PairLanes z = pair_lanes(ws);
-  transform_pair(x, static_cast<std::ptrdiff_t>(x_start), block_index, paired, z);
+  transform_pair(x, static_cast<std::ptrdiff_t>(x_start), convolution_base(block_index),
+                 paired, z);
   copy_pair_halves(z, block_index, paired, offset, count, full_len, out);
+}
+
+void OlsConvolver::correlate_pairs_into(std::span<const double> x, std::size_t x_start,
+                                        double* out, Workspace& ws) const {
+  const std::size_t m = kernel_.size();
+  const std::size_t block = block_size();
+  require(x.size() >= m, "OlsConvolver::correlate_pairs_into: window shorter than kernel");
+  require(x_start % (2 * block) == 0,
+          "OlsConvolver::correlate_pairs_into: window must start on a pair");
+  const std::size_t lags = x.size() - m + 1;
+  // Pairing needs only the blocks up to the window's last lag: a window
+  // spanning whole pairs pairs every block, and a window ending the signal
+  // sees the signal's own last block.
+  const std::size_t end = x_start + lags;
+  const std::size_t total_blocks = (end + block - 1) / block;
+  const PairLanes z = pair_lanes(ws);
+  for (std::size_t b = x_start / block; b < total_blocks; b += 2) {
+    const bool paired = b + 1 < total_blocks;
+    transform_pair(x, static_cast<std::ptrdiff_t>(x_start),
+                   static_cast<std::ptrdiff_t>(b * block), paired, z);
+    copy_pair_halves(z, b, paired, x_start, lags, end, out);
+  }
 }
 
 // NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; steady-state callers use the _into spellings

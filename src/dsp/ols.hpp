@@ -56,9 +56,10 @@ inline constexpr std::size_t kDirectProductLimit = 1u << 16;
 /// ceil(window_len / (N - M + 1)). Returns the smallest size whose cost is
 /// within 1/16 of the minimum and no more than the one-argument choice's.
 /// Whole-signal callers (band-pass, streaming FIR) keep the one-argument
-/// rule. For the 2205-tap reference on 131072-sample chunks this is 8192:
-/// 11 full pairs, against 3 pairs at 32768 of which the last is half
-/// empty. Deterministic, like the one-argument rule.
+/// rule. For the 2205-tap reference on 131072-sample windows (the
+/// matched-filter detector's costing window) this is 8192: 11 full pairs,
+/// against 3 pairs at 32768 of which the last is half empty.
+/// Deterministic, like the one-argument rule.
 [[nodiscard]] std::size_t choose_ols_fft_size(std::size_t kernel_len,
                                               std::size_t window_len);
 
@@ -118,6 +119,26 @@ class OlsConvolver {
                           std::size_t offset, std::size_t count, double* out,
                           Workspace& ws) const;
 
+  /// Valid-mode correlation (against the template whose REVERSAL is this
+  /// kernel, as for `correlate_valid`) on the LAG-ANCHORED pair grid: with
+  /// B = block_size(), block b yields lags [b*B, (b+1)*B) from signal
+  /// samples [b*B, b*B + fft_size()), and blocks 2g and 2g+1 share one
+  /// transform pair. `x` holds signal samples [x_start, x_start +
+  /// x.size()), x_start a multiple of 2B and x.size() >= kernel_size();
+  /// its x.size() - kernel_size() + 1 lags are written to `out`. A block
+  /// reaching past `x` reads zeros, and the window's last block goes
+  /// unpaired when the block count is odd.
+  ///
+  /// The grid belongs to the signal, not to the window: a window that
+  /// spans a whole number of pairs or ends the signal runs exactly the
+  /// transforms the whole signal would, so every lag is bit-identical
+  /// however the signal is split into such windows. (`correlate_valid`
+  /// anchors its blocks to the window's full convolution instead, and
+  /// spends the first block's kernel_size() - 1 outputs on lags before the
+  /// window.)
+  void correlate_pairs_into(std::span<const double> x, std::size_t x_start, double* out,
+                            Workspace& ws) const;
+
   /// Full linear convolution; length x.size() + kernel_size() - 1.
   [[nodiscard]] std::vector<double> convolve_full(std::span<const double> x,
                                                   Workspace* ws = nullptr) const;
@@ -154,15 +175,22 @@ class OlsConvolver {
   };
   [[nodiscard]] PairLanes pair_lanes(Workspace& ws) const;
   /// The shared pair transform: fill `z` with the circular convolution of
-  /// blocks b (re lane) and b+1 (im lane), reading signal index `idx` as
-  /// x[idx - x_start] when inside the window and zero otherwise. Every
-  /// public spelling routes its block arithmetic through here, which is
-  /// what makes windowed, full, and streamed calls bit-identical.
-  void transform_pair(std::span<const double> x, std::ptrdiff_t x_start, std::size_t b,
-                      bool paired, PairLanes z) const;
-  /// Copy the alias-free halves of a transformed pair into the caller's
-  /// output window [offset, offset + count), clipped to the full
-  /// convolution [0, full_len).
+  /// the kernel with the fft_size() signal samples from index `base` (re
+  /// lane) and from `base + block_size()` (im lane), reading signal index
+  /// `idx` as x[idx - x_start] when inside the window and zero otherwise.
+  /// Every public spelling routes its block arithmetic through here, which
+  /// is what makes windowed, full, and streamed calls bit-identical.
+  void transform_pair(std::span<const double> x, std::ptrdiff_t x_start,
+                      std::ptrdiff_t base, bool paired, PairLanes z) const;
+  /// Signal index read by lane position 0 of convolution block b.
+  [[nodiscard]] std::ptrdiff_t convolution_base(std::size_t b) const {
+    return static_cast<std::ptrdiff_t>(b * block_size()) -
+           static_cast<std::ptrdiff_t>(kernel_.size() - 1);
+  }
+  /// Copy the alias-free halves of a transformed pair — outputs [b*B,
+  /// (b+2)*B) of the index space being computed (full convolution or
+  /// lags) — into the caller's output window [offset, offset + count),
+  /// clipped to [0, full_len).
   void copy_pair_halves(PairLanes z, std::size_t b, bool paired, std::size_t offset,
                         std::size_t count, std::size_t full_len, double* out) const;
 

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "sim/scenario.hpp"
 
@@ -109,6 +114,49 @@ TEST(TryLocalize, ConfigValidationCoversTtlBlock) {
   EXPECT_EQ(bad.validate()->category, ErrorCategory::config);
   core::PipelineConfig good;
   EXPECT_FALSE(good.validate().has_value());
+}
+
+TEST(TryLocalize, NanFloatFieldsAreConfigErrorsNamingTheField) {
+  // A NaN compares false to everything, so a `<= 0.0` test lets it through.
+  // Every float field the config validates must still report a config
+  // error naming itself, before any stage runs: a NaN
+  // asp.min_event_spacing_s used to reach the detector's conversion to a
+  // lag count, which is undefined behaviour.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Set = void (*)(core::PipelineConfig&, double);
+  const std::vector<std::pair<std::string, Set>> fields{
+      {"asp.detector_threshold",
+       [](core::PipelineConfig& c, double v) { c.asp.detector_threshold = v; }},
+      {"asp.min_event_spacing_s",
+       [](core::PipelineConfig& c, double v) { c.asp.min_event_spacing_s = v; }},
+      {"ttl.min_slide_distance",
+       [](core::PipelineConfig& c, double v) { c.ttl.min_slide_distance = v; }},
+      {"ttl.max_z_rotation_deg",
+       [](core::PipelineConfig& c, double v) { c.ttl.max_z_rotation_deg = v; }},
+      {"ttl.chirp_duration_s",
+       [](core::PipelineConfig& c, double v) { c.ttl.chirp_duration_s = v; }},
+      {"ttl.lookback_s", [](core::PipelineConfig& c, double v) { c.ttl.lookback_s = v; }},
+      {"ttl.max_range", [](core::PipelineConfig& c, double v) { c.ttl.max_range = v; }},
+      {"min_stature_change",
+       [](core::PipelineConfig& c, double v) { c.min_stature_change = v; }},
+  };
+  sim::ScenarioConfig sc;
+  sc.speaker_distance = 4.0;
+  sc.slides_per_stature = 1;
+  Rng rng(77);
+  const sim::Session session = sim::make_localization_session(sc, rng);
+  for (const auto& [name, set] : fields) {
+    core::PipelineConfig config;
+    set(config, nan);
+    const std::optional<PipelineError> e = config.validate();
+    ASSERT_TRUE(e.has_value()) << name;
+    EXPECT_EQ(e->category, ErrorCategory::config) << name;
+    EXPECT_NE(e->message.find(name), std::string::npos) << name << ": " << e->message;
+    const auto outcome = core::try_localize(session, config);
+    ASSERT_FALSE(outcome.has_value()) << name;
+    EXPECT_EQ(outcome.error().category, ErrorCategory::config) << name;
+    EXPECT_EQ(outcome.error().stage, PipelineStage::config) << name;
+  }
 }
 
 TEST(TryLocalize, PleOptionsComposeFromSharedTtl) {

@@ -132,18 +132,199 @@ TEST(MatchedFilter, StrongerArrivalWinsWithinSpacing) {
   EXPECT_NEAR(detections[0].time_s, 0.5, 5e-4);
 }
 
+/// Pairs per chunk for a schedule that covers the whole recording (at
+/// least the reference long) in one chunk.
+std::size_t whole_pairs(const MatchedFilterDetector& det, std::size_t n) {
+  const std::size_t lags = n - det.reference().size() + 1;
+  return (lags + det.pair_lags() - 1) / det.pair_lags();
+}
+
+/// One run of a chunk schedule: the pass-1 candidates (lag order), the
+/// detections, and the chunk passes.
+struct ScheduleRun {
+  std::vector<DetectionCandidate> candidates;
+  std::vector<Detection> detections;
+  std::vector<ChunkPass> passes;
+};
+
+/// Detect `x` on the schedule of `pairs` pairs per chunk the way the ASP
+/// fan-out does: every chunk pass first — in reverse order, through one
+/// shared scratch — then the stitch in schedule order.
+ScheduleRun run_schedule(const MatchedFilterDetector& det, std::span<const double> x,
+                         std::size_t pairs) {
+  ScheduleRun r;
+  const std::size_t chunks = det.chunk_count(x.size(), pairs);
+  r.passes.resize(chunks);
+  DetectorWorkspace scratch;
+  for (std::size_t k = chunks; k-- > 0;) {
+    const ChunkSpan span = det.chunk_span(k, x.size(), pairs);
+    det.chunk_pass(x.subspan(span.start, span.size), span.start, span.final_chunk, scratch,
+                   r.passes[k]);
+  }
+  DetectorWorkspace ws;
+  DetectorStream stream;
+  det.stream_begin(stream, ws);
+  for (std::size_t k = 0; k < chunks; ++k) {
+    det.stitch(r.passes[k], stream, ws);
+    EXPECT_EQ(stream.chunks_streamed, k + 1);
+    // Stitched candidates leave in lag order.
+    for (std::size_t i = 1; i < ws.candidates.size(); ++i) {
+      EXPECT_LT(ws.candidates[i - 1].global_index, ws.candidates[i].global_index);
+    }
+  }
+  r.candidates = ws.candidates;
+  det.stream_end(stream, ws, r.detections);
+  return r;
+}
+
+/// Bit pattern of a double, so NaN results compare equal to themselves.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_detection(const Detection& a, const Detection& b,
+                           const std::string& where) {
+  EXPECT_EQ(bits(a.time_s), bits(b.time_s)) << where;
+  EXPECT_EQ(bits(a.score), bits(b.score)) << where;
+  EXPECT_EQ(bits(a.amplitude), bits(b.amplitude)) << where;
+  EXPECT_EQ(bits(a.echo_competition), bits(b.echo_competition)) << where;
+}
+
+void expect_same_candidates(const std::vector<DetectionCandidate>& got,
+                            const std::vector<DetectionCandidate>& want,
+                            const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::string at = where + " candidate " + std::to_string(i);
+    EXPECT_EQ(got[i].global_index, want[i].global_index) << at;
+    EXPECT_EQ(bits(got[i].key), bits(want[i].key)) << at;
+    expect_same_detection(got[i].detection, want[i].detection, at);
+  }
+}
+
+void expect_same_detections(const std::vector<Detection>& got,
+                            const std::vector<Detection>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_same_detection(got[i], want[i], where + " detection " + std::to_string(i));
+  }
+}
+
+/// The echo competition as the detector computed it before the range-max
+/// index: a scan of the whole min_spacing window around lag i. Kept as the
+/// oracle for echo_runner, and — over a whole recording's raw correlation —
+/// for the stitched echo window.
+double oracle_echo_runner(std::span<const double> raw, std::size_t i,
+                          std::size_t min_spacing, std::size_t exclusion) {
+  const std::size_t lo = i > min_spacing ? i - min_spacing : 0;
+  const std::size_t hi = std::min(i + min_spacing, raw.size() - 1);
+  double runner = 0.0;
+  for (std::size_t j = lo + 1; j + 1 <= hi; ++j) {
+    const std::size_t gap = j > i ? j - i : i - j;
+    if (gap < exclusion) continue;
+    const double v = std::abs(raw[j]);
+    if (v > runner && std::abs(raw[j]) >= std::abs(raw[j - 1]) &&
+        std::abs(raw[j]) > std::abs(raw[j + 1])) {
+      runner = v;
+    }
+  }
+  return runner;
+}
+
+/// Pass 1 of the detector over the whole recording as ONE array, from the
+/// public primitives alone — no chunk, no seam, no stitch: the
+/// lag-anchored correlation, the pair-segmented normalizer, the fused
+/// scan, refinement at the array neighbors, and the brute-force echo
+/// window over the whole recording. `raw_out` receives the correlation.
+std::vector<DetectionCandidate> oracle_candidates(const MatchedFilterDetector& det,
+                                                  std::span<const double> x,
+                                                  std::vector<double>* raw_out = nullptr) {
+  const std::vector<double>& ref = det.reference();
+  const DetectorConfig& cfg = det.config();
+  const std::size_t m = ref.size();
+  std::vector<double> raw(x.size() - m + 1);
+  if (det.chunk_samples(1) * m > kDirectProductLimit) {
+    const OlsConvolver ols(std::vector<double>(ref.rbegin(), ref.rend()),
+                           choose_ols_fft_size(m, MatchedFilterDetector::kBatchChunkSamples));
+    Workspace fft;
+    ols.correlate_pairs_into(x, 0, raw.data(), fft);
+  } else {
+    correlate_valid_direct_into(x, ref, raw);
+  }
+  double energy = 0.0;
+  for (double v : ref) energy += v * v;
+  std::vector<double> scratch;
+  const WindowNormalizer norm(x, m, std::sqrt(energy), scratch, det.pair_lags());
+  DetectorWorkspace ws;
+  (void)scan_correlation(raw, norm, cfg.threshold, ws);
+  const auto exclusion = static_cast<std::size_t>(1.2e-3 * cfg.sample_rate);
+  std::vector<DetectionCandidate> out;
+  for (const std::size_t i : ws.peaks) {
+    DetectionCandidate c{Detection{}, std::abs(raw[i]), i};
+    c.detection.score = raw[i] / norm.denominator(i);
+    double offset = 0.0;
+    double value = raw[i];
+    if (i > 0 && i + 1 < raw.size()) {
+      const ParabolicFit fit = parabolic_fit(raw[i - 1], raw[i], raw[i + 1]);
+      offset = fit.offset;
+      value = fit.value;
+    }
+    c.detection.time_s = (static_cast<double>(i) + offset) / cfg.sample_rate;
+    c.detection.amplitude = std::abs(value);
+    const double runner = oracle_echo_runner(raw, i, det.min_spacing_lags(), exclusion);
+    c.detection.echo_competition =
+        c.detection.amplitude > 0.0 ? runner / c.detection.amplitude : 0.0;
+    out.push_back(c);
+  }
+  if (raw_out != nullptr) *raw_out = std::move(raw);
+  return out;
+}
+
+/// Run the incremental caller protocol on the schedule of `pairs` pairs:
+/// reveal the recording in slices of the given sizes (cycled), process
+/// every chunk as soon as STRICTLY more than its end is available
+/// (certainly full, certainly non-final), then drain the rest once the
+/// length is known.
+std::vector<Detection> stream_detect(const MatchedFilterDetector& det,
+                                     std::span<const double> x,
+                                     const std::vector<std::size_t>& slice_sizes,
+                                     std::size_t pairs) {
+  const std::size_t ref_len = det.reference().size();
+  const std::size_t chunk = det.chunk_samples(pairs);
+  DetectorWorkspace ws;
+  DetectorStream stream;
+  det.stream_begin(stream, ws);
+  std::size_t avail = 0;
+  std::size_t cursor = 0;
+  while (avail < x.size()) {
+    avail = std::min(x.size(),
+                     avail + slice_sizes[cursor++ % slice_sizes.size()]);
+    while (avail > stream.next_start + chunk) {
+      det.stream_chunk(x.subspan(stream.next_start, chunk), false, stream, ws);
+    }
+  }
+  while (x.size() >= ref_len && stream.next_start <= x.size() - ref_len) {
+    const std::size_t start = stream.next_start;
+    const std::size_t len = std::min(chunk, x.size() - start);
+    const bool final_chunk = start + len == x.size();
+    det.stream_chunk(x.subspan(start, len), final_chunk, stream, ws);
+    if (final_chunk) break;
+  }
+  std::vector<Detection> out;
+  det.stream_end(stream, ws, out);
+  return out;
+}
+
 TEST(MatchedFilter, ChunkingIsSeamless) {
   const Chirp chirp{ChirpParams{}};
   Rng rng(50);
   // Recording much longer than one chunk, with a chirp near each boundary.
   DetectorConfig cfg;
   cfg.sample_rate = kFs;
-  cfg.chunk = 1u << 14;  // ~0.37 s chunks
-  const double boundary = static_cast<double>(cfg.chunk) / kFs;
+  const MatchedFilterDetector detector(chirp.reference(kFs), cfg);
+  const std::size_t pairs = 1;  // ~0.27 s chunks
+  const double boundary = static_cast<double>(pairs * detector.pair_lags()) / kFs;
   const std::vector<double> starts{boundary - 0.02, 2.0 * boundary - 0.02, 1.0};
   const std::vector<double> x = make_recording(chirp, starts, 2.0, 0.01, rng);
-  const MatchedFilterDetector detector(chirp.reference(kFs), cfg);
-  const auto detections = detector.detect(x);
+  const auto detections = run_schedule(detector, x, pairs).detections;
   EXPECT_EQ(detections.size(), 3u);
 }
 
@@ -156,12 +337,12 @@ TEST(MatchedFilter, MinSpacingInvariantToChunkPartition) {
   // whole by one big chunk.
   const Chirp chirp{ChirpParams{}};
   Rng rng(51);
-  // With chunk 8192 and a 2205-sample reference the hop is 5988, so the
-  // lag boundary at 3*5988 = 17964 splits the cluster below between the
+  // With one-pair chunks of a 2205-sample reference (11976 lags) the lag
+  // boundary at 2*11976 = 23952 splits the cluster below between the
   // middle and last arrival.
-  const double t1 = 14000.0 / kFs;
-  const double t2 = 16600.0 / kFs;
-  const double t3 = 19200.0 / kFs;
+  const double t1 = 20000.0 / kFs;
+  const double t2 = 22600.0 / kFs;
+  const double t3 = 25200.0 / kFs;
   std::vector<double> x = make_recording(chirp, {t1}, 1.0, 0.005, rng, 0.5);
   {
     Rng r2(52);
@@ -173,25 +354,21 @@ TEST(MatchedFilter, MinSpacingInvariantToChunkPartition) {
     const auto c = make_recording(chirp, {t3}, 1.0, 0.0, r3, 0.7);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += c[i];
   }
-  DetectorConfig small_cfg;
-  small_cfg.sample_rate = kFs;
-  small_cfg.min_spacing_s = 5000.0 / kFs;  // middle conflicts with both ends
-  small_cfg.chunk = 8192;                  // boundary lands inside the cluster
-  DetectorConfig big_cfg = small_cfg;
-  big_cfg.chunk = 1u << 16;  // the whole cluster fits in one chunk
-
-  const std::vector<double>& ref = chirp.reference(kFs);
-  const auto small_d = MatchedFilterDetector(ref, small_cfg).detect(x);
-  const auto big_d = MatchedFilterDetector(ref, big_cfg).detect(x);
+  DetectorConfig cfg;
+  cfg.sample_rate = kFs;
+  cfg.min_spacing_s = 5000.0 / kFs;  // middle conflicts with both ends
+  const MatchedFilterDetector det(chirp.reference(kFs), cfg);
+  ASSERT_EQ(det.pair_lags(), 11976u);
+  const auto small_d = run_schedule(det, x, 1).detections;  // boundary inside the cluster
+  const auto big_d = run_schedule(det, x, whole_pairs(det, x.size())).detections;
 
   // Strongest-first: the 0.7 arrival wins, evicts the 0.6 inside its
   // spacing window, and the 0.5 (far enough from the winner) survives.
   ASSERT_EQ(big_d.size(), 2u);
   ASSERT_EQ(small_d.size(), big_d.size());
   for (std::size_t i = 0; i < big_d.size(); ++i) {
-    // Different chunk sizes use different FFT lengths, so allow rounding
-    // differences in the refined times — but not a different decision.
-    EXPECT_NEAR(small_d[i].time_s, big_d[i].time_s, 1e-6);
+    // Every chunk length runs the same transforms: not a bit may differ.
+    EXPECT_EQ(small_d[i].time_s, big_d[i].time_s);
   }
   EXPECT_NEAR(big_d[0].time_s, t1, 1e-4);
   EXPECT_NEAR(big_d[1].time_s, t3, 1e-4);
@@ -206,75 +383,39 @@ TEST(MatchedFilter, ArrivalOnChunkSeamDetectedOnce) {
   Rng rng(54);
   DetectorConfig cfg;
   cfg.sample_rate = kFs;
-  cfg.chunk = 8192;
   const std::vector<double>& ref = chirp.reference(kFs);
-  const std::size_t hop = cfg.chunk - (ref.size() - 1);
-  const std::size_t peak = 4 * hop - 1;  // last lag of chunk 3
+  const MatchedFilterDetector det(ref, cfg);
+  const std::size_t peak = 3 * det.pair_lags() - 1;  // last lag of one-pair chunk 2
   const double t0 = static_cast<double>(peak) / kFs;
   const std::vector<double> x = make_recording(chirp, {t0}, 1.0, 0.005, rng);
-  const auto detections = MatchedFilterDetector(ref, cfg).detect(x);
+  const auto detections = run_schedule(det, x, 1).detections;
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_NEAR(detections[0].time_s, t0, 1e-4);
-}
-
-/// Run the incremental caller protocol: reveal the recording in slices of
-/// the given sizes (cycled), process every chunk of the fixed schedule as
-/// soon as STRICTLY more than its end is available (certainly full,
-/// certainly non-final), then drain the tail once the length is known.
-std::vector<Detection> stream_detect(const MatchedFilterDetector& det,
-                                     std::span<const double> x,
-                                     const std::vector<std::size_t>& slice_sizes,
-                                     const obs::ObsContext* obs = nullptr) {
-  const std::size_t ref_len = det.reference().size();
-  const std::size_t chunk = det.config().chunk;
-  DetectorWorkspace ws;
-  DetectorStream stream;
-  det.stream_begin(stream, ws);
-  std::size_t avail = 0;
-  std::size_t cursor = 0;
-  while (avail < x.size()) {
-    avail = std::min(x.size(),
-                     avail + slice_sizes[cursor++ % slice_sizes.size()]);
-    while (avail > stream.next_start + chunk) {
-      det.stream_chunk(x.subspan(stream.next_start, chunk), false, stream, ws);
-    }
-  }
-  while (stream.next_start < x.size()) {
-    const std::size_t start = stream.next_start;
-    const std::size_t len = std::min(chunk, x.size() - start);
-    if (len < ref_len) break;
-    const bool final_chunk = start + len == x.size();
-    det.stream_chunk(x.subspan(start, len), final_chunk, stream, ws);
-    if (final_chunk) break;
-  }
-  std::vector<Detection> out;
-  det.stream_end(stream, ws, out, obs);
-  return out;
 }
 
 TEST(MatchedFilter, StreamProtocolBitIdenticalToDetectAcrossChunkings) {
   // The detector half of the streaming tentpole: the stream_begin /
   // stream_chunk / stream_end protocol driven by ANY arrival pattern of
   // samples must reproduce detect() bit for bit — candidates are keyed to
-  // the fixed chunk schedule, never to how a caller buffered the audio.
+  // the chunk schedule, never to how a caller buffered the audio, and the
+  // streaming schedule's small chunks detect what batch's large ones do.
   const Chirp chirp{ChirpParams{}};
   Rng rng(55);
   DetectorConfig cfg;
   cfg.sample_rate = kFs;
-  cfg.chunk = 8192;  // several chunks, arrivals near the seams
   const std::vector<double>& ref = chirp.reference(kFs);
-  const std::size_t hop = cfg.chunk - (ref.size() - 1);
-  const std::vector<double> starts{0.1, 2.0 * static_cast<double>(hop) / kFs - 0.01,
-                                   static_cast<double>(4 * hop - 1) / kFs, 1.3};
-  const std::vector<double> x = make_recording(chirp, starts, 1.6, 0.01, rng);
   const MatchedFilterDetector det(ref, cfg);
+  const std::size_t pair = det.pair_lags();
+  const std::vector<double> starts{0.1, 2.0 * static_cast<double>(pair) / kFs - 0.01,
+                                   static_cast<double>(4 * pair - 1) / kFs, 1.3};
+  const std::vector<double> x = make_recording(chirp, starts, 1.6, 0.01, rng);
   const std::vector<Detection> expect = det.detect(x);
   ASSERT_EQ(expect.size(), starts.size());
   for (const std::vector<std::size_t>& slices :
        {std::vector<std::size_t>{x.size()}, std::vector<std::size_t>{1009},
         std::vector<std::size_t>{1u << 14},
         std::vector<std::size_t>{3, 8191, 1, 20011}}) {
-    const std::vector<Detection> got = stream_detect(det, x, slices);
+    const std::vector<Detection> got = stream_detect(det, x, slices, det.streaming_pairs());
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
       EXPECT_EQ(got[i].time_s, expect[i].time_s) << i;
@@ -290,26 +431,22 @@ TEST(MatchedFilter, SeamLagsRefinedLikeOneChunk) {
   // its integer lag (refine_peak has no neighbor at an array edge) although
   // the missing neighbor is the adjacent chunk's edge lag, so an arrival
   // on a seam was reported up to half a sample off. Fractional arrivals on
-  // both seam lags must match a detector that sees the recording as one
+  // both seam lags must match the schedule that sees the recording as one
   // chunk, in batch and streamed.
   const Chirp chirp{ChirpParams{}};
   DetectorConfig cfg;
   cfg.sample_rate = kFs;
-  cfg.chunk = 8192;
-  DetectorConfig whole_cfg = cfg;
-  whole_cfg.chunk = 1u << 16;  // the whole 1 s recording in one chunk
   const std::vector<double>& ref = chirp.reference(kFs);
   const MatchedFilterDetector det(ref, cfg);
-  const MatchedFilterDetector whole(ref, whole_cfg);
-  const std::size_t hop = cfg.chunk - (ref.size() - 1);
-  const std::size_t seam = 4 * hop;  // first lag of chunk 4
+  const std::size_t seam = 3 * det.pair_lags();  // first lag of one-pair chunk 3
   std::uint64_t seed = 60;
   for (const std::size_t lag : {seam - 1, seam}) {
     for (const double frac : {0.25, -0.30, 0.45}) {
       Rng rng(seed++);
       const double t0 = (static_cast<double>(lag) + frac) / kFs;
       const std::vector<double> x = make_recording(chirp, {t0}, 1.0, 0.005, rng);
-      const std::vector<Detection> want = whole.detect(x);
+      const std::vector<Detection> want =
+          run_schedule(det, x, whole_pairs(det, x.size())).detections;
       ASSERT_EQ(want.size(), 1u);
       // The correlation peak really sits on one of the two seam lags.
       const double peak_lag = std::floor(want[0].time_s * kFs + 0.5);
@@ -318,7 +455,7 @@ TEST(MatchedFilter, SeamLagsRefinedLikeOneChunk) {
           << "lag " << lag << " frac " << frac;
       const std::vector<std::size_t> slices{1009};
       for (const std::vector<Detection>& got :
-           {det.detect(x), stream_detect(det, x, slices)}) {
+           {run_schedule(det, x, 1).detections, stream_detect(det, x, slices, 1)}) {
         ASSERT_EQ(got.size(), 1u);
         EXPECT_NEAR(got[0].time_s, want[0].time_s, 1e-9)
             << "lag " << lag << " frac " << frac;
@@ -329,18 +466,120 @@ TEST(MatchedFilter, SeamLagsRefinedLikeOneChunk) {
   }
 }
 
-/// Bit pattern of a double, so NaN results compare equal to themselves.
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+/// A recording for the chunk-length property tests: a 0.2 s beacon train
+/// with two echoes per arrival (10 ms and 35 ms late), plus lone arrivals
+/// on, beside and within min_spacing of the seams of the one-pair grid,
+/// and two pairs 55 lags (1.25 ms, just outside the echo exclusion) apart
+/// that straddle a seam, so a candidate beside the seam has its strongest
+/// competitor just across it.
+std::vector<double> seam_recording(const Chirp& chirp, std::size_t pair, Rng& rng) {
+  std::vector<double> direct;
+  for (int k = 0; k < 21; ++k) direct.push_back(0.07 + 0.2 * k);
+  const auto at_lag = [](double lag) { return lag / kFs; };
+  const auto p = static_cast<double>(pair);
+  for (const double lag : {p - 1.0, 2.0 * p + 0.3, 3.0 * p - 1.4, 4.0 * p + 150.0,
+                           6.0 * p - 2000.0, 8.0 * p + 4000.0, 10.0 * p - 0.5,
+                           12.0 * p + 10.0, 12.0 * p - 45.0, 14.0 * p - 10.0,
+                           14.0 * p + 45.0}) {
+    direct.push_back(at_lag(lag));
+  }
+  std::vector<double> x = make_recording(chirp, direct, 4.6, 0.02, rng);
+  for (const auto& [delay, gain] : {std::pair{0.010, 0.6}, std::pair{0.035, 0.3}}) {
+    std::vector<double> echoes;
+    for (const double t : direct) echoes.push_back(t + delay);
+    Rng silent(0);
+    const std::vector<double> e = make_recording(chirp, echoes, 4.6, 0.0, silent, gain);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] += e[i];
+  }
+  return x;
+}
+
+TEST(MatchedFilter, DetectionsByteIdenticalForEveryChunkLength) {
+  // The detector's contract: a chunk is any whole number of OLS pairs, and
+  // every chunk length yields the same candidates and detections to the
+  // last bit — the one-pair streaming schedule, a few small ones, the
+  // batch schedule, and the whole recording as one chunk. One config has
+  // a min_spacing wider than a pair (discovery's half-period rule), so an
+  // echo window then spans several one-pair chunks.
+  const Chirp chirp{ChirpParams{}};
+  const std::vector<double>& ref = chirp.reference(kFs);
+  DetectorConfig narrow;
+  narrow.sample_rate = kFs;
+  DetectorConfig wide = narrow;
+  wide.min_spacing_s = 0.5 * 0.6;
+  Rng rng(57);
+  for (const DetectorConfig& cfg : {narrow, wide}) {
+    const MatchedFilterDetector det(ref, cfg);
+    const std::vector<double> x = seam_recording(chirp, det.pair_lags(), rng);
+    const std::size_t whole = whole_pairs(det, x.size());
+    const std::string name = "min_spacing " + std::to_string(cfg.min_spacing_s);
+    EXPECT_EQ(det.streaming_pairs(), cfg.min_spacing_s > 0.2 ? 2u : 1u) << name;
+    const ScheduleRun want = run_schedule(det, x, whole);
+    ASSERT_GE(want.detections.size(), 5u) << name;
+    for (const std::size_t pairs : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                    det.batch_pairs()}) {
+      const std::string where = name + " pairs " + std::to_string(pairs);
+      const ScheduleRun got = run_schedule(det, x, pairs);
+      ASSERT_EQ(got.passes.size(), det.chunk_count(x.size(), pairs)) << where;
+      expect_same_candidates(got.candidates, want.candidates, where);
+      expect_same_detections(got.detections, want.detections, where);
+    }
+    EXPECT_EQ(det.batch_pairs(), 11u);
+    std::vector<Detection> batch;
+    DetectorWorkspace ws;
+    det.detect_into(x, ws, batch);
+    expect_same_detections(batch, want.detections, name + " detect_into");
+    expect_same_detections(stream_detect(det, x, {3, 8191, 1, 20011}, 1),
+                           want.detections, name + " streamed");
+  }
+}
+
+TEST(MatchedFilter, EchoWindowIsClippedOnlyAtTheRecordingEnds) {
+  // The stitched candidates against a brute-force oracle over the whole
+  // recording as one array: same lags, scores and refinement, and the echo
+  // runner is the largest |raw| local maximum of (i - min_spacing,
+  // i + min_spacing) outside the exclusion zone, found by scanning the
+  // whole recording's correlation — whichever chunk the lags fall in.
+  const Chirp chirp{ChirpParams{}};
+  const std::vector<double>& ref = chirp.reference(kFs);
+  DetectorConfig narrow;
+  narrow.sample_rate = kFs;
+  DetectorConfig wide = narrow;
+  wide.min_spacing_s = 0.5 * 0.6;
+  Rng rng(58);
+  for (const DetectorConfig& cfg : {narrow, wide}) {
+    const MatchedFilterDetector det(ref, cfg);
+    const std::vector<double> x = seam_recording(chirp, det.pair_lags(), rng);
+    std::vector<double> raw;
+    const std::vector<DetectionCandidate> want = oracle_candidates(det, x, &raw);
+    const std::string name = "min_spacing " + std::to_string(cfg.min_spacing_s);
+    expect_same_candidates(run_schedule(det, x, 1).candidates, want, name);
+    // The seams matter: some candidates' strongest competitor lies in
+    // another one-pair chunk, beyond where a chunk-clipped window ends.
+    const std::size_t chunk = det.pair_lags();
+    const auto exclusion = static_cast<std::size_t>(1.2e-3 * kFs);
+    std::size_t crossing = 0;
+    for (const DetectionCandidate& c : want) {
+      const std::size_t first = c.global_index / chunk * chunk;
+      const std::size_t end = std::min(first + chunk, raw.size());
+      const std::span<const double> own(raw.data() + first, end - first);
+      const double clipped = oracle_echo_runner(own, c.global_index - first,
+                                                det.min_spacing_lags(), exclusion);
+      const double unclipped =
+          oracle_echo_runner(raw, c.global_index, det.min_spacing_lags(), exclusion);
+      if (unclipped > clipped) ++crossing;
+    }
+    EXPECT_GT(crossing, 5u) << name;
+  }
+}
 
 // --- chunk_pass + stitch ---------------------------------------------------
 
-/// A detector small enough for the direct correlation path (chunk x
-/// reference <= kDirectProductLimit), so a test can recompute its raw
-/// correlation bit for bit with the planless correlate_valid.
+/// A detector small enough for the direct correlation path (one pair's
+/// window x reference <= kDirectProductLimit), so the oracle computes its
+/// raw correlation with the planless direct sum.
 struct SmallDetector {
   static constexpr std::size_t kRef = 48;
-  static constexpr std::size_t kChunk = 1024;
-  static constexpr std::size_t kHop = kChunk - (kRef - 1);
   std::vector<double> reference;
   MatchedFilterDetector det;
 
@@ -364,11 +603,12 @@ struct SmallDetector {
   static DetectorConfig config() {
     DetectorConfig cfg;
     cfg.sample_rate = kFs;
-    cfg.chunk = kChunk;
     cfg.min_spacing_s = 0.002;
     cfg.threshold = 0.5;
     return cfg;
   }
+  /// Lags per chunk of the two-pair schedule the tests below run.
+  [[nodiscard]] std::size_t chunk_lags() const { return 2 * det.pair_lags(); }
   /// Noise plus a copy of the reference starting at each of `lags`.
   std::vector<double> recording(std::size_t n, const std::vector<std::size_t>& lags,
                                 std::uint64_t seed) const {
@@ -381,151 +621,14 @@ struct SmallDetector {
     return x;
   }
 };
-static_assert(SmallDetector::kChunk * SmallDetector::kRef <= kDirectProductLimit);
-
-/// The detector's per-chunk step as one serial function, in the form it
-/// had before it split into chunk_pass + stitch: correlate, scan, then
-/// resolve the pending tail, test the head against the previous chunk and
-/// defer the new tail, all in one loop over the peaks.
-struct OracleStream {
-  struct Pending {
-    DetectionCandidate candidate;
-    std::size_t chunk_start = 0;
-    std::optional<double> left_raw;
-    double peak_raw = 0.0;
-    double runner = 0.0;
-  };
-  std::optional<Pending> pending;
-  double prev_last_masked = 0.0;
-  double prev_last_raw = 0.0;
-  bool have_prev = false;
-  std::vector<DetectionCandidate> candidates;
-};
-
-void oracle_finish(Detection& d, std::size_t start, std::size_t i,
-                   std::optional<double> left, double peak, std::optional<double> right,
-                   double runner) {
-  double offset = 0.0;
-  double value = peak;
-  if (left && right) {
-    const ParabolicFit fit = parabolic_fit(*left, peak, *right);
-    offset = fit.offset;
-    value = fit.value;
-  }
-  d.time_s = (static_cast<double>(start) + (static_cast<double>(i) + offset)) / kFs;
-  d.amplitude = std::abs(value);
-  d.echo_competition = d.amplitude > 0.0 ? runner / d.amplitude : 0.0;
-}
-
-void oracle_stream_chunk(const MatchedFilterDetector& det, std::span<const double> seg,
-                         std::size_t start, bool final_chunk, OracleStream& st) {
-  const std::vector<double>& ref = det.reference();
-  const DetectorConfig& cfg = det.config();
-  const auto min_spacing = static_cast<std::size_t>(cfg.min_spacing_s * cfg.sample_rate);
-  const auto exclusion = static_cast<std::size_t>(1.2e-3 * cfg.sample_rate);
-  double energy = 0.0;
-  for (double v : ref) energy += v * v;
-  const std::vector<double> raw = correlate_valid(seg, ref);
-  std::vector<double> prefix;
-  const WindowNormalizer norm(seg, ref.size(), std::sqrt(energy), prefix);
-  DetectorWorkspace ws;
-  const CorrelationScan scan = scan_correlation(raw, norm, cfg.threshold, ws);
-  if (st.pending) {
-    OracleStream::Pending& p = *st.pending;
-    if (p.candidate.key > scan.first_masked) {
-      oracle_finish(p.candidate.detection, p.chunk_start,
-                    p.candidate.global_index - p.chunk_start, p.left_raw, p.peak_raw,
-                    raw.front(), p.runner);
-      st.candidates.push_back(p.candidate);
-    }
-    st.pending.reset();
-  }
-  for (const std::size_t i : ws.peaks) {
-    if (i == 0 && st.have_prev && !(scan.first_masked >= st.prev_last_masked)) continue;
-    std::optional<double> left;
-    if (i > 0) {
-      left = raw[i - 1];
-    } else if (st.have_prev) {
-      left = st.prev_last_raw;
-    }
-    const double runner = echo_runner(ws.local_max, ws.block_max, i, min_spacing, exclusion);
-    DetectionCandidate c{Detection{}, std::abs(raw[i]), start + i};
-    c.detection.score = raw[i] / norm.denominator(i);
-    if (i + 1 == raw.size() && !final_chunk) {
-      st.pending = OracleStream::Pending{c, start, left, raw[i], runner};
-      continue;
-    }
-    std::optional<double> right;
-    if (i + 1 < raw.size()) right = raw[i + 1];
-    oracle_finish(c.detection, start, i, left, raw[i], right, runner);
-    st.candidates.push_back(c);
-  }
-  st.prev_last_masked = scan.last_masked;
-  st.prev_last_raw = raw.back();
-  st.have_prev = true;
-}
-
-void expect_same_candidate(const DetectionCandidate& a, const DetectionCandidate& b,
-                           const std::string& where) {
-  EXPECT_EQ(a.global_index, b.global_index) << where;
-  EXPECT_EQ(bits(a.key), bits(b.key)) << where;
-  EXPECT_EQ(bits(a.detection.time_s), bits(b.detection.time_s)) << where;
-  EXPECT_EQ(bits(a.detection.score), bits(b.detection.score)) << where;
-  EXPECT_EQ(bits(a.detection.amplitude), bits(b.detection.amplitude)) << where;
-  EXPECT_EQ(bits(a.detection.echo_competition), bits(b.detection.echo_competition))
-      << where;
-}
-
-/// Pass every chunk of `x` first — in reverse order, through one shared
-/// scratch — then stitch in schedule order, checking the stitched
-/// candidates and the pending tail against the oracle after every chunk.
-/// Returns the chunk passes.
-std::vector<ChunkPass> expect_split_matches_oracle(const MatchedFilterDetector& det,
-                                                   std::span<const double> x) {
-  const std::size_t chunks = det.chunk_count(x.size());
-  std::vector<ChunkPass> passes(chunks);
-  DetectorWorkspace scratch;
-  for (std::size_t k = chunks; k-- > 0;) {
-    const ChunkSpan span = det.chunk_span(k, x.size());
-    det.chunk_pass(x.subspan(span.start, span.size), span.start, span.final_chunk, scratch,
-                   passes[k]);
-  }
-  DetectorWorkspace ws;
-  DetectorStream stream;
-  det.stream_begin(stream, ws);
-  OracleStream oracle;
-  for (std::size_t k = 0; k < chunks; ++k) {
-    const ChunkSpan span = det.chunk_span(k, x.size());
-    det.stitch(passes[k], stream, ws);
-    oracle_stream_chunk(det, x.subspan(span.start, span.size), span.start,
-                        span.final_chunk, oracle);
-    const std::string where = "after chunk " + std::to_string(k);
-    EXPECT_EQ(stream.next_start, span.start + (det.config().chunk - (det.reference().size() - 1)));
-    EXPECT_EQ(stream.chunks_streamed, k + 1);
-    EXPECT_EQ(bits(stream.prev_last_masked), bits(oracle.prev_last_masked)) << where;
-    EXPECT_EQ(bits(stream.prev_last_raw), bits(oracle.prev_last_raw)) << where;
-    EXPECT_EQ(ws.candidates.size(), oracle.candidates.size()) << where;
-    for (std::size_t i = 0; i < std::min(ws.candidates.size(), oracle.candidates.size()); ++i) {
-      expect_same_candidate(ws.candidates[i], oracle.candidates[i],
-                            where + " candidate " + std::to_string(i));
-    }
-    EXPECT_EQ(stream.pending.has_value(), oracle.pending.has_value()) << where;
-    if (stream.pending && oracle.pending) {
-      const DetectorStream::Pending& got = *stream.pending;
-      const OracleStream::Pending& want = *oracle.pending;
-      expect_same_candidate(got.edge.candidate, want.candidate, where + " pending");
-      EXPECT_EQ(got.chunk_start, want.chunk_start) << where;
-      EXPECT_EQ(got.edge.inner_raw, want.left_raw) << where;
-      EXPECT_EQ(bits(got.edge.peak_raw), bits(want.peak_raw)) << where;
-      EXPECT_EQ(bits(got.edge.runner), bits(want.runner)) << where;
-    }
-  }
-  return passes;
-}
 
 TEST(MatchedFilter, ChunkPassAndStitchMatchTheSerialChunkStep) {
+  // Chunk passes run out of order and stitched in order against the
+  // detector's pass 1 computed serially over the whole recording as one
+  // array (oracle_candidates), candidate for candidate and bit for bit.
   const SmallDetector small;
-  const std::size_t hop = SmallDetector::kHop;
+  ASSERT_LE(small.det.chunk_samples(1) * SmallDetector::kRef, kDirectProductLimit);
+  const std::size_t hop = small.chunk_lags();
   const std::size_t ref = SmallDetector::kRef;
   // A peak exactly on a chunk's first lag (head), on a chunk's last lag
   // (tail, resolved by the next chunk), and alone in a one-lag final chunk
@@ -553,13 +656,15 @@ TEST(MatchedFilter, ChunkPassAndStitchMatchTheSerialChunkStep) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::vector<double> x = small.recording(c.n, c.lags, seed++);
-    const std::vector<ChunkPass> passes = expect_split_matches_oracle(small.det, x);
+    const ScheduleRun run = run_schedule(small.det, x, 2);
+    expect_same_candidates(run.candidates, oracle_candidates(small.det, x), c.name);
+    const std::vector<ChunkPass>& passes = run.passes;
     ASSERT_GT(passes.size(), c.seam_chunk);
     EXPECT_TRUE(passes[c.seam_chunk].head.has_value());
     EXPECT_TRUE(passes[c.seam_chunk - 1].tail.has_value());
     if (c.n == 3 * hop + ref) {
       ASSERT_EQ(passes.size(), 4u);
-      const ChunkSpan last = small.det.chunk_span(3, x.size());
+      const ChunkSpan last = small.det.chunk_span(3, x.size(), 2);
       EXPECT_EQ(last.size, ref);  // one lag
       EXPECT_TRUE(last.final_chunk);
       EXPECT_FALSE(passes[3].tail.has_value());
@@ -575,26 +680,28 @@ TEST(MatchedFilter, ChunkPassAndStitchMatchTheSerialChunkStep) {
 
 TEST(MatchedFilter, ChunkScheduleMatchesTheStreamingLoop) {
   // chunk_count/chunk_span against the schedule loop every streaming
-  // caller runs: advance by the hop, stop after the final chunk, drop a
-  // tail shorter than the reference.
+  // caller runs: chunks of whole pairs of lags, the last one clipped to
+  // the recording's lags, each reading its lags plus reference - 1 samples.
   const SmallDetector small;
-  const std::size_t chunk = SmallDetector::kChunk;
   const std::size_t ref = SmallDetector::kRef;
-  const std::size_t hop = SmallDetector::kHop;
-  for (std::size_t n = 0; n < 4 * chunk; n += (n < 2 * chunk ? 1 : 7)) {
-    std::vector<ChunkSpan> want;
-    for (std::size_t start = 0; start < n; start += hop) {
-      const std::size_t end = std::min(start + chunk, n);
-      if (end - start < ref) break;
-      want.push_back({start, end - start, end == n});
-      if (end == n) break;
-    }
-    ASSERT_EQ(small.det.chunk_count(n), want.size()) << "n " << n;
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      const ChunkSpan got = small.det.chunk_span(k, n);
-      EXPECT_EQ(got.start, want[k].start) << "n " << n << " k " << k;
-      EXPECT_EQ(got.size, want[k].size) << "n " << n << " k " << k;
-      EXPECT_EQ(got.final_chunk, want[k].final_chunk) << "n " << n << " k " << k;
+  for (const std::size_t pairs : {1u, 2u, 3u}) {
+    const std::size_t chunk_lags = pairs * small.det.pair_lags();
+    EXPECT_EQ(small.det.chunk_samples(pairs), chunk_lags + ref - 1);
+    for (std::size_t n = 0; n < 4 * chunk_lags; n += (n < 2 * chunk_lags ? 1 : 7)) {
+      std::vector<ChunkSpan> want;
+      const std::size_t lags = n >= ref ? n - ref + 1 : 0;
+      for (std::size_t start = 0; start < lags; start += chunk_lags) {
+        const std::size_t end = std::min(start + chunk_lags, lags);
+        want.push_back({start, end - start + ref - 1, end == lags});
+      }
+      ASSERT_EQ(small.det.chunk_count(n, pairs), want.size()) << "n " << n;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        const ChunkSpan got = small.det.chunk_span(k, n, pairs);
+        EXPECT_EQ(got.start, want[k].start) << "n " << n << " k " << k;
+        EXPECT_EQ(got.size, want[k].size) << "n " << n << " k " << k;
+        EXPECT_EQ(got.final_chunk, want[k].final_chunk) << "n " << n << " k " << k;
+        EXPECT_EQ(got.start + got.size == n, got.final_chunk) << "n " << n << " k " << k;
+      }
     }
   }
 }
@@ -605,7 +712,7 @@ TEST(MatchedFilter, DirectCorrelationReusesTheChunkBuffer) {
   // whose storage must survive from one detect_into call to the next.
   const SmallDetector small;
   const std::vector<double> x =
-      small.recording(3 * SmallDetector::kHop + 500, {100, 1500, 2500}, 95);
+      small.recording(3 * small.chunk_lags() + 500, {100, 1500, 2500}, 95);
   DetectorWorkspace ws;
   std::vector<Detection> first;
   small.det.detect_into(x, ws, first);
@@ -621,26 +728,6 @@ TEST(MatchedFilter, DirectCorrelationReusesTheChunkBuffer) {
     EXPECT_EQ(bits(second[i].amplitude), bits(first[i].amplitude)) << i;
     EXPECT_EQ(bits(second[i].echo_competition), bits(first[i].echo_competition)) << i;
   }
-}
-
-/// The echo competition as the detector computed it before the range-max
-/// index: a scan of the whole min_spacing window around lag i. Kept as the
-/// oracle for echo_runner.
-double oracle_echo_runner(std::span<const double> raw, std::size_t i,
-                          std::size_t min_spacing, std::size_t exclusion) {
-  const std::size_t lo = i > min_spacing ? i - min_spacing : 0;
-  const std::size_t hi = std::min(i + min_spacing, raw.size() - 1);
-  double runner = 0.0;
-  for (std::size_t j = lo + 1; j + 1 <= hi; ++j) {
-    const std::size_t gap = j > i ? j - i : i - j;
-    if (gap < exclusion) continue;
-    const double v = std::abs(raw[j]);
-    if (v > runner && std::abs(raw[j]) >= std::abs(raw[j - 1]) &&
-        std::abs(raw[j]) > std::abs(raw[j + 1])) {
-      runner = v;
-    }
-  }
-  return runner;
 }
 
 /// Raw-correlation arrays that stress the range-max index and the gate:
@@ -779,7 +866,16 @@ TEST(MatchedFilter, ShortRecordingClearsStaleStateAndTelemetry) {
 TEST(MatchedFilter, ConfigValidation) {
   const Chirp chirp{ChirpParams{}};
   DetectorConfig cfg;
-  cfg.chunk = 100;  // smaller than the reference
+  // The spacing becomes a lag count: anything but a positive finite value
+  // is rejected before the conversion.
+  for (const double spacing : {0.0, -0.1, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(), 1e300}) {
+    cfg.min_spacing_s = spacing;
+    EXPECT_THROW(MatchedFilterDetector(chirp.reference(kFs), cfg), PreconditionError)
+        << spacing;
+  }
+  cfg = DetectorConfig{};
+  cfg.sample_rate = std::numeric_limits<double>::infinity();
   EXPECT_THROW(MatchedFilterDetector(chirp.reference(kFs), cfg), PreconditionError);
   cfg = DetectorConfig{};
   cfg.threshold = 1.5;

@@ -335,7 +335,9 @@ TEST(Obs, AspChunkTaskCountersCountEveryTaskAndOnlyHelpedOnes) {
   EXPECT_EQ(traced->estimated_position.y, plain->estimated_position.y);
   EXPECT_EQ(traced->estimated_period, plain->estimated_period);
 
-  const std::size_t chunks = context.detector().chunk_count(session.audio.mic1.size());
+  const dsp::MatchedFilterDetector& detector = context.detector();
+  const std::size_t chunks =
+      detector.chunk_count(session.audio.mic1.size(), detector.batch_pairs());
   ASSERT_GE(chunks, 2u);
   EXPECT_EQ(registry.counter("asp.chunk_tasks_total").value(),
             static_cast<double>(core::SessionWorkspace::kChannels * chunks));

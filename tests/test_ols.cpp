@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -215,6 +216,42 @@ TEST(OlsConvolver, WindowedOutputMatchesSliceOfFull) {
   }
 }
 
+TEST(OlsConvolver, PairGridCorrelationIsBitIdenticalForEverySplit) {
+  // correlate_pairs_into anchors its transform pairs to the signal's lag
+  // grid: windows of whole pairs (or ending the signal) reproduce the
+  // whole-signal correlation bit for bit, and it matches correlate_valid
+  // within FFT round-off. Signal lengths put the last block on both
+  // parities (paired and unpaired) and leave a one-lag final window.
+  Rng rng(23);
+  for (const auto& [m, fft] : {std::pair<std::size_t, std::size_t>{101, 512},
+                               std::pair<std::size_t, std::size_t>{2205, 8192}}) {
+    const std::vector<double> h = rng.gaussian_vector(m);
+    const OlsConvolver ols(std::vector<double>(h.rbegin(), h.rend()), fft);
+    const std::size_t pair = 2 * ols.block_size();
+    for (const std::size_t lags : {7 * pair, 7 * pair + 1, 6 * pair + pair / 4,
+                                   6 * pair + pair / 2 + 3}) {
+      const std::vector<double> x = rng.gaussian_vector(lags + m - 1);
+      Workspace ws;
+      std::vector<double> whole(lags);
+      ols.correlate_pairs_into(x, 0, whole.data(), ws);
+      EXPECT_LT(max_abs_diff(whole, correlate_valid(x, h)), kTol) << "m=" << m;
+      for (const std::size_t pairs : {1u, 2u, 3u}) {
+        const std::size_t chunk = pairs * pair;
+        std::vector<double> split(lags);
+        for (std::size_t start = 0; start < lags; start += chunk) {
+          const std::size_t n = std::min(chunk, lags - start);
+          ols.correlate_pairs_into(std::span<const double>(x).subspan(start, n + m - 1),
+                                   start, split.data() + start, ws);
+        }
+        for (std::size_t k = 0; k < lags; ++k) {
+          ASSERT_EQ(split[k], whole[k])
+              << "m=" << m << " lags=" << lags << " pairs=" << pairs << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(OlsConvolver, MatchesMonolithicFftConvolveWithinTolerance) {
   Rng rng(19);
   std::vector<double> k = rng.gaussian_vector(255);
@@ -394,6 +431,10 @@ TEST(OlsErrors, ContractViolationsThrow) {
   // full length is 39; a window reaching past it must be rejected.
   EXPECT_THROW(ols.convolve_into(x, 0, 40, out.data(), ws), PreconditionError);
   EXPECT_THROW(ols.convolve_into(x, 39, 1, out.data(), ws), PreconditionError);
+  // A pair-grid window must start on a pair and hold at least one lag.
+  EXPECT_THROW(ols.correlate_pairs_into(x, 1, out.data(), ws), PreconditionError);
+  EXPECT_THROW(ols.correlate_pairs_into(std::span<const double>(x).first(7), 0, out.data(), ws),
+               PreconditionError);
   // Even-length kernels have no centered "same" alignment.
   EXPECT_THROW((void)ols.filter_same(x), PreconditionError);
   // Template longer than signal.

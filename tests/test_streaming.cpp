@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <future>
 #include <new>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -240,6 +241,17 @@ TEST(StreamingSession, SingleSamplePushesMatchBatch) {
   EXPECT_EQ(single_events, whole_events);
 }
 
+/// The duration-independent retention bound of a default-config session,
+/// in samples across both channels: per channel one streaming chunk of the
+/// session's detector plus `slice` in-flight samples, and 32k samples for
+/// the band-pass filter's OLS lookback.
+std::size_t retention_bound(const sim::Session& meta, std::size_t slice) {
+  const core::PipelineContext context(core::PipelineConfig{}, meta.prior.chirp,
+                                      meta.audio.sample_rate);
+  const dsp::MatchedFilterDetector& det = context.detector();
+  return 2 * (det.chunk_samples(det.streaming_pairs()) + slice) + 32768;
+}
+
 TEST(StreamingSession, PeakRetainedMemoryStaysBounded) {
   // A longer protocol run (five slides per stature) so the recording
   // comfortably exceeds the streaming window.
@@ -253,11 +265,11 @@ TEST(StreamingSession, PeakRetainedMemoryStaysBounded) {
   ASSERT_TRUE(got.has_value());
   EXPECT_GT(peak, 0u);
   // The retention contract is a duration-independent constant: per channel
-  // one detector chunk (the matched filter processes a chunk only once it
+  // one streaming chunk (the matched filter processes a chunk only once it
   // is certainly full), the in-flight slice, and the band-pass filter's
   // OLS lookback (well under 32k samples for the ASP kernel).
-  const std::size_t chunk = dsp::DetectorConfig{}.chunk;
-  const std::size_t bound = 2 * (chunk + 2048) + 32768;
+  const std::size_t bound = retention_bound(s.meta, 2048);
+  EXPECT_LE(bound * sizeof(double), std::size_t{700} * 1024);
   EXPECT_LT(peak, bound) << "total " << total;
   // And that constant really is "bounded": well below full retention of
   // this recording (2 * total across the two channels).
@@ -283,8 +295,8 @@ TEST(StreamingSession, WholeRecordingPushStaysInsideTheRetentionBound) {
   probe_armed = false;
   ASSERT_TRUE(got.has_value());
   expect_identical(*got, *expect);
-  const std::size_t chunk = dsp::DetectorConfig{}.chunk;
-  const std::size_t bound = 2 * (chunk + 2048) + 32768;
+  const std::size_t bound = retention_bound(s.meta, 2048);
+  EXPECT_LE(bound * sizeof(double), std::size_t{700} * 1024);
   EXPECT_LT(peak, bound) << "total " << total;
   // The bound is per session; no single buffer — a channel's ring, the
   // thread's chunk scratch — may take more than one channel's share.
@@ -321,6 +333,31 @@ TEST(StreamingSession, LeasedWorkspaceHoldsNoChunkScratch) {
   }
   ASSERT_TRUE(session.finalize().has_value());
   expect_empty_chunk_buffers();
+}
+
+TEST(StreamingSession, StreamOnlyThreadKeepsOneStreamingChunkOfScratch) {
+  // Chunk scratch belongs to the thread. A thread that only ever streams
+  // runs nothing but streaming chunks, so its scratch stays at one
+  // streaming chunk's working set — never a batch chunk's.
+  const SplitSession s = split(make_session(840));
+  const core::PipelineContext context(core::PipelineConfig{}, s.meta.prior.chirp,
+                                      s.meta.audio.sample_rate);
+  const dsp::MatchedFilterDetector& det = context.detector();
+  const std::size_t chunk_lags = det.streaming_pairs() * det.pair_lags();
+  ASSERT_LT(chunk_lags, det.batch_pairs() * det.pair_lags());
+  std::thread streamer([&] {
+    ASSERT_TRUE(run_streamed(s, {4410}).has_value());
+    const core::ThreadScratchLease lease;
+    const core::ChunkScratch& scratch = lease.scratch();
+    EXPECT_GT(scratch.detector.raw.capacity(), 0u);  // it did detect here
+    EXPECT_LE(scratch.detector.raw.capacity(), chunk_lags);
+    EXPECT_LE(scratch.detector.local_max.capacity(), chunk_lags);
+    // The normalizer's energies plus one pair's prefix sums.
+    EXPECT_LE(scratch.detector.prefix.capacity(),
+              chunk_lags + det.pair_lags() + det.reference().size());
+    EXPECT_EQ(scratch.window.capacity(), 0u);  // streams filter into their rings
+  });
+  streamer.join();
 }
 
 TEST(StreamingSession, ErrorTaxonomyMatchesBatch) {
