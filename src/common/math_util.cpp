@@ -28,10 +28,6 @@ double clamp(double x, double lo, double hi) {
 
 double lerp(double a, double b, double t) { return a + (b - a) * t; }
 
-bool approx_equal(double a, double b, double atol, double rtol) {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
-}
-
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;

@@ -21,9 +21,6 @@ namespace hyperear {
 /// Linear interpolation between a and b at parameter t in [0, 1].
 [[nodiscard]] double lerp(double a, double b, double t);
 
-/// True when |a - b| <= atol + rtol * max(|a|, |b|).
-[[nodiscard]] bool approx_equal(double a, double b, double atol = 1e-9, double rtol = 1e-9);
-
 /// Next power of two >= n (n = 0 maps to 1).
 [[nodiscard]] std::size_t next_pow2(std::size_t n);
 

@@ -44,15 +44,6 @@ std::vector<double> design_lowpass(double cutoff_hz, double sample_rate, std::si
   return h;
 }
 
-std::vector<double> design_highpass(double cutoff_hz, double sample_rate, std::size_t taps,
-                                    WindowType window) {
-  std::vector<double> h = design_lowpass(cutoff_hz, sample_rate, taps, window);
-  // Spectral inversion: delta at center minus the low-pass.
-  for (auto& v : h) v = -v;
-  h[(taps - 1) / 2] += 1.0;
-  return h;
-}
-
 std::vector<double> design_bandpass(double low_hz, double high_hz, double sample_rate,
                                     std::size_t taps, WindowType window) {
   require(low_hz < high_hz, "design_bandpass: low_hz must be < high_hz");

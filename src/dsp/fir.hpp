@@ -21,11 +21,6 @@ namespace hyperear::dsp {
                                                  std::size_t taps,
                                                  WindowType window = WindowType::kHamming);
 
-/// Design a high-pass FIR by spectral inversion of the low-pass design.
-[[nodiscard]] std::vector<double> design_highpass(double cutoff_hz, double sample_rate,
-                                                  std::size_t taps,
-                                                  WindowType window = WindowType::kHamming);
-
 /// Design a band-pass FIR with pass band [low_hz, high_hz].
 /// Requires 0 < low_hz < high_hz < fs/2.
 [[nodiscard]] std::vector<double> design_bandpass(double low_hz, double high_hz,

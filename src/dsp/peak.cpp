@@ -5,7 +5,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace hyperear::dsp {
 
@@ -64,11 +63,6 @@ std::vector<Peak> find_peaks(std::span<const double> y, double threshold,
   out.reserve(accepted.size());
   for (std::size_t i : accepted) out.push_back(refine_peak(y, i));
   return out;
-}
-
-Peak max_peak(std::span<const double> y) {
-  require(!y.empty(), "max_peak: empty input");
-  return refine_peak(y, argmax(y));
 }
 
 }  // namespace hyperear::dsp

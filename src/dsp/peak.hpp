@@ -44,7 +44,4 @@ struct ParabolicFit {
 [[nodiscard]] std::vector<Peak> find_peaks(std::span<const double> y, double threshold,
                                            std::size_t min_spacing);
 
-/// The single highest peak (sub-sample refined). Requires non-empty y.
-[[nodiscard]] Peak max_peak(std::span<const double> y);
-
 }  // namespace hyperear::dsp

@@ -1,11 +1,9 @@
 #include "dsp/spectrum.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
-#include "common/units.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/window.hpp"
 
@@ -55,16 +53,6 @@ double band_power(std::span<const double> x, double sample_rate, double low_hz,
     if (f >= low_hz && f <= high_hz) total += pg.power[k];
   }
   return total;
-}
-
-double band_snr_db(std::span<const double> signal_segment,
-                   std::span<const double> noise_segment, double sample_rate, double low_hz,
-                   double high_hz) {
-  const double ps = band_power(signal_segment, sample_rate, low_hz, high_hz);
-  const double pn = band_power(noise_segment, sample_rate, low_hz, high_hz);
-  require(pn > 0.0, "band_snr_db: zero noise power");
-  const double sig_only = std::max(ps - pn, 1e-300);
-  return power_to_db(sig_only / pn);
 }
 
 }  // namespace hyperear::dsp

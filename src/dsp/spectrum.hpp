@@ -27,9 +27,4 @@ struct Periodogram {
 [[nodiscard]] double band_power(std::span<const double> x, double sample_rate, double low_hz,
                                 double high_hz);
 
-/// In-band SNR in dB of signal-plus-noise vs. noise-only reference segments.
-[[nodiscard]] double band_snr_db(std::span<const double> signal_segment,
-                                 std::span<const double> noise_segment, double sample_rate,
-                                 double low_hz, double high_hz);
-
 }  // namespace hyperear::dsp

@@ -37,14 +37,4 @@ void apply_window(std::span<double> signal, std::span<const double> window) {
   for (std::size_t i = 0; i < signal.size(); ++i) signal[i] *= window[i];
 }
 
-void apply_edge_taper(std::span<double> signal, std::size_t fade_len) {
-  require(2 * fade_len <= signal.size(), "apply_edge_taper: fade too long");
-  for (std::size_t i = 0; i < fade_len; ++i) {
-    const double g =
-        0.5 - 0.5 * std::cos(kPi * static_cast<double>(i) / static_cast<double>(fade_len));
-    signal[i] *= g;
-    signal[signal.size() - 1 - i] *= g;
-  }
-}
-
 }  // namespace hyperear::dsp

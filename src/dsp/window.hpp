@@ -22,9 +22,4 @@ enum class WindowType {
 /// Multiply a signal by a window in place. Requires matching lengths.
 void apply_window(std::span<double> signal, std::span<const double> window);
 
-/// Apply a raised-cosine fade of `fade_len` samples to both ends of the
-/// signal (Tukey-style edge taper; used to band-limit chirp onsets).
-/// Requires 2 * fade_len <= signal length.
-void apply_edge_taper(std::span<double> signal, std::size_t fade_len);
-
 }  // namespace hyperear::dsp

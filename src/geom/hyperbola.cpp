@@ -28,10 +28,6 @@ Vec2 Hyperbola::gradient(const Vec2& p) const {
   return u1 - u2;
 }
 
-double Hyperbola::range_difference(const Vec2& p) const {
-  return distance(p, f1_) - distance(p, f2_);
-}
-
 std::vector<Vec2> Hyperbola::sample(std::size_t n, double t_max) const {
   require(n >= 2, "Hyperbola::sample: need at least two points");
   require(t_max > 0.0, "Hyperbola::sample: t_max must be positive");

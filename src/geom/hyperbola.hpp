@@ -34,9 +34,6 @@ class Hyperbola {
   /// Gradient of the residual with respect to P. Undefined at the foci.
   [[nodiscard]] Vec2 gradient(const Vec2& p) const;
 
-  /// Range difference field value at P (residual + delta).
-  [[nodiscard]] double range_difference(const Vec2& p) const;
-
   /// Sample `n` points along the branch within |y-parameter| <= t_max using
   /// the standard (a, b) parameterization in the focal frame. Useful for
   /// plotting and for density studies.
@@ -55,7 +52,7 @@ class Hyperbola {
 
 /// Local width of a TDoA quantization region at point P for receivers at
 /// f1/f2: the spatial distance between adjacent hyperbolas, i.e.
-/// (S / fs) / |grad range_difference(P)|. Large width == large ambiguity.
+/// (S / fs) / |grad (|P - f1| - |P - f2|)|. Large width == large ambiguity.
 /// Returns +inf where the gradient vanishes (on the perpendicular bisector
 /// axis at infinity).
 [[nodiscard]] double tdoa_region_width(const Vec2& f1, const Vec2& f2, const Vec2& p,

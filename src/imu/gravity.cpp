@@ -1,7 +1,6 @@
 #include "imu/gravity.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -67,21 +66,6 @@ LinearAcceleration remove_gravity(const ImuData& data, const GravityOptions& opt
       return remove_lowpass(data, options);
   }
   throw PreconditionError("remove_gravity: unknown mode");
-}
-
-double mean_tilt_angle(const LinearAcceleration& lin) {
-  require(!lin.gravity_x.empty(), "mean_tilt_angle: empty gravity estimate");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < lin.gravity_x.size(); ++i) {
-    const double gx = lin.gravity_x[i];
-    const double gy = lin.gravity_y[i];
-    const double gz = lin.gravity_z[i];
-    const double norm = std::sqrt(gx * gx + gy * gy + gz * gz);
-    if (norm < 1e-9) continue;
-    // Angle between the gravity estimate and the body +z axis.
-    acc += std::acos(std::min(std::max(gz / norm, -1.0), 1.0));
-  }
-  return acc / static_cast<double>(lin.gravity_x.size());
 }
 
 }  // namespace hyperear::imu

@@ -46,8 +46,4 @@ struct GravityOptions {
 [[nodiscard]] LinearAcceleration remove_gravity(const ImuData& data,
                                                 const GravityOptions& options = {});
 
-/// Estimated phone tilt angle (radians) between the gravity estimate and
-/// the body z axis, averaged over the record. Zero for a phone held flat.
-[[nodiscard]] double mean_tilt_angle(const LinearAcceleration& lin);
-
 }  // namespace hyperear::imu

@@ -1,5 +1,6 @@
 #include "io/csv.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -24,6 +25,26 @@ void write_imu_csv(const std::string& path, const imu::ImuData& data) {
   if (!file) throw Error("write_imu_csv: write failed for " + path);
 }
 
+namespace {
+
+/// A cell is one finite number and nothing else: std::stod alone would take
+/// "3x" as 3 and let "nan"/"inf" through.
+double parse_cell(const std::string& cell, const std::string& where) {
+  std::size_t used = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(cell, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != cell.size() || !std::isfinite(v)) {
+    throw Error(where + ": bad number '" + cell + "'");
+  }
+  return v;
+}
+
+}  // namespace
+
 imu::ImuData read_imu_csv(const std::string& path) {
   std::ifstream file(path);
   if (!file) throw Error("read_imu_csv: cannot open " + path);
@@ -33,20 +54,23 @@ imu::ImuData read_imu_csv(const std::string& path) {
 
   imu::ImuData data;
   std::vector<double> times;
+  std::size_t line_no = 1;
   while (std::getline(file, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF-authored file
     if (line.empty()) continue;
+    const std::string where =
+        "read_imu_csv: line " + std::to_string(line_no) + " '" + line + "'";
     std::istringstream row(line);
+    std::vector<std::string> cells;
+    for (std::string cell; std::getline(row, cell, ',');) cells.push_back(cell);
+    if (line.back() == ',') cells.emplace_back();  // getline drops a trailing empty cell
+    require(cells.size() == 7, where + ": expected 7 cells, got " +
+                                   std::to_string(cells.size()));
     double values[7];
-    for (int k = 0; k < 7; ++k) {
-      std::string cell;
-      require(static_cast<bool>(std::getline(row, cell, ',')),
-              "read_imu_csv: short row '" + line + "'");
-      try {
-        values[k] = std::stod(cell);
-      } catch (const std::exception&) {
-        throw Error("read_imu_csv: bad number '" + cell + "'");
-      }
-    }
+    for (std::size_t k = 0; k < 7; ++k) values[k] = parse_cell(cells[k], where);
+    require(times.empty() || values[0] > times.back(),
+            where + ": timestamp not after the previous row's");
     times.push_back(values[0]);
     data.accel_x.push_back(values[1]);
     data.accel_y.push_back(values[2]);
@@ -56,9 +80,7 @@ imu::ImuData read_imu_csv(const std::string& path) {
     data.gyro_z.push_back(values[6]);
   }
   require(times.size() >= 2, "read_imu_csv: need at least two samples");
-  const double dt = times[1] - times[0];
-  require(dt > 0.0, "read_imu_csv: non-increasing timestamps");
-  data.sample_rate = 1.0 / dt;
+  data.sample_rate = 1.0 / (times[1] - times[0]);
   return data;
 }
 

@@ -17,7 +17,9 @@ void write_imu_csv(const std::string& path, const imu::ImuData& data);
 
 /// Read an IMU record written by write_imu_csv (or hand-authored in the
 /// same layout). The sample rate is recovered from the first two
-/// timestamps. Throws hyperear::Error on malformed input.
+/// timestamps. Throws hyperear::Error naming the row unless every row has
+/// exactly seven cells, each one finite number with nothing after it, and
+/// a timestamp later than the previous row's.
 [[nodiscard]] imu::ImuData read_imu_csv(const std::string& path);
 
 }  // namespace hyperear::io

@@ -64,6 +64,33 @@ TEST(ImuCsv, ReaderRejectsGarbage) {
     f << "t,ax,ay,az,gx,gy,gz\n0.0,1,2,3,4,5,6\n";  // single row
   }
   EXPECT_THROW((void)read_imu_csv(path), Error);
+  // Cells std::stod alone would take, an extra (or empty trailing) cell,
+  // and a timestamp that steps back after a valid first interval: each is
+  // refused, naming its line.
+  const std::string header = "t,ax,ay,az,gx,gy,gz\n";
+  for (const std::string bad_row : {"0.02,1,2,3,nan,5,6", "0.02,1,2,3,4,inf,6",
+                                    "0.02,1,2,3x,4,5,6", "0.02,1,2,3,4,5,6,7",
+                                    "0.02,1,2,3,4,5,6,", "0.005,1,2,3,4,5,6"}) {
+    {
+      std::ofstream f(path);
+      f << header << "0.0,1,2,3,4,5,6\n0.01,1,2,3,4,5,6\n" << bad_row << "\n";
+    }
+    try {
+      (void)read_imu_csv(path);
+      ADD_FAILURE() << "accepted " << bad_row;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos) << e.what();
+    }
+  }
+  // Control: well-formed rows load, CRLF line endings included.
+  {
+    std::ofstream f(path);
+    f << header << "0.0,1,2,3,4,5,6\r\n0.01,1,2,3,4,5,6\r\n0.02,1,2,3,4,5,6\r\n";
+  }
+  const imu::ImuData ok = read_imu_csv(path);
+  EXPECT_EQ(ok.size(), 3u);
+  EXPECT_NEAR(ok.sample_rate, 100.0, 1e-9);
+  EXPECT_EQ(ok.gyro_z.back(), 6.0);
   std::remove(path.c_str());
   EXPECT_THROW((void)read_imu_csv("/tmp/definitely_missing.csv"), Error);
 }

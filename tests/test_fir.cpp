@@ -23,14 +23,6 @@ TEST(FirDesign, LowpassPassesDcBlocksHigh) {
   EXPECT_LT(fir_magnitude_at(h, 8000.0, fs), 0.01);
 }
 
-TEST(FirDesign, HighpassBlocksDcPassesHigh) {
-  const double fs = 44100.0;
-  const std::vector<double> h = design_highpass(2000.0, fs, 201);
-  EXPECT_NEAR(fir_magnitude_at(h, 0.0, fs), 0.0, 1e-6);
-  EXPECT_LT(fir_magnitude_at(h, 500.0, fs), 0.02);
-  EXPECT_NEAR(fir_magnitude_at(h, 8000.0, fs), 1.0, 0.02);
-}
-
 TEST(FirDesign, BandpassForChirpBand) {
   // The ASP band: 2-6.4 kHz (paper Section VII-E).
   const double fs = 44100.0;

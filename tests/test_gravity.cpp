@@ -68,13 +68,5 @@ TEST(RemoveGravity, ShortRecordThrows) {
   EXPECT_THROW((void)remove_gravity(d), PreconditionError);
 }
 
-TEST(MeanTiltAngle, MatchesConstruction) {
-  for (double tilt_deg : {0.0, 2.0, 5.0, 10.0}) {
-    const ImuData d = tilted_static(deg2rad(tilt_deg), 300);
-    const LinearAcceleration lin = remove_gravity(d);
-    EXPECT_NEAR(rad2deg(mean_tilt_angle(lin)), tilt_deg, 0.1) << tilt_deg;
-  }
-}
-
 }  // namespace
 }  // namespace hyperear::imu

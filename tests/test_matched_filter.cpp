@@ -499,8 +499,9 @@ TEST(MatchedFilter, DetectionsByteIdenticalForEveryChunkLength) {
   // every chunk length yields the same candidates and detections to the
   // last bit — the one-pair streaming schedule, a few small ones, the
   // batch schedule, and the whole recording as one chunk. One config has
-  // a min_spacing wider than a pair (discovery's half-period rule), so an
-  // echo window then spans several one-pair chunks.
+  // a min_spacing wider than a pair (reachable through
+  // asp.min_event_spacing_s), so an echo window then spans several
+  // one-pair chunks.
   const Chirp chirp{ChirpParams{}};
   const std::vector<double>& ref = chirp.reference(kFs);
   DetectorConfig narrow;

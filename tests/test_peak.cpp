@@ -95,12 +95,5 @@ TEST(FindPeaks, PlateauCountsOnce) {
   EXPECT_EQ(peaks.size(), 1u);
 }
 
-TEST(MaxPeak, FindsGlobalMaximum) {
-  std::vector<double> y(50, 0.1);
-  y[33] = 5.0;
-  const Peak p = max_peak(y);
-  EXPECT_EQ(p.index, 33u);
-}
-
 }  // namespace
 }  // namespace hyperear::dsp

@@ -69,20 +69,5 @@ TEST(BandPower, InvalidBandThrows) {
   EXPECT_THROW((void)band_power(x, 8000.0, 1000.0, 5000.0), PreconditionError);
 }
 
-TEST(BandSnr, MatchesConstruction) {
-  Rng rng(52);
-  const double fs = 8000.0;
-  // Noise-only segment and signal+noise segment with known in-band SNR.
-  std::vector<double> noise(8192), sig(8192);
-  for (auto& v : noise) v = rng.gaussian(0.0, 0.1);
-  const std::vector<double> s = tone(1500.0, fs, 8192, 0.5);
-  for (std::size_t i = 0; i < sig.size(); ++i) sig[i] = s[i] + rng.gaussian(0.0, 0.1);
-  const double snr = band_snr_db(sig, noise, fs, 1000.0, 2000.0);
-  // In-band: signal power 0.125; noise in 1 kHz band ~ 0.01 * (1000/4000).
-  const double expected =
-      power_to_db(0.125 / band_power(noise, fs, 1000.0, 2000.0));
-  EXPECT_NEAR(snr, expected, 1.5);
-}
-
 }  // namespace
 }  // namespace hyperear::dsp

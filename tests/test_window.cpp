@@ -61,20 +61,5 @@ TEST(ApplyWindow, LengthMismatchThrows) {
   EXPECT_THROW(apply_window(s, w), PreconditionError);
 }
 
-TEST(EdgeTaper, FadesBothEnds) {
-  std::vector<double> s(100, 1.0);
-  apply_edge_taper(s, 10);
-  EXPECT_NEAR(s.front(), 0.0, 1e-12);
-  EXPECT_NEAR(s.back(), 0.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s[50], 1.0);  // middle untouched
-  // Monotone rise across the fade.
-  for (std::size_t i = 1; i < 10; ++i) EXPECT_GE(s[i], s[i - 1]);
-}
-
-TEST(EdgeTaper, TooLongFadeThrows) {
-  std::vector<double> s(10, 1.0);
-  EXPECT_THROW(apply_edge_taper(s, 6), PreconditionError);
-}
-
 }  // namespace
 }  // namespace hyperear::dsp

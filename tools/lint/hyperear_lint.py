@@ -50,6 +50,10 @@ applied regex/AST-lite style over the checked-in sources:
                 fail), and the boundary-token HE_ACQUIRED_AFTER chain in
                 common/thread_annotations.hpp must spell out the same
                 level order as the manifest.
+  orphan        every header under src/ is #included by at least one file
+                under src/, tools/, bench/, examples/ or perfbench/ other
+                than its own .cpp. A module that only its unit test reaches
+                has no caller and is deleted, not kept "for later".
   whitespace    no trailing whitespace, no tabs in C++ sources, no CRLF,
                 final newline present — the formatting floor that holds
                 even where clang-format isn't installed.
@@ -94,11 +98,16 @@ LOCK_ORDER_MANIFEST = "tools/lint/lock_order.txt"
 # concurrency rule (it IS the sanctioned spelling of the std primitives).
 THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.hpp"
 
+# Where a src/ header's callers may live (orphan rule); tests/ does not
+# count. perfbench is read for its includes but not linted.
+CALLER_DIRS = ["src", "tools", "bench", "examples", "perfbench"]
+QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+
 LINE_COMMENT = re.compile(r"//.*$")
 
 RULES_HELP = (
     "determinism ownership logging headers suppressions hotpath "
-    "concurrency lockorder whitespace"
+    "concurrency lockorder orphan whitespace"
 )
 
 
@@ -558,6 +567,37 @@ class Linter:
                     f"`{level}`",
                 )
 
+    def check_orphans(self) -> None:
+        src = self.root / "src"
+        included: set[Path] = set()
+        for d in CALLER_DIRS:
+            base = self.root / d
+            if not base.is_dir():
+                continue
+            for path in sorted(base.rglob("*")):
+                if path.suffix not in CXX_EXTENSIONS or not path.is_file():
+                    continue
+                text = path.read_text(encoding="utf-8", errors="replace")
+                for name in QUOTED_INCLUDE.findall(text):
+                    # Quoted includes search the includer's directory first,
+                    # then the src/ include root.
+                    for cand in (path.parent / name, src / name):
+                        if cand.is_file():
+                            target = cand.resolve()
+                            if target.with_suffix("") != path.resolve().with_suffix(""):
+                                included.add(target)
+                            break
+        for header in sorted(src.rglob("*.hpp")):
+            if header.resolve() not in included:
+                self.add(
+                    "orphan",
+                    header,
+                    1,
+                    "no file under src/ tools/ bench/ examples/ perfbench/ "
+                    "includes this header (its own .cpp and tests/ do not "
+                    "count): delete the module, or give it a caller",
+                )
+
     HOT_NOLINT_LINE = re.compile(r"NOLINT\([^)]*hotpath[^)]*\)")
     HOT_NOLINT_NEXTLINE = re.compile(r"NOLINTNEXTLINE\([^)]*hotpath[^)]*\)")
     HOT_NOLINT_BEGIN = re.compile(r"NOLINTBEGIN\([^)]*hotpath[^)]*\)")
@@ -641,6 +681,7 @@ class Linter:
                 if path.suffix in CXX_EXTENSIONS and path.is_file():
                     self.lint_file(path)
         self.check_lock_order()
+        self.check_orphans()
         # A manifest entry that matches no scanned file is a silent hole in
         # the allocation guard (renamed file, stale path): fail loudly.
         for missing in sorted(self.hotpath_files - self.hotpath_seen):
