@@ -15,12 +15,6 @@ double wrap_angle_2pi(double rad) {
   return r;
 }
 
-double wrap_angle_pi(double rad) {
-  double r = wrap_angle_2pi(rad);
-  if (r > kPi) r -= 2.0 * kPi;
-  return r;
-}
-
 double clamp(double x, double lo, double hi) {
   require(lo <= hi, "clamp: lo must be <= hi");
   return std::min(std::max(x, lo), hi);

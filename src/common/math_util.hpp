@@ -12,9 +12,6 @@ namespace hyperear {
 /// Wrap an angle to [0, 2*pi).
 [[nodiscard]] double wrap_angle_2pi(double rad);
 
-/// Wrap an angle to (-pi, pi].
-[[nodiscard]] double wrap_angle_pi(double rad);
-
 /// Clamp x into [lo, hi]. Requires lo <= hi.
 [[nodiscard]] double clamp(double x, double lo, double hi);
 

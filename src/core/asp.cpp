@@ -9,7 +9,6 @@
 #include "core/parallel.hpp"
 #include "core/pipeline_context.hpp"
 #include "core/session_workspace.hpp"
-#include "dsp/fir.hpp"
 #include "dsp/matched_filter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,8 +92,8 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
   AspResult result;
   result.estimated_period = nominal_period;
 
-  // One task per (channel, detector chunk), channel-major: band-pass the
-  // chunk's window and run the detector's chunk-local pass into the
+  // One task per (channel, detector chunk), channel-major: run the
+  // detector's chunk-local pass over the chunk's raw samples into the
   // task's own result slot. Tasks read shared immutable plans and the
   // recording and write only their slot and their executor-provided
   // scratch, so they may run in any order on any threads.
@@ -114,12 +113,7 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
   const auto run_task = [&](std::size_t t, ChunkScratch& scratch) {
     const AspChunkTask& task = tasks[t];
     const std::vector<double>& mic = task.channel == 0 ? recording.mic1 : recording.mic2;
-    std::span<const double> seg(mic.data() + task.span.start, task.span.size);
-    if (options.bandpass) {
-      dsp::filter_same_window_into(mic, *context->bandpass_convolver(), task.span.start,
-                                   task.span.size, scratch.window, scratch.detector.fft);
-      seg = scratch.window;
-    }
+    const std::span<const double> seg(mic.data() + task.span.start, task.span.size);
     detector.chunk_pass(seg, task.span.start, task.span.final_chunk, scratch.detector,
                         passes[t]);
   };

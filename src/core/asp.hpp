@@ -6,13 +6,15 @@
 #include "sim/acoustic_renderer.hpp"
 
 /// @file asp.hpp
-/// Acoustic Signal Preprocessing (paper Section III, "ASP"). Three jobs:
+/// Acoustic Signal Preprocessing (paper Section III, "ASP"). Two jobs:
 ///
-///  1. band-pass the recording to the chirp band so out-of-band ambient
-///     sound (human voice < 2 kHz) is removed;
-///  2. detect chirp arrivals at each microphone with sub-sample resolution
-///     (matched filter + interpolation);
-///  3. estimate and correct the sampling-frequency offset (SFO) between the
+///  1. detect chirp arrivals at each microphone with sub-sample resolution
+///     (matched filter + interpolation). The paper band-passes the
+///     recording to the chirp band first; here the matched filter, which
+///     correlates against the known 2-6.4 kHz chirp, is the band selection
+///     (out-of-band sound such as voice < 2 kHz barely correlates with it;
+///     EXPERIMENTS.md measures the FIR's absence down to -9 dB SNR);
+///  2. estimate and correct the sampling-frequency offset (SFO) between the
 ///     speaker's clock and the phone's clock — the augmented TDoA subtracts
 ///     n * T, so a ppm-level period error scales with the elapsed chirp
 ///     count and must be measured from the data. The static calibration
@@ -45,9 +47,6 @@ struct ChirpEvent {
 /// Equality-comparable so a `PipelineContext` can tell whether its cached
 /// DSP plans were built for these exact options.
 struct AspOptions {
-  bool bandpass = true;
-  std::size_t bandpass_taps = 255;
-  double band_margin_hz = 200.0;   ///< widen the pass band by this much
   double detector_threshold = 0.22;
   double min_event_spacing_s = 0.12;
   bool sfo_correction = true;
@@ -75,11 +74,11 @@ class SessionWorkspace;
 /// static head of the session used for the SFO fit.
 ///
 /// `context` (core/pipeline_context.hpp) is the immutable plan cache the
-/// stage reads: band-pass kernel spectrum, chirp reference, matched-filter
-/// spectra. Its AspOptions and ChirpParams are authoritative — the context
-/// IS the configuration. A context built for a different sample rate than
-/// the recording's triggers a session-local rebuild (same options, right
-/// rate), so results never silently depend on a stale cache.
+/// stage reads: chirp reference, matched-filter spectra. Its AspOptions and
+/// ChirpParams are authoritative — the context IS the configuration. A
+/// context built for a different sample rate than the recording's triggers
+/// a session-local rebuild (same options, right rate), so results never
+/// silently depend on a stale cache.
 ///
 /// `workspace` (core/session_workspace.hpp) is the mutable counterpart:
 /// the chunk-task list and results, per-channel detection staging and the
@@ -87,8 +86,8 @@ class SessionWorkspace;
 /// warmed workspace makes the stage allocation-free in the steady state;
 /// results are bit-identical to a fresh one.
 ///
-/// The stage runs as (channel, detector-chunk) tasks — each band-passes
-/// one chunk window and runs the detector's chunk-local pass — followed by
+/// The stage runs as (channel, detector-chunk) tasks — each runs the
+/// detector's chunk-local pass over one chunk of raw samples — followed by
 /// a serial stitch per channel in chunk order. `executor`
 /// (core/parallel.hpp) runs the tasks; null runs them serially on the
 /// workspace's scratch. The AspResult is byte-identical for every executor,

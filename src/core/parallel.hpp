@@ -11,25 +11,25 @@
 /// infrastructure the host runtime owns.
 ///
 /// The ASP stage splits into independent (channel, detector-chunk) tasks:
-/// each band-passes one chunk window of one microphone channel and runs the
-/// detector's chunk-local pass over it, reading shared immutable plans and
-/// writing its own result slot. core cannot depend on runtime (the library
-/// layering is common -> ... -> core -> runtime), and spawning threads
-/// inside the pipeline would fight the runtime's own pool sizing.
+/// each runs the detector's chunk-local pass over one chunk of one
+/// microphone channel, reading shared immutable plans and the recording
+/// and writing its own result slot. core cannot depend on runtime (the
+/// library layering is common -> ... -> core -> runtime), and spawning
+/// threads inside the pipeline would fight the runtime's own pool sizing.
 /// `ChunkExecutor` inverts the dependency: core states *what* can run
 /// concurrently, the runtime decides *where* (runtime::Engine fans the
 /// tasks out over idle pool workers; everyone else runs them serially).
 
 namespace hyperear::core {
 
-/// Scratch for one ASP chunk pass: the band-passed chunk window and the
-/// detector's per-chunk buffers (FFT lanes, raw correlation, echo index,
-/// prefix sums, the pass result handed to the stitch). It belongs to the
-/// thread that runs the pass, not to the session, so memory is threads x
-/// one chunk's working set however many sessions are open. Contents carry
-/// no information between passes; only capacity is retained.
+/// Scratch for one ASP chunk pass: the detector's per-chunk buffers (FFT
+/// lanes, raw correlation, echo index, prefix sums, the pass result handed
+/// to the stitch); the pass reads the recording in place. It belongs to
+/// the thread that runs the pass, not to the session, so memory is
+/// threads x one chunk's working set however many sessions are open.
+/// Contents carry no information between passes; only capacity is
+/// retained.
 struct ChunkScratch {
-  std::vector<double> window;       ///< band-passed chunk
   dsp::DetectorWorkspace detector;  ///< per-chunk detector scratch
 };
 

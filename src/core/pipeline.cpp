@@ -124,8 +124,6 @@ std::optional<PipelineError> PipelineConfig::validate() const {
   // divide by must also be finite: a config built from corrupted
   // arithmetic is a config error, never a stage failure or undefined
   // behaviour downstream.
-  if (auto e = config_violation(asp.bandpass_taps < 3, "asp.bandpass_taps must be >= 3"))
-    return e;
   if (auto e = config_violation(
           !(asp.detector_threshold > 0.0 && asp.detector_threshold < 1.0),
           "asp.detector_threshold must lie in (0, 1)"))

@@ -33,9 +33,6 @@ struct Fnv1a {
 std::uint64_t plan_key_hash(const AspOptions& asp, const dsp::ChirpParams& chirp,
                             double sample_rate) {
   Fnv1a h;
-  h.mix(asp.bandpass);
-  h.mix(static_cast<std::uint64_t>(asp.bandpass_taps));
-  h.mix(asp.band_margin_hz);
   h.mix(asp.detector_threshold);
   h.mix(asp.min_event_spacing_s);
   h.mix(asp.sfo_correction);
@@ -51,14 +48,17 @@ std::uint64_t plan_key_hash(const AspOptions& asp, const dsp::ChirpParams& chirp
 
 namespace {
 
-std::vector<double> make_bandpass_taps(const AspOptions& asp,
-                                       const dsp::ChirpParams& chirp,
-                                       double sample_rate) {
-  if (!asp.bandpass) return {};
-  const double lo = std::max(chirp.freq_low_hz - asp.band_margin_hz, 50.0);
+/// The probe-only band-pass (see `bandpass_convolver`): the design the ASP
+/// stage ran before the matched filter alone took over band selection.
+constexpr double kProbeBandMarginHz = 200.0;
+constexpr std::size_t kProbeBandpassTaps = 255;
+
+std::vector<double> make_probe_bandpass(const dsp::ChirpParams& chirp,
+                                        double sample_rate) {
+  const double lo = std::max(chirp.freq_low_hz - kProbeBandMarginHz, 50.0);
   const double hi =
-      std::min(chirp.freq_high_hz + asp.band_margin_hz, sample_rate / 2.0 - 50.0);
-  return dsp::design_bandpass(lo, hi, sample_rate, asp.bandpass_taps);
+      std::min(chirp.freq_high_hz + kProbeBandMarginHz, sample_rate / 2.0 - 50.0);
+  return dsp::design_bandpass(lo, hi, sample_rate, kProbeBandpassTaps);
 }
 
 dsp::DetectorConfig make_detector_config(const AspOptions& asp, double sample_rate) {
@@ -77,10 +77,8 @@ PipelineContext::PipelineContext(const AspOptions& asp, const dsp::ChirpParams& 
       chirp_params_(chirp),
       sample_rate_(sample_rate),
       chirp_(chirp),
-      bandpass_taps_(make_bandpass_taps(asp, chirp, sample_rate)),
-      detector_(chirp_.reference(sample_rate), make_detector_config(asp, sample_rate)) {
-  if (!bandpass_taps_.empty()) bandpass_ols_.emplace(bandpass_taps_);
-}
+      bandpass_ols_(make_probe_bandpass(chirp, sample_rate)),
+      detector_(chirp_.reference(sample_rate), make_detector_config(asp, sample_rate)) {}
 
 PipelineContext::PipelineContext(const PipelineConfig& config,
                                  const dsp::ChirpParams& chirp, double sample_rate)

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "core/asp.hpp"
 #include "dsp/chirp.hpp"
@@ -13,14 +11,14 @@
 /// The shared DSP plan cache of the localization pipeline.
 ///
 /// Every quantity the ASP stage derives from the *configuration* alone —
-/// the band-pass FIR taps and their overlap-save kernel spectrum, the
-/// sampled matched-filter reference, the reversed reference's overlap-save
-/// spectrum and the FFT twiddle/plan tables behind both — is independent of
-/// the session being processed. A `PipelineContext` computes them once for a given
-/// (AspOptions, ChirpParams, sample rate) triple; `core::try_localize`
-/// and `asp::preprocess_audio` accept an optional context and fall back to
-/// building a session-local one when none (or an incompatible one) is
-/// supplied, so single-session callers keep working unchanged.
+/// the sampled matched-filter reference, the reversed reference's
+/// overlap-save spectrum and the FFT twiddle/plan tables behind it — is
+/// independent of the session being processed. A `PipelineContext`
+/// computes them once for a given (AspOptions, ChirpParams, sample rate)
+/// triple; `core::try_localize` and `asp::preprocess_audio` accept an
+/// optional context and fall back to building a session-local one when
+/// none (or an incompatible one) is supplied, so single-session callers
+/// keep working unchanged.
 ///
 /// Threading rules: a constructed context is deeply immutable — every
 /// accessor is const and the underlying detector/plan state is read-only —
@@ -65,16 +63,12 @@ class PipelineContext {
   [[nodiscard]] const dsp::ChirpParams& chirp_params() const { return chirp_params_; }
   [[nodiscard]] double sample_rate() const { return sample_rate_; }
   [[nodiscard]] const dsp::Chirp& chirp() const { return chirp_; }
-  /// Empty when `asp_options().bandpass` is false.
-  [[nodiscard]] const std::vector<double>& bandpass_taps() const {
-    return bandpass_taps_;
-  }
-  /// Overlap-save convolver for the band-pass taps (kernel spectrum + FFT
-  /// plan at the block size chosen for the tap count), so per-session
-  /// filtering never re-transforms the kernel. Disengaged when
-  /// `asp_options().bandpass` is false.
-  [[nodiscard]] const std::optional<dsp::OlsConvolver>& bandpass_convolver() const {
-    return bandpass_ols_;
+  /// Overlap-save convolver for a 255-tap band-pass over the chirp band
+  /// +- 200 Hz. No pipeline stage reads it: it exists only for perfbench's
+  /// probe, which still times an `asp.bandpass` row through it, until that
+  /// row is retired. Never null.
+  [[nodiscard]] const dsp::OlsConvolver* bandpass_convolver() const {
+    return &bandpass_ols_;
   }
   /// Matched-filter detector with the reference spectrum and FFT plans
   /// precomputed; `detect` is const and safe to call concurrently.
@@ -87,8 +81,7 @@ class PipelineContext {
   dsp::ChirpParams chirp_params_;
   double sample_rate_;
   dsp::Chirp chirp_;
-  std::vector<double> bandpass_taps_;
-  std::optional<dsp::OlsConvolver> bandpass_ols_;
+  dsp::OlsConvolver bandpass_ols_;
   dsp::MatchedFilterDetector detector_;
 };
 

@@ -26,12 +26,12 @@
 /// allocation-free while results stay bit-identical to a fresh one — and
 /// to the context-free path, which simply builds a call-local workspace.
 ///
-/// Chunk scratch (the band-passed window and the detector's per-chunk
-/// buffers, ~4 MiB at the batch chunk) is not here: it belongs to the
-/// thread that runs the chunk pass (core::ThreadScratchLease), for batch
-/// and streaming sessions alike. A workspace therefore never holds a
-/// chunk's working set — the per-chunk members of its detector slots stay
-/// empty — and a session that is open but idle costs only its staging.
+/// Chunk scratch (the detector's per-chunk buffers, ~4 MiB at the batch
+/// chunk) is not here: it belongs to the thread that runs the chunk pass
+/// (core::ThreadScratchLease), for batch and streaming sessions alike. A
+/// workspace therefore never holds a chunk's working set — the per-chunk
+/// members of its detector slots stay empty — and a session that is open
+/// but idle costs only its staging.
 
 namespace hyperear::core {
 
@@ -39,16 +39,17 @@ namespace hyperear::core {
 /// list and the detections of one microphone. The pipeline leaves the
 /// detector's per-chunk members (fft through prefix, pass) empty.
 struct ChannelWorkspace {
-  /// Band-passed whole channel. The pipeline no longer fills it (chunk
-  /// tasks band-pass their own windows); it stays for callers that replay
-  /// the stage call by call with `dsp::filter_same_into`.
+  /// Band-passed whole channel. The pipeline never fills it (ASP runs no
+  /// band-pass); it exists only for perfbench's probe, which still times a
+  /// band-pass row with `dsp::filter_same_into` and
+  /// `PipelineContext::bandpass_convolver`, until that row is retired.
   std::vector<double> filtered;
   dsp::DetectorWorkspace detector;         ///< stitch and pass-2 staging
   std::vector<dsp::Detection> detections;  ///< detector output staging
 };
 
-/// One task of the ASP fan-out: band-pass one detector chunk of one
-/// channel and run the detector's chunk-local pass over it.
+/// One task of the ASP fan-out: run the detector's chunk-local pass over
+/// one detector chunk of one channel.
 struct AspChunkTask {
   std::size_t channel = 0;
   dsp::ChunkSpan span;

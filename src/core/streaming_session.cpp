@@ -62,20 +62,13 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
   }
   if (context_ != nullptr) {
     // The ring's high-water mark: run_detector leaves at most one streaming
-    // chunk behind, and one ingest slice adds at most the slice plus the
-    // filter's pending output (under one transform pair and half a
-    // kernel), so a ring reserved at that bound never regrows.
+    // chunk behind and one ingest slice adds at most the slice, so a ring
+    // reserved at that bound never regrows.
     const dsp::MatchedFilterDetector& det = context_->detector();
-    std::size_t ring_capacity = det.chunk_samples(det.streaming_pairs()) + kIngestSlice;
-    if (context_->asp_options().bandpass) {
-      const dsp::OlsConvolver& bandpass = *context_->bandpass_convolver();
-      ring_capacity += 2 * bandpass.block_size() + bandpass.kernel_size();
-    }
+    const std::size_t ring_capacity =
+        det.chunk_samples(det.streaming_pairs()) + kIngestSlice;
     for (std::size_t slot = 0; slot < 2; ++slot) {
       Channel& ch = channels_[slot];
-      if (context_->asp_options().bandpass) {
-        ch.filter.emplace(*context_->bandpass_convolver());
-      }
       // NOLINTNEXTLINE(hyperear-hotpath) -- once per session, at its bound
       ch.ring.reserve(ring_capacity);
       context_->detector().stream_begin(ch.stream, ws_->channel(slot).detector);
@@ -105,32 +98,24 @@ void StreamingSession::push(std::span<const double> mic1, std::span<const double
   if (context_ == nullptr) return;
   const obs::MonotonicTime t0 = obs::monotonic_now();
   const ThreadScratchLease lease;
-  // Filter and detect one bounded slice at a time, so a large push (a
+  // Append and detect one bounded slice at a time, so a large push (a
   // whole recording, a drained inbox) never holds more than the ring's
-  // reserved bound. Every stage is chunking-invariant, so the slicing
+  // reserved bound. Detection is chunking-invariant, so the slicing
   // changes no result.
   for (std::size_t pos = 0; pos < mic1.size(); pos += kIngestSlice) {
     const std::size_t n = std::min(kIngestSlice, mic1.size() - pos);
-    append_filtered(channels_[0], mic1.subspan(pos, n), lease.scratch());
-    append_filtered(channels_[1], mic2.subspan(pos, n), lease.scratch());
+    append(channels_[0], mic1.subspan(pos, n));
+    append(channels_[1], mic2.subspan(pos, n));
     note_retained();
     run_detector(false, lease.scratch());
   }
   asp_ms_ += obs::ms_since(t0);
 }
 
-void StreamingSession::append_filtered(Channel& ch, std::span<const double> slice,
-                                       ChunkScratch& scratch) {
+void StreamingSession::append(Channel& ch, std::span<const double> slice) {
   const std::size_t capacity = ch.ring.capacity();
-  if (ch.filter) {
-    ch.filter->push(slice, ch.ring, scratch.detector.fft);
-  } else {
-    // No band-pass: the detector reads the raw signal, exactly like the
-    // batch path's non-bandpass branch.
-    ch.ring.insert(ch.ring.end(), slice.begin(), slice.end());
-  }
+  ch.ring.insert(ch.ring.end(), slice.begin(), slice.end());
   HE_ENSURES(ch.ring.capacity() == capacity);  // reserved at the bound
-  ch.ring_total = ch.ring_start + ch.ring.size();
 }
 
 void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
@@ -143,19 +128,18 @@ void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
     bool final_chunk = false;
     if (!drain_all) {
       // Eager rule: process the schedule's next chunk only when STRICTLY
-      // more than its end has been filtered — then the chunk is certainly
+      // more than its end has been appended — then the chunk is certainly
       // full and certainly not the recording's last, so `final_chunk =
       // false` matches what the schedule will say once the true length
-      // is known.
-      const std::size_t avail =
-          std::min(channels_[0].ring_total, channels_[1].ring_total);
+      // is known. Both rings always hold the same span of samples.
+      const std::size_t avail = channels_[0].ring_start + channels_[0].ring.size();
       if (avail <= start + chunk) break;
       end = start + chunk;
     } else {
       // End of stream: the final length is known, so this is the
       // streaming schedule's (at most one) remaining chunk, which holds
       // the recording's last lag.
-      const std::size_t n = channels_[0].ring_total;
+      const std::size_t n = total_;
       if (n < ref_len || start > n - ref_len) break;
       end = std::min(start + chunk, n);
       final_chunk = end == n;
@@ -286,10 +270,7 @@ void StreamingSession::note_retained() {
 
 std::size_t StreamingSession::retained_samples() const {
   std::size_t held = 0;
-  for (const Channel& ch : channels_) {
-    held += ch.ring.size();
-    if (ch.filter) held += ch.filter->retained();
-  }
+  for (const Channel& ch : channels_) held += ch.ring.size();
   return held;
 }
 
@@ -326,13 +307,6 @@ Expected<LocalizationResult, PipelineError> StreamingSession::finalize(
     if (ctx_error_) std::rethrow_exception(ctx_error_);
     {
       const ThreadScratchLease lease;
-      for (Channel& ch : channels_) {
-        if (ch.filter) {
-          ch.filter->finish(ch.ring, lease.scratch().detector.fft);
-          ch.ring_total = ch.ring_start + ch.ring.size();
-        }
-      }
-      note_retained();
       run_detector(true, lease.scratch());
     }
     scan_zero_crossings(true);

@@ -13,7 +13,6 @@
 #include "core/pipeline_context.hpp"
 #include "core/sdf.hpp"
 #include "core/session_workspace.hpp"
-#include "dsp/fir.hpp"
 #include "dsp/matched_filter.hpp"
 
 /// @file streaming_session.hpp
@@ -22,30 +21,28 @@
 /// The batch pipeline (`core::try_localize`) wants the whole recording up
 /// front; a phone streaming audio to a service delivers it in arbitrary
 /// slices. `StreamingSession` accepts those slices as they arrive, runs the
-/// band-pass filter and the matched-filter detector ONLINE over a bounded
-/// lookback window, and surfaces incremental events (first beacon heard,
-/// SDF zero crossings, protocol-phase transitions) while the user is still
-/// sliding. `finalize()` then completes the pipeline (SFO fit, MSP,
-/// TTL/PLE) and returns a fix that is BIT-IDENTICAL to
-/// `core::try_localize` on the concatenated audio — for every chunking —
-/// because every stage either runs the batch code verbatim
-/// (`detail::localize_from_asp`, `finish_asp`) or a streaming spelling
-/// proven equivalent instruction-for-instruction
-/// (`dsp::StreamingFirFilter`, the detector's stream_begin/chunk/end
-/// protocol). tests/test_streaming.cpp holds the property test.
+/// matched-filter detector ONLINE over a bounded lookback window, and
+/// surfaces incremental events (first beacon heard, SDF zero crossings,
+/// protocol-phase transitions) while the user is still sliding.
+/// `finalize()` then completes the pipeline (SFO fit, MSP, TTL/PLE) and
+/// returns a fix that is BIT-IDENTICAL to `core::try_localize` on the
+/// concatenated audio — for every chunking — because every stage either
+/// runs the batch code verbatim (`detail::localize_from_asp`, `finish_asp`)
+/// or a streaming spelling proven equivalent instruction-for-instruction
+/// (the detector's stream_begin/chunk/end protocol).
+/// tests/test_streaming.cpp holds the property test.
 ///
-/// Memory: a session holds per channel the filter's raw lookback and a
-/// ring of filtered samples reserved once at its bound — one streaming
-/// chunk (`streaming_pairs()` OLS pairs: 14180 samples by default), one
-/// ingest slice, and the band-pass filter's pending output (173 KiB by
-/// default) — plus the stitch's staging in its workspace (the echo
-/// maxima its deferred candidates still need, and the candidates).
-/// `push` filters and detects in bounded slices, so the bound holds for a
-/// push of any size, and `retained_samples()` (high-water mark:
+/// Memory: a session holds per channel a ring of raw samples reserved once
+/// at its bound — one streaming chunk (`streaming_pairs()` OLS pairs: 14180
+/// samples by default) plus one ingest slice (4096 samples), about 143 KiB
+/// per channel — plus the stitch's staging in its workspace (the echo
+/// maxima its deferred candidates still need, and the candidates). `push`
+/// appends and detects in bounded slices, so the bound holds for a push of
+/// any size, and `retained_samples()` (high-water mark:
 /// `peak_retained_samples()`) is a constant independent of how long the
-/// user records. The detector's per-chunk working set is not the
-/// session's: each push leases the calling thread's core::ChunkScratch,
-/// so an idle open session costs no chunk scratch at all.
+/// user records. The detector's per-chunk working set is not the session's:
+/// each push leases the calling thread's core::ChunkScratch, so an idle
+/// open session costs no chunk scratch at all.
 ///
 /// Ownership follows the pipeline's context/workspace split: the optional
 /// `PipelineContext` is shared immutable plans; the `SessionWorkspace`
@@ -131,13 +128,13 @@ class StreamingSession {
   StreamingSession(const StreamingSession&) = delete;
   StreamingSession& operator=(const StreamingSession&) = delete;
 
-  /// Ingest one stereo slice (equal lengths; empty is a no-op). Filters,
-  /// detects, and appends events for everything that became final. Invalid
+  /// Ingest one stereo slice (equal lengths; empty is a no-op). Detects,
+  /// and appends events for, everything that became final. Invalid
   /// after `finalize`.
   void push(std::span<const double> mic1, std::span<const double> mic2);
 
-  /// End of audio: flush the filters and the detector tail, assemble the
-  /// AspResult, and run the pipeline's back half. Return value, error
+  /// End of audio: flush the detector tail, assemble the AspResult, and
+  /// run the pipeline's back half. Return value, error
   /// classification, StageMetrics shape, and registry/trace telemetry all
   /// match `core::try_localize(session_with_full_audio, config, ...)`.
   /// Appends the terminal phase_change/fix events. Call at most once.
@@ -147,8 +144,8 @@ class StreamingSession {
   [[nodiscard]] const std::vector<StreamEvent>& events() const { return events_; }
   [[nodiscard]] StreamPhase phase() const { return phase_; }
   [[nodiscard]] std::size_t samples_ingested() const { return total_; }
-  /// Audio samples currently held across both channels (filter lookback +
-  /// detector window) — the streaming memory footprint.
+  /// Audio samples currently held across both channels (the detector
+  /// window) — the streaming memory footprint.
   [[nodiscard]] std::size_t retained_samples() const;
   [[nodiscard]] std::size_t peak_retained_samples() const { return peak_retained_; }
   [[nodiscard]] bool finalized() const { return finalized_; }
@@ -156,24 +153,21 @@ class StreamingSession {
 
  private:
   struct Channel {
-    std::optional<dsp::StreamingFirFilter> filter;  ///< engaged iff bandpass
-    /// Filtered samples [ring_start, ...); capacity reserved once, at the
-    /// retention bound.
+    /// Samples [ring_start, ...); capacity reserved once, at the retention
+    /// bound.
     std::vector<double> ring;
     std::size_t ring_start = 0;     ///< recording index of ring[0]
-    std::size_t ring_total = 0;     ///< filtered samples produced so far
     dsp::DetectorStream stream;     ///< resumable detector cursor
     std::size_t candidates_seen = 0;  ///< consumed prefix of ws candidates
     std::size_t next_lag = 0;         ///< candidates below this lag are consumed
     std::vector<double> arrivals;     ///< provisional arrival times (pass-1 basis)
   };
 
-  /// Raw samples per channel that `push` filters before it runs the
-  /// detector again: the retention bound's in-flight term.
+  /// Samples per channel that `push` appends before it runs the detector
+  /// again: the retention bound's in-flight term.
   static constexpr std::size_t kIngestSlice = 4096;
 
-  void append_filtered(Channel& ch, std::span<const double> slice,
-                       ChunkScratch& scratch);
+  static void append(Channel& ch, std::span<const double> slice);
   /// Run every streaming-schedule chunk that is certainly full and
   /// non-final; with `drain_all` (the length is known), every remaining
   /// chunk through the final one. Chunk passes run on
@@ -203,7 +197,7 @@ class StreamingSession {
   Channel channels_[2];
   std::size_t total_ = 0;          ///< raw samples pushed per channel
   std::size_t next_chunk_start_ = 0;  ///< shared detector schedule cursor
-  double asp_ms_ = 0.0;            ///< filter+detect wall time across pushes
+  double asp_ms_ = 0.0;            ///< detect wall time across pushes
 
   std::vector<StreamEvent> events_;
   StreamPhase phase_ = StreamPhase::calibrating;

@@ -23,7 +23,6 @@ class BeaconTracker {
   /// meters. Requires sigma > 0.
   void update(const geom::Vec2& fix, double sigma);
 
-  [[nodiscard]] bool has_estimate() const { return weight_ > 0.0; }
   /// Fused beacon position. Requires at least one update.
   [[nodiscard]] geom::Vec2 estimate() const;
   /// 1-sigma radius of the fused estimate. Requires at least one update.

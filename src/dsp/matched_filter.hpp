@@ -334,8 +334,8 @@ class MatchedFilterDetector {
   }
   /// Pairs per batch chunk: the pair count whose lags come nearest to
   /// kBatchChunkSamples - reference + 1 (11 for the 2205-sample default
-  /// reference). Large chunks keep batch band-pass and correlation windows
-  /// long and the fan-out's tasks few.
+  /// reference). Large chunks keep batch correlation windows long and the
+  /// fan-out's tasks few.
   [[nodiscard]] std::size_t batch_pairs() const { return batch_pairs_; }
   /// Pairs per streaming chunk: the fewest whose lags cover min_spacing
   /// (1 by default), so a live stream holds little audio and a candidate's

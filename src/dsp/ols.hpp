@@ -55,8 +55,8 @@ inline constexpr std::size_t kDirectProductLimit = 1u << 16;
 /// transform pairs of N log2(N) butterflies, blocks =
 /// ceil(window_len / (N - M + 1)). Returns the smallest size whose cost is
 /// within 1/16 of the minimum and no more than the one-argument choice's.
-/// Whole-signal callers (band-pass, streaming FIR) keep the one-argument
-/// rule. For the 2205-tap reference on 131072-sample windows (the
+/// Whole-signal callers (`filter_same`, `correlate_valid`) keep the
+/// one-argument rule. For the 2205-tap reference on 131072-sample windows (the
 /// matched-filter detector's costing window) this is 8192: 11 full pairs,
 /// against 3 pairs at 32768 of which the last is half empty.
 /// Deterministic, like the one-argument rule.
@@ -112,8 +112,8 @@ class OlsConvolver {
   /// convolution) and `paired` must equal `block_index + 1 <
   /// ceil((signal_len + kernel - 1) / block)` of the FINAL signal — under
   /// those conditions the pair arithmetic is the one `convolve_into` runs,
-  /// so incremental callers (dsp::StreamingFirFilter) are bit-identical to
-  /// the batch path by construction.
+  /// so an incremental caller is bit-identical to the batch path by
+  /// construction.
   void convolve_pair_into(std::span<const double> x, std::size_t x_start,
                           std::size_t signal_len, std::size_t block_index, bool paired,
                           std::size_t offset, std::size_t count, double* out,

@@ -4,12 +4,6 @@
 
 namespace hyperear::geom {
 
-Vec2 rotate2d(const Vec2& v, double rad) {
-  const double c = std::cos(rad);
-  const double s = std::sin(rad);
-  return {c * v.x - s * v.y, s * v.x + c * v.y};
-}
-
 Mat3::Mat3()
     : m_{{1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}} {}
 

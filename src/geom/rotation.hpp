@@ -4,16 +4,13 @@
 #include "geom/vec3.hpp"
 
 /// @file rotation.hpp
-/// 2D rotations and 3x3 rotation matrices (world <-> phone body frame).
+/// 3x3 rotation matrices (world <-> phone body frame).
 ///
 /// Body frame convention (Android-style): +x to the right of the screen,
 /// +y toward the top edge (this is the microphone axis on both evaluated
 /// phones), +z out of the screen. World frame: x/y on the floor map, z up.
 
 namespace hyperear::geom {
-
-/// Rotate a planar vector by `rad` counter-clockwise.
-[[nodiscard]] Vec2 rotate2d(const Vec2& v, double rad);
 
 /// Row-major 3x3 rotation matrix.
 class Mat3 {
@@ -58,10 +55,6 @@ struct Pose {
   /// Map a body-frame point to world coordinates.
   [[nodiscard]] Vec3 to_world(const Vec3& body) const {
     return position + orientation * body;
-  }
-  /// Map a world-frame vector (not point) to body coordinates.
-  [[nodiscard]] Vec3 vector_to_body(const Vec3& world) const {
-    return orientation.transpose() * world;
   }
 };
 

@@ -56,7 +56,4 @@ inline constexpr Vec2 operator*(double s, const Vec2& v) { return v * s; }
 
 [[nodiscard]] inline double distance(const Vec2& a, const Vec2& b) { return (a - b).norm(); }
 
-/// Unit vector at the given angle from +x.
-[[nodiscard]] inline Vec2 unit_from_angle(double rad) { return {std::cos(rad), std::sin(rad)}; }
-
 }  // namespace hyperear::geom

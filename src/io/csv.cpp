@@ -71,6 +71,11 @@ imu::ImuData read_imu_csv(const std::string& path) {
     for (std::size_t k = 0; k < 7; ++k) values[k] = parse_cell(cells[k], where);
     require(times.empty() || values[0] > times.back(),
             where + ": timestamp not after the previous row's");
+    if (times.size() >= 2) {
+      const double first_step = times[1] - times[0];
+      require(std::abs((values[0] - times.back()) - first_step) <= 0.01 * first_step,
+              where + ": time step departs from the first step by more than 1 %");
+    }
     times.push_back(values[0]);
     data.accel_x.push_back(values[1]);
     data.accel_y.push_back(values[2]);

@@ -19,7 +19,9 @@ void write_imu_csv(const std::string& path, const imu::ImuData& data);
 /// same layout). The sample rate is recovered from the first two
 /// timestamps. Throws hyperear::Error naming the row unless every row has
 /// exactly seven cells, each one finite number with nothing after it, and
-/// a timestamp later than the previous row's.
+/// a timestamp one step after the previous row's: every step must lie
+/// within 1 % of the first (a record decimated or with dropped rows part
+/// way through would otherwise load at the wrong rate).
 [[nodiscard]] imu::ImuData read_imu_csv(const std::string& path);
 
 }  // namespace hyperear::io

@@ -145,8 +145,8 @@ struct LiveLimits {
 /// public member is thread-safe.
 ///
 /// The engine owns a sharded cache of immutable `core::PipelineContext`s
-/// (runtime/context_cache.hpp) — the DSP plans (band-pass taps, chirp
-/// reference, matched-filter spectra, FFT tables) shared read-only by
+/// (runtime/context_cache.hpp) — the DSP plans (chirp reference,
+/// matched-filter spectra, FFT tables) shared read-only by
 /// every worker — so plans are built once per (chirp, sample-rate)
 /// combination instead of once per session, and a pool of per-worker
 /// `core::SessionWorkspace`s (runtime/workspace_pool.hpp) so scratch is

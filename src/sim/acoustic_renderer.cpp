@@ -118,7 +118,7 @@ StereoRecording render_audio_multi(const std::vector<Speaker>& speakers,
     const double noise_power = sig_power / db_to_power(environment.snr_db);
     // The paper's Fig. 19 SNR labels are broadband level ratios: calibrate
     // the noise's total power. A 9 dB "chatting" floor is then mostly below
-    // 2 kHz and is removed by ASP's band-pass, while mall noise overlaps the
+    // 2 kHz and barely correlates with the chirp, while mall noise overlaps the
     // chirp band — exactly the contrast Section VII-E reports.
     const double band_lo = 50.0;
     const double band_hi = 0.98 * adc.sample_rate / 2.0;

@@ -23,10 +23,6 @@ void add_self_noise_inplace(std::span<double> samples, const AdcSpec& adc, Rng& 
   for (auto& s : samples) s += rng.gaussian(0.0, adc.self_noise_rms);
 }
 
-double sample_instant(const AdcSpec& adc, std::size_t n) {
-  return static_cast<double>(n) / effective_sample_rate(adc);
-}
-
 double effective_sample_rate(const AdcSpec& adc) {
   return adc.sample_rate * (1.0 + adc.clock_offset_ppm * 1e-6);
 }

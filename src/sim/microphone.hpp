@@ -21,13 +21,10 @@ void quantize_inplace(std::span<double> samples, const AdcSpec& adc);
 /// Add iid Gaussian self-noise to a stream (in place).
 void add_self_noise_inplace(std::span<double> samples, const AdcSpec& adc, Rng& rng);
 
-/// Sampling instants of the ADC in wall-clock (true) time: sample n is taken
-/// at n / (fs * (1 + ppm*1e-6)). The renderer evaluates the acoustic field
-/// at these skewed instants so the recording embeds the phone-vs-speaker
-/// sampling frequency offset.
-[[nodiscard]] double sample_instant(const AdcSpec& adc, std::size_t n);
-
-/// Effective (true) sample rate of the skewed clock.
+/// Effective (true) sample rate of the skewed clock, fs * (1 + ppm*1e-6):
+/// sample n is taken at wall-clock time n / effective_sample_rate. The
+/// renderer evaluates the acoustic field at these skewed instants so the
+/// recording embeds the phone-vs-speaker sampling frequency offset.
 [[nodiscard]] double effective_sample_rate(const AdcSpec& adc);
 
 /// Number of samples the ADC produces in `duration` wall-clock seconds.

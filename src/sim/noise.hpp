@@ -10,7 +10,7 @@
 /// *spectral overlap with the chirp band*:
 ///
 ///   - meeting-room chatter is human voice, mostly below 2 kHz, which the
-///     band-pass of ASP removes almost entirely;
+///     matched filter of ASP rejects almost entirely;
 ///   - shopping-mall music and announcements are broadband and overlap the
 ///     2-6.4 kHz chirp band;
 ///   - busy-hour mall noise is additionally non-stationary (bursts), so the

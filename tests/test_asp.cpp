@@ -5,6 +5,10 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "core/pipeline.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/fir.hpp"
+#include "dsp/ols.hpp"
 #include "sim/scenario.hpp"
 
 namespace hyperear::core {
@@ -60,8 +64,9 @@ TEST(Asp, DisablingSfoKeepsNominalPeriod) {
 }
 
 TEST(Asp, BandpassRemovesVoiceNoiseEffect) {
-  // In a chatting room the detector still finds every chirp because the
-  // noise is out of band.
+  // In a chatting room the detector still finds every chirp: the voice
+  // noise lies below the chirp band, and the matched filter correlates
+  // only against the chirp.
   Rng rng(154);
   sim::ScenarioConfig c = fast_config();
   c.environment = sim::meeting_room_chatting();
@@ -71,6 +76,31 @@ TEST(Asp, BandpassRemovesVoiceNoiseEffect) {
   const double duration = static_cast<double>(s.audio.mic1.size()) / s.audio.sample_rate;
   const auto expected = static_cast<std::size_t>(duration / 0.2);
   EXPECT_NEAR(static_cast<double>(with_bp.mic1.size()), static_cast<double>(expected), 2.0);
+}
+
+TEST(Asp, BandpassPrefilterReproducesTheOldInPipelineFilter) {
+  // ASP used to band-pass each detector chunk with a 255-tap FIR over the
+  // chirp band +- 200 Hz; every chunk window was an exact slice of the
+  // whole-channel filter. So filtering the recording up front and running
+  // today's filter-free pipeline must give the fix the old default gave,
+  // bit for bit: the range below was recorded from the pipeline with the
+  // filter still inside ASP. bench_ablation_design's band-pass rows rely
+  // on this.
+  Rng rng(155);
+  sim::ScenarioConfig c = fast_config();
+  c.environment = sim::meeting_room_chatting();
+  sim::Session s = sim::make_localization_session(c, rng);
+  const dsp::OlsConvolver kernel(dsp::design_bandpass(s.prior.chirp.freq_low_hz - 200.0,
+                                                      s.prior.chirp.freq_high_hz + 200.0,
+                                                      s.audio.sample_rate, 255));
+  dsp::Workspace ws;
+  const sim::StereoRecording raw = s.audio;
+  dsp::filter_same_into(raw.mic1, kernel, s.audio.mic1, ws);
+  dsp::filter_same_into(raw.mic2, kernel, s.audio.mic2, ws);
+  const auto fix = try_localize(s, PipelineConfig{});
+  ASSERT_TRUE(fix.has_value());
+  ASSERT_TRUE(fix->valid);
+  EXPECT_EQ(fix->range, 0x1.908d815707ab6p+1);
 }
 
 TEST(EstimatePeriod, ExactOnCleanArrivals) {

@@ -82,6 +82,21 @@ TEST(ImuCsv, ReaderRejectsGarbage) {
       EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos) << e.what();
     }
   }
+  // A record whose rate halves part way through (every other row dropped
+  // after row 400) would load at the first step's 100 Hz: refused at the
+  // first uneven step, naming its line.
+  {
+    std::ofstream f(path);
+    f << header;
+    for (int i = 0; i < 400; ++i) f << 0.01 * i << ",1,2,3,4,5,6\n";
+    for (int i = 401; i < 500; i += 2) f << 0.01 * i << ",1,2,3,4,5,6\n";
+  }
+  try {
+    (void)read_imu_csv(path);
+    ADD_FAILURE() << "accepted a decimated tail";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 402"), std::string::npos) << e.what();
+  }
   // Control: well-formed rows load, CRLF line endings included.
   {
     std::ofstream f(path);

@@ -595,7 +595,7 @@ TEST(ContextCache, PlanKeyHashIsDeterministicAndFieldSensitive) {
   EXPECT_EQ(h, core::plan_key_hash(asp, chirp, 44100.0));
   EXPECT_NE(h, core::plan_key_hash(asp, chirp, 48000.0));
   core::AspOptions other = asp;
-  other.bandpass_taps += 2;
+  other.min_calibration_events += 1;
   EXPECT_NE(h, core::plan_key_hash(other, chirp, 44100.0));
   dsp::ChirpParams shifted = chirp;
   shifted.freq_high_hz += 100.0;

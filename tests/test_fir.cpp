@@ -2,15 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
-#include "dsp/ols.hpp"
 
 namespace hyperear::dsp {
 namespace {
@@ -85,110 +81,6 @@ TEST(FilterSame, OutOfBandToneSuppressed) {
   EXPECT_LT(std::sqrt(ey / ex), 0.02);
 }
 
-/// Feed `signal` to a StreamingFirFilter in slices of the given sizes
-/// (cycled until the signal is exhausted) and return everything emitted.
-std::vector<double> stream_filter(std::span<const double> signal,
-                                  const OlsConvolver& kernel,
-                                  const std::vector<std::size_t>& slice_sizes,
-                                  Workspace& ws, std::size_t* peak_retained = nullptr) {
-  StreamingFirFilter filter(kernel);
-  std::vector<double> out;
-  std::size_t pos = 0;
-  std::size_t cursor = 0;
-  while (pos < signal.size()) {
-    const std::size_t want = slice_sizes[cursor++ % slice_sizes.size()];
-    const std::size_t len = std::min(want, signal.size() - pos);
-    filter.push(signal.subspan(pos, len), out, ws);
-    pos += len;
-    if (peak_retained != nullptr) {
-      *peak_retained = std::max(*peak_retained, filter.retained());
-    }
-  }
-  filter.finish(out, ws);
-  return out;
-}
-
-TEST(StreamingFir, BitIdenticalToBatchForEveryChunking) {
-  // The tentpole property at the FIR layer: the concatenation of what
-  // push/finish emit must equal filter_same_into on the whole signal BIT
-  // FOR BIT, for every slicing — the signal lengths below cross the
-  // direct/OLS path threshold and multiple block boundaries, and the
-  // slicings cover the degenerate (1-sample), the pathological (prime),
-  // and the trivial (whole-signal) cases.
-  Rng rng(60);
-  for (const std::size_t taps : {31u, 255u}) {
-    const std::vector<double> h =
-        design_bandpass(2000.0, 6400.0, 44100.0, taps);
-    const OlsConvolver kernel(h);
-    Workspace ws;
-    for (const std::size_t n : {std::size_t{40}, std::size_t{300},
-                                std::size_t{5000}, std::size_t{70000}}) {
-      std::vector<double> x(n);
-      for (double& v : x) v = rng.gaussian(0.0, 1.0);
-      std::vector<double> expect;
-      filter_same_into(x, kernel, expect, ws);
-      for (const std::vector<std::size_t>& slices :
-           {std::vector<std::size_t>{n}, std::vector<std::size_t>{1},
-            std::vector<std::size_t>{1009},
-            std::vector<std::size_t>{7, 331, 1, 4096, 53}}) {
-        const std::vector<double> got = stream_filter(x, kernel, slices, ws);
-        ASSERT_EQ(got.size(), expect.size()) << "taps " << taps << " n " << n;
-        for (std::size_t i = 0; i < expect.size(); ++i) {
-          ASSERT_EQ(got[i], expect[i])
-              << "taps " << taps << " n " << n << " sample " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(StreamingFir, RetainedWindowIsBoundedIndependentOfLength) {
-  // Memory contract: once past the direct-path threshold the filter keeps
-  // only the lookback the next pair needs, so the retained window must not
-  // grow with the signal — the bound covers the direct-path buffer, two
-  // OLS blocks of lookahead plus kernel overlap, and one in-flight slice.
-  const std::vector<double> h = design_bandpass(2000.0, 6400.0, 44100.0, 255);
-  const OlsConvolver kernel(h);
-  Workspace ws;
-  Rng rng(61);
-  std::vector<double> x(200000);
-  for (double& v : x) v = rng.gaussian(0.0, 1.0);
-  const std::size_t slice = 997;
-  std::size_t peak = 0;
-  const std::vector<double> out = stream_filter(x, kernel, {slice}, ws, &peak);
-  EXPECT_EQ(out.size(), x.size());
-  const std::size_t bound =
-      std::max(kDirectProductLimit / kernel.kernel_size(),
-               2 * kernel.block_size() + kernel.kernel_size() - 1) +
-      slice;
-  EXPECT_LE(peak, bound);
-  EXPECT_LT(peak, x.size() / 4) << "retention must not scale with the signal";
-}
-
-TEST(StreamingFir, EmptyStreamAndResetMirrorBatchPreconditions) {
-  const std::vector<double> h = design_lowpass(5000.0, 44100.0, 21);
-  const OlsConvolver kernel(h);
-  Workspace ws;
-  StreamingFirFilter filter(kernel);
-  std::vector<double> out;
-  // filter_same rejects an empty signal; the streaming spelling must agree.
-  EXPECT_THROW(filter.finish(out, ws), PreconditionError);
-  // reset() rewinds to a usable stream.
-  filter.reset();
-  Rng rng(62);
-  std::vector<double> x(512);
-  for (double& v : x) v = rng.gaussian(0.0, 1.0);
-  std::vector<double> expect;
-  filter_same_into(x, kernel, expect, ws);
-  out.clear();
-  filter.push(x, out, ws);
-  filter.finish(out, ws);
-  ASSERT_EQ(out.size(), expect.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) EXPECT_EQ(out[i], expect[i]);
-  EXPECT_EQ(filter.total_pushed(), x.size());
-  EXPECT_EQ(filter.emitted(), x.size());
-}
-
 TEST(FilterSame, FftAndDirectPathsAgree) {
   // Small input -> direct path; verify against the FFT path by using a
   // large input with the same prefix content.
@@ -202,39 +94,6 @@ TEST(FilterSame, FftAndDirectPathsAgree) {
   // Away from the tail boundary the outputs must agree.
   for (std::size_t i = 0; i + 11 < small.size(); ++i) {
     EXPECT_NEAR(ys[i], yl[i], 1e-9) << i;
-  }
-}
-
-TEST(FilterSame, WindowIsBitIdenticalToTheWholeSignalSlice) {
-  // The ASP fan-out band-passes each detector chunk on its own; every
-  // window must equal the matching slice of the whole-signal output bit
-  // for bit — on the overlap-save path (pairing anchored to the whole
-  // convolution) and on the direct path (a signal short enough that the
-  // whole product stays under kDirectProductLimit).
-  Rng rng(77);
-  const OlsConvolver kernel(design_bandpass(2000.0, 6400.0, 44100.0, 255));
-  const std::vector<double> long_signal = rng.gaussian_vector(40000);
-  const std::vector<double> short_signal = rng.gaussian_vector(200);
-  ASSERT_GT(long_signal.size() * kernel.kernel_size(), kDirectProductLimit);
-  ASSERT_LE(short_signal.size() * kernel.kernel_size(), kDirectProductLimit);
-  for (const std::vector<double>* signal : {&long_signal, &short_signal}) {
-    Workspace ws;
-    std::vector<double> whole;
-    filter_same_into(*signal, kernel, whole, ws);
-    const std::size_t n = signal->size();
-    std::vector<double> window;
-    for (const auto& [start, count] :
-         std::vector<std::pair<std::size_t, std::size_t>>{
-             {0, n}, {0, 1}, {n - 1, 1}, {n / 3, n / 2}, {7, n - 7}, {n, 0}}) {
-      filter_same_window_into(*signal, kernel, start, count, window, ws);
-      ASSERT_EQ(window.size(), count);
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(window[i], whole[start + i])
-            << "n " << n << " window [" << start << ", +" << count << ") at " << i;
-      }
-    }
-    EXPECT_THROW(filter_same_window_into(*signal, kernel, n - 1, 2, window, ws),
-                 PreconditionError);
   }
 }
 

@@ -18,12 +18,6 @@ TEST(WrapAngle, TwoPiRange) {
   EXPECT_NEAR(wrap_angle_2pi(5.0 * kPi), kPi, 1e-12);
 }
 
-TEST(WrapAngle, PiRange) {
-  EXPECT_NEAR(wrap_angle_pi(kPi), kPi, 1e-12);
-  EXPECT_NEAR(wrap_angle_pi(1.5 * kPi), -0.5 * kPi, 1e-12);
-  EXPECT_NEAR(wrap_angle_pi(-1.5 * kPi), 0.5 * kPi, 1e-12);
-}
-
 TEST(WrapAngle, ManyTurnsStaysInRange) {
   for (int k = -20; k <= 20; ++k) {
     const double a = 0.7 + 2.0 * kPi * k;

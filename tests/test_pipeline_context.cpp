@@ -112,16 +112,16 @@ TEST(PipelineContext, PlansMatchTheirInputs) {
   EXPECT_EQ(context.sample_rate(), s.audio.sample_rate);
   EXPECT_TRUE(context.asp_options() == options);
   EXPECT_TRUE(context.chirp_params() == s.prior.chirp);
-  EXPECT_FALSE(context.bandpass_taps().empty());
-  EXPECT_EQ(context.bandpass_taps().size(), options.bandpass_taps);
   EXPECT_EQ(context.detector().reference().size(),
             context.chirp().reference(s.audio.sample_rate).size());
+  // The probe-only band-pass is always built: 255 taps over the chirp band.
+  ASSERT_NE(context.bandpass_convolver(), nullptr);
+  EXPECT_EQ(context.bandpass_convolver()->kernel_size(), 255u);
 
-  AspOptions no_filter = options;
-  no_filter.bandpass = false;
-  const PipelineContext bare(no_filter, s.prior.chirp, s.audio.sample_rate);
-  EXPECT_TRUE(bare.bandpass_taps().empty());
-  EXPECT_FALSE(bare.matches(options, s.prior.chirp, s.audio.sample_rate));
+  AspOptions stricter = options;
+  stricter.detector_threshold += 0.01;
+  const PipelineContext other(stricter, s.prior.chirp, s.audio.sample_rate);
+  EXPECT_FALSE(other.matches(options, s.prior.chirp, s.audio.sample_rate));
 }
 
 TEST(PipelineContext, RejectsInvalidInputsAtConstruction) {

@@ -15,19 +15,6 @@ void expect_vec_near(const Vec3& a, const Vec3& b, double tol = 1e-12) {
   EXPECT_NEAR(a.z, b.z, tol);
 }
 
-TEST(Rotate2d, QuarterTurn) {
-  const Vec2 v = rotate2d({1.0, 0.0}, kPi / 2.0);
-  EXPECT_NEAR(v.x, 0.0, 1e-12);
-  EXPECT_NEAR(v.y, 1.0, 1e-12);
-}
-
-TEST(Rotate2d, PreservesNorm) {
-  for (double a = -3.0; a <= 3.0; a += 0.37) {
-    const Vec2 v = rotate2d({2.0, -1.0}, a);
-    EXPECT_NEAR(v.norm(), std::sqrt(5.0), 1e-12) << "angle " << a;
-  }
-}
-
 TEST(Mat3, IdentityLeavesVectors) {
   const Vec3 v{1.0, -2.0, 3.0};
   expect_vec_near(Mat3::identity() * v, v);
@@ -84,7 +71,7 @@ TEST(Pose, RoundTripWorldBody) {
   const Vec3 body{0.0, 0.07, 0.0};
   const Vec3 world = pose.to_world(body);
   // Map the world *vector* back to body frame.
-  const Vec3 back = pose.vector_to_body(world - pose.position);
+  const Vec3 back = pose.orientation.transpose() * (world - pose.position);
   expect_vec_near(back, body, 1e-12);
 }
 

