@@ -9,11 +9,11 @@
 #include <vector>
 
 /// @file bench_json.hpp
-/// Machine-readable benchmark output. The perf benches emit one JSON file
-/// each (BENCH_dsp.json, BENCH_engine.json) with flat rows —
-/// {op, variant, n, ns_per_op, bytes_allocated} — so before/after
-/// comparisons of the DSP hot path are a `jq` one-liner instead of a
-/// log-scraping exercise (README "Performance" quotes these files).
+/// Machine-readable benchmark output. bench_engine_throughput emits
+/// BENCH_engine.json with flat rows — {op, variant, n, ns_per_op,
+/// bytes_allocated} — so before/after comparisons of the engine's thread
+/// scaling are a `jq` one-liner instead of a log-scraping exercise (README
+/// "Performance" quotes the file).
 ///
 /// Allocation accounting: a bench binary that invokes
 /// HYPEREAR_DEFINE_ALLOC_COUNTER() at namespace scope (exactly once)
@@ -32,19 +32,11 @@ inline std::size_t allocated_bytes() {
   return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 
-/// True when the binary runs as a ctest smoke check (label "bench-smoke"):
-/// shrink inputs and rep counts so the run finishes in well under a second
-/// while still exercising every code path the real run times.
-inline bool smoke_mode() {
-  const char* env = std::getenv("HYPEREAR_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 /// One measurement row.
 struct BenchRow {
-  std::string op;       ///< primitive measured, e.g. "filter_same"
-  std::string variant;  ///< implementation, e.g. "monolithic-fft" vs "ols"
-  std::size_t n = 0;    ///< problem size (samples)
+  std::string op;       ///< operation measured, e.g. "engine_localize_all"
+  std::string variant;  ///< configuration, e.g. "engine-threads-4"
+  std::size_t n = 0;    ///< problem size (sessions)
   double ns_per_op = 0.0;
   std::size_t bytes_allocated = 0;  ///< heap bytes requested per op
 };

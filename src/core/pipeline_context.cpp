@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
 
+#include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "dsp/fir.hpp"
 
@@ -61,6 +64,16 @@ std::vector<double> make_probe_bandpass(const dsp::ChirpParams& chirp,
   return dsp::design_bandpass(lo, hi, sample_rate, kProbeBandpassTaps);
 }
 
+/// The audio sample rate every plan is built for. A bad one is named as
+/// such here, before any plan construction can fail on a quantity derived
+/// from it.
+double checked_sample_rate(double sample_rate) {
+  require(std::isfinite(sample_rate) && sample_rate > 0.0,
+          "PipelineContext: audio sample rate must be positive and finite, got " +
+              std::to_string(sample_rate));
+  return sample_rate;
+}
+
 dsp::DetectorConfig make_detector_config(const AspOptions& asp, double sample_rate) {
   dsp::DetectorConfig cfg;
   cfg.sample_rate = sample_rate;
@@ -75,10 +88,10 @@ PipelineContext::PipelineContext(const AspOptions& asp, const dsp::ChirpParams& 
                                  double sample_rate)
     : asp_(asp),
       chirp_params_(chirp),
-      sample_rate_(sample_rate),
+      sample_rate_(checked_sample_rate(sample_rate)),
       chirp_(chirp),
-      bandpass_ols_(make_probe_bandpass(chirp, sample_rate)),
-      detector_(chirp_.reference(sample_rate), make_detector_config(asp, sample_rate)) {}
+      detector_(chirp_.reference(sample_rate), make_detector_config(asp, sample_rate)),
+      bandpass_ols_(make_probe_bandpass(chirp, sample_rate)) {}
 
 PipelineContext::PipelineContext(const PipelineConfig& config,
                                  const dsp::ChirpParams& chirp, double sample_rate)

@@ -71,7 +71,7 @@ class PipelineContext {
     return &bandpass_ols_;
   }
   /// Matched-filter detector with the reference spectrum and FFT plans
-  /// precomputed; `detect` is const and safe to call concurrently.
+  /// precomputed; `detect_into` is const and safe to call concurrently.
   [[nodiscard]] const dsp::MatchedFilterDetector& detector() const {
     return detector_;
   }
@@ -81,8 +81,10 @@ class PipelineContext {
   dsp::ChirpParams chirp_params_;
   double sample_rate_;
   dsp::Chirp chirp_;
-  dsp::OlsConvolver bandpass_ols_;
   dsp::MatchedFilterDetector detector_;
+  /// Built last, so a bad input is reported by the detector's checks, not
+  /// by the design of a filter no stage runs.
+  dsp::OlsConvolver bandpass_ols_;
 };
 
 }  // namespace hyperear::core

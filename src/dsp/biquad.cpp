@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -69,11 +68,18 @@ std::vector<double> Biquad::filter(std::span<const double> signal) {
 }
 
 double Biquad::magnitude_at(double freq_hz, double sample_rate) const {
+  // H(z) at z = e^{-iw}: numerator and denominator polynomials in z
+  // evaluated as real and imaginary parts, z^k = cos(kw) - i sin(kw).
   const double w = 2.0 * kPi * freq_hz / sample_rate;
-  const std::complex<double> z = std::polar(1.0, -w);
-  const std::complex<double> num = b0_ + b1_ * z + b2_ * z * z;
-  const std::complex<double> den = 1.0 + a1_ * z + a2_ * z * z;
-  return std::abs(num / den);
+  const double c1 = std::cos(w);
+  const double s1 = std::sin(w);
+  const double c2 = std::cos(2.0 * w);
+  const double s2 = std::sin(2.0 * w);
+  const double num_re = b0_ + b1_ * c1 + b2_ * c2;
+  const double num_im = -(b1_ * s1 + b2_ * s2);
+  const double den_re = 1.0 + a1_ * c1 + a2_ * c2;
+  const double den_im = -(a1_ * s1 + a2_ * s2);
+  return std::hypot(num_re, num_im) / std::hypot(den_re, den_im);
 }
 
 ButterworthCascade::ButterworthCascade(Kind kind, int order, double cutoff_hz,

@@ -57,8 +57,8 @@ std::vector<double> design_bandpass(double low_hz, double high_hz, double sample
 namespace {
 
 /// Direct-evaluation "same" filtering for small signal x taps products,
-/// staging the full convolution through `full_scratch` (a workspace slot or
-/// a local vector) so the into-spelling stays allocation-free.
+/// staging the full convolution through `full_scratch` (a workspace slot)
+/// so the call stays allocation-free.
 void filter_same_direct_into(std::span<const double> signal,
                              std::span<const double> taps,
                              std::vector<double>& full_scratch,
@@ -74,40 +74,12 @@ void filter_same_direct_into(std::span<const double> signal,
   for (std::size_t i = 0; i < signal.size(); ++i) out[i] = full_scratch[i + half];
 }
 
-std::vector<double> filter_same_direct(std::span<const double> signal,
-                                       std::span<const double> taps) {
-  std::vector<double> full;
-  std::vector<double> out;
-  filter_same_direct_into(signal, taps, full, out);
-  return out;
-}
-
 void check_filter_args(std::span<const double> signal, std::size_t taps) {
   require(!signal.empty(), "filter_same: empty signal");
   require(taps != 0 && taps % 2 == 1, "filter_same: taps must be odd-sized");
 }
 
 }  // namespace
-
-std::vector<double> filter_same(std::span<const double> signal, std::span<const double> taps) {
-  check_filter_args(signal, taps.size());
-  if (signal.size() * taps.size() <= kDirectProductLimit) {
-    return filter_same_direct(signal, taps);
-  }
-  // Overlap-save at the default block size for this kernel — the same
-  // geometry a cached convolver for these taps would use, so the planless
-  // and plan-cached overloads agree bit for bit.
-  return OlsConvolver(std::vector<double>(taps.begin(), taps.end())).filter_same(signal);
-}
-
-std::vector<double> filter_same(std::span<const double> signal, const OlsConvolver& kernel,
-                                Workspace* ws) {
-  check_filter_args(signal, kernel.kernel_size());
-  if (signal.size() * kernel.kernel_size() <= kDirectProductLimit) {
-    return filter_same_direct(signal, kernel.kernel());
-  }
-  return kernel.filter_same(signal, ws);
-}
 
 void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel,
                       std::vector<double>& out, Workspace& ws) {

@@ -32,29 +32,14 @@ namespace hyperear::dsp {
 class OlsConvolver;
 class Workspace;
 
-/// Convolve the signal with FIR taps, "same" mode: the output has the input
-/// length and is aligned so the filter's group delay ((taps-1)/2 samples for
-/// a symmetric design) is removed. Large signal x taps products stream
-/// through block overlap-save convolution (dsp/ols.hpp) at the default
-/// block size for the kernel; small ones are evaluated directly.
-[[nodiscard]] std::vector<double> filter_same(std::span<const double> signal,
-                                              std::span<const double> taps);
-
-/// `filter_same` through a prebuilt overlap-save convolver (whose kernel is
-/// the taps) and an optional reusable workspace — the zero-setup-cost
-/// spelling for batch callers (core::PipelineContext caches the convolver).
-/// Takes the direct path below the same size threshold as the planless
-/// overload, so for any given input both spellings produce identical bits.
-[[nodiscard]] std::vector<double> filter_same(std::span<const double> signal,
-                                              const OlsConvolver& kernel,
-                                              Workspace* ws = nullptr);
-
-/// `filter_same` through a prebuilt convolver into a caller-owned buffer
-/// (resized to signal.size(), every element overwritten) — the
-/// allocation-free spelling for batch loops whose output buffer persists
-/// across sessions (core::SessionWorkspace). Takes the direct path below
-/// the same size threshold, staging through `ws`, so all three spellings
-/// produce identical bits.
+/// Convolve the signal with the FIR taps of a prebuilt overlap-save
+/// convolver, "same" mode, into a caller-owned buffer (resized to
+/// signal.size(), every element overwritten): the output has the input
+/// length and is aligned so the filter's group delay ((taps-1)/2 samples
+/// for a symmetric design) is removed. Requires odd taps. Products of
+/// signal length x taps up to `kDirectProductLimit` are evaluated directly,
+/// staging through `ws`; larger ones stream through
+/// `OlsConvolver::convolve_into`.
 void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel,
                       std::vector<double>& out, Workspace& ws);
 

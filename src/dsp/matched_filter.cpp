@@ -184,16 +184,6 @@ void MatchedFilterDetector::correlate_chunk(std::span<const double> seg, std::si
   ols_->correlate_pairs_into(seg, start, ws.raw.data(), ws.fft);
 }
 
-// NOLINTBEGIN(hyperear-hotpath) -- convenience wrapper: allocates call-local scratch; steady-state callers use detect_into
-std::vector<Detection> MatchedFilterDetector::detect(
-    std::span<const double> recording, const obs::ObsContext* obs) const {
-  DetectorWorkspace ws;
-  std::vector<Detection> out;
-  detect_into(recording, ws, out, obs);
-  return out;
-}
-// NOLINTEND(hyperear-hotpath) -- end of convenience wrapper
-
 void MatchedFilterDetector::detect_into(std::span<const double> recording,
                                         DetectorWorkspace& ws,
                                         std::vector<Detection>& out,

@@ -123,7 +123,7 @@ struct ChunkPass {
   double last_raw = 0.0;      ///< raw correlation at the last lag
 };
 
-/// Mutable scratch for matched-filter detection, reusable across `detect`
+/// Mutable scratch for matched-filter detection, reusable across `detect_into`
 /// calls, channels, and sessions: the per-chunk correlation buffers, the
 /// echo-competition index, the normalizer scratch, and the stitch's
 /// staging. Like `dsp::Workspace` it is single-owner state — own one per
@@ -229,9 +229,9 @@ struct DetectorStream {
 /// Construction is the expensive part: an overlap-save convolver for the
 /// reversed reference (kernel spectrum + FFT plan at the block size chosen
 /// for the reference length) is built once, so every pair of every chunk
-/// of every `detect` call streams against the cached spectrum instead of
+/// of every `detect_into` call streams against the cached spectrum instead of
 /// re-transforming the template. The detector is immutable after
-/// construction — one instance can serve concurrent `detect` calls from
+/// construction — one instance can serve concurrent `detect_into` calls from
 /// many threads (core::PipelineContext shares one per engine); each call
 /// keeps its own scratch.
 ///
@@ -249,25 +249,18 @@ class MatchedFilterDetector {
   /// non-empty. `config.min_spacing_s` must be positive and finite.
   MatchedFilterDetector(std::vector<double> reference, const DetectorConfig& config);
 
-  /// Detect all chirp arrivals in the recording. Processes the input in
-  /// chunks of `batch_pairs()` pairs so memory stays bounded for long
-  /// sessions.
+  /// Detect all chirp arrivals in the recording into `out` (cleared
+  /// first). Processes the input in chunks of `batch_pairs()` pairs so
+  /// memory stays bounded for long sessions, and every intermediate buffer
+  /// lives in `ws`, so a warmed workspace makes the whole call
+  /// allocation-free apart from growth of `out` itself.
   ///
   /// `obs` (obs/trace.hpp) optionally receives detector telemetry —
   /// chunks streamed, raw candidates, surviving detections, and the
   /// normalized-score distribution — on its metrics registry. Null (the
   /// default) records nothing; the detections are byte-identical either
-  /// way. Many threads may detect() with the same ObsContext concurrently
-  /// (the registry shards its write path).
-  [[nodiscard]] std::vector<Detection> detect(
-      std::span<const double> recording,
-      const obs::ObsContext* obs = nullptr) const;
-
-  /// `detect` through caller-owned scratch: detections land in `out`
-  /// (cleared first) and every intermediate buffer lives in `ws`, so a
-  /// warmed workspace makes the whole call allocation-free apart from
-  /// growth of `out` itself. `detect` above is a thin wrapper over it
-  /// with a call-local workspace, bit-identical by construction.
+  /// way. Many threads may detect_into() with the same ObsContext
+  /// concurrently (the registry shards its write path).
   void detect_into(std::span<const double> recording, DetectorWorkspace& ws,
                    std::vector<Detection>& out,
                    const obs::ObsContext* obs = nullptr) const;

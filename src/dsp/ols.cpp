@@ -183,7 +183,7 @@ void OlsConvolver::convolve_into(std::span<const double> x, std::size_t offset,
   // window: block 2k always shares its transform with block 2k+1 (when the
   // latter exists at all). A window therefore computes exactly the block
   // arithmetic the full convolution would, so any window of the output is
-  // bit-identical to the corresponding slice of convolve_full — at the cost
+  // bit-identical to the same slice of a whole-signal call — at the cost
   // of at most one redundant block at each end of the window.
   const std::size_t total_blocks = (full_len + block - 1) / block;
   const std::size_t first_block = (offset / block) & ~std::size_t{1};
@@ -199,23 +199,6 @@ void OlsConvolver::convolve_into(std::span<const double> x, std::size_t offset,
     transform_pair(x, 0, convolution_base(b), paired, z);
     copy_pair_halves(z, b, paired, offset, count, full_len, out);
   }
-}
-
-void OlsConvolver::convolve_pair_into(std::span<const double> x, std::size_t x_start,
-                                      std::size_t signal_len, std::size_t block_index,
-                                      bool paired, std::size_t offset,
-                                      std::size_t count, double* out,
-                                      Workspace& ws) const {
-  const std::size_t m = kernel_.size();
-  const std::size_t full_len = signal_len + m - 1;
-  require(block_index % 2 == 0, "OlsConvolver: pair index must be even");
-  require(offset <= full_len && count <= full_len - offset,
-          "OlsConvolver: output window exceeds the full convolution");
-  if (count == 0) return;
-  const PairLanes z = pair_lanes(ws);
-  transform_pair(x, static_cast<std::ptrdiff_t>(x_start), convolution_base(block_index),
-                 paired, z);
-  copy_pair_halves(z, block_index, paired, offset, count, full_len, out);
 }
 
 void OlsConvolver::correlate_pairs_into(std::span<const double> x, std::size_t x_start,
@@ -238,49 +221,6 @@ void OlsConvolver::correlate_pairs_into(std::span<const double> x, std::size_t x
                    static_cast<std::ptrdiff_t>(b * block), paired, z);
     copy_pair_halves(z, b, paired, x_start, lags, end, out);
   }
-}
-
-// NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; steady-state callers use the _into spellings
-std::vector<double> OlsConvolver::convolve_full(std::span<const double> x,
-                                                Workspace* ws) const {
-  Workspace local;
-  std::vector<double> out(x.size() + kernel_.size() - 1);
-  convolve_into(x, 0, out.size(), out.data(), ws != nullptr ? *ws : local);
-  return out;
-}
-
-std::vector<double> OlsConvolver::filter_same(std::span<const double> x,
-                                              Workspace* ws) const {
-  Workspace local;
-  std::vector<double> out;
-  filter_same_into(x, out, ws != nullptr ? *ws : local);
-  return out;
-}
-// NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
-
-void OlsConvolver::filter_same_into(std::span<const double> x, std::vector<double>& out,
-                                    Workspace& ws) const {
-  require(kernel_.size() % 2 == 1, "OlsConvolver::filter_same: kernel must be odd-sized");
-  out.resize(x.size());
-  convolve_into(x, kernel_.size() / 2, out.size(), out.data(), ws);
-}
-
-// NOLINTBEGIN(hyperear-hotpath) -- convenience wrapper: returns an owning container; steady-state callers use correlate_valid_into
-std::vector<double> OlsConvolver::correlate_valid(std::span<const double> x,
-                                                  Workspace* ws) const {
-  Workspace local;
-  std::vector<double> out;
-  correlate_valid_into(x, out, ws != nullptr ? *ws : local);
-  return out;
-}
-// NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
-
-void OlsConvolver::correlate_valid_into(std::span<const double> x,
-                                        std::vector<double>& out, Workspace& ws) const {
-  require(kernel_.size() <= x.size(),
-          "OlsConvolver::correlate_valid: template longer than signal");
-  out.resize(x.size() - kernel_.size() + 1);
-  convolve_into(x, kernel_.size() - 1, out.size(), out.data(), ws);
 }
 
 }  // namespace hyperear::dsp

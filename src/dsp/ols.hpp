@@ -7,25 +7,29 @@
 #include "dsp/fft.hpp"
 
 /// @file ols.hpp
-/// Block overlap-save (OLS) convolution: the streaming engine behind FIR
-/// filtering and matched-filter correlation of long recordings.
+/// Block overlap-save (OLS) convolution: the engine behind the matched
+/// filter's correlation of long recordings.
 ///
-/// The monolithic FFT convolution (`fft_convolve`) pads the WHOLE signal to
-/// the next power of two — a 10 s, 44.1 kHz channel becomes a 2^20-point
-/// transform whose working set thrashes every cache level. Overlap-save
-/// instead fixes a small transform size N from the KERNEL length alone,
-/// slides a block of L = N - M + 1 fresh samples per step (M = kernel
-/// length), and keeps the kernel spectrum and the `FftPlan` twiddle tables
-/// cached across blocks, calls and sessions (via core::PipelineContext).
+/// A single FFT over the whole signal would pad it to the next power of
+/// two — a 10 s, 44.1 kHz channel becomes a 2^20-point transform whose
+/// working set thrashes every cache level. Overlap-save instead fixes a
+/// small transform size N from the KERNEL length alone, slides a block of
+/// L = N - M + 1 fresh samples per step (M = kernel length), and keeps the
+/// kernel spectrum and the `FftPlan` twiddle tables cached across blocks,
+/// calls and sessions (via core::PipelineContext).
 ///
-/// Two structural savings on top of the block streaming:
+/// Three structural savings on top of the block streaming:
 ///  * the kernel is transformed ONCE at construction, never per call;
-///  * consecutive blocks ride one complex transform pair (see
-///    `convolve_into`): the real-input fast path packs block b into the real
-///    parts and block b+1 into the imaginary parts, halving the FFT count;
+///  * consecutive blocks ride one complex transform pair: the real-input
+///    fast path packs block b into the real parts and block b+1 into the
+///    imaginary parts, halving the FFT count;
 ///  * no block pays for a bit-reversal permutation: the forward transform
 ///    leaves its spectrum in bit-reversed order, the kernel spectrum is
 ///    stored in that order, and the inverse transform takes it back.
+///
+/// Two spellings share that pair arithmetic: `convolve_into` writes any
+/// window of the full convolution, and `correlate_pairs_into` runs the
+/// matched filter's valid-mode correlation on a lag-anchored pair grid.
 ///
 /// Accuracy: overlap-save computes the same linear convolution as the
 /// direct sum, within FFT round-off (~1e-13 for unit-scale inputs; the
@@ -37,9 +41,8 @@
 namespace hyperear::dsp {
 
 /// Signal-length x kernel-length product below which direct (time-domain)
-/// evaluation beats any FFT method. Shared by `filter_same`,
-/// `correlate_valid` and the matched-filter detector so every spelling of a
-/// convolution picks the same path — and therefore the same bits.
+/// evaluation beats any FFT method. Shared by `filter_same_into` and the
+/// matched-filter detector.
 inline constexpr std::size_t kDirectProductLimit = 1u << 16;
 
 /// Transform size for overlap-save with an M-tap kernel: the power of two
@@ -55,8 +58,8 @@ inline constexpr std::size_t kDirectProductLimit = 1u << 16;
 /// transform pairs of N log2(N) butterflies, blocks =
 /// ceil(window_len / (N - M + 1)). Returns the smallest size whose cost is
 /// within 1/16 of the minimum and no more than the one-argument choice's.
-/// Whole-signal callers (`filter_same`, `correlate_valid`) keep the
-/// one-argument rule. For the 2205-tap reference on 131072-sample windows (the
+/// A convolver built without an explicit size keeps the one-argument rule.
+/// For the 2205-tap reference on 131072-sample windows (the
 /// matched-filter detector's costing window) this is 8192: 11 full pairs,
 /// against 3 pairs at 32768 of which the last is half empty.
 /// Deterministic, like the one-argument rule.
@@ -72,9 +75,10 @@ inline constexpr std::size_t kDirectProductLimit = 1u << 16;
 /// `Workspace`.
 ///
 /// For correlation, construct with the time-REVERSED template: correlation
-/// is convolution with the reversed kernel, and `correlate_valid` below
-/// assumes the reversal already happened (the reversed-template spectrum is
-/// exactly what core::PipelineContext caches for the matched filter).
+/// is convolution with the reversed kernel, and `correlate_pairs_into`
+/// below assumes the reversal already happened (the reversed-template
+/// spectrum is exactly what the matched-filter detector caches). Valid lag
+/// k of a correlation is full-convolution sample k + kernel_size() - 1.
 class OlsConvolver {
  public:
   /// `kernel` must be non-empty. `fft_size` 0 selects
@@ -97,30 +101,8 @@ class OlsConvolver {
   void convolve_into(std::span<const double> x, std::size_t offset, std::size_t count,
                      double* out, Workspace& ws) const;
 
-  /// Streamed spelling of one transform pair of `convolve_into`: computes
-  /// blocks `block_index` and (when `paired`) `block_index + 1` of the full
-  /// convolution of the kernel with a signal of `signal_len` samples, and
-  /// writes the intersection of the pair's output range with
-  /// [offset, offset + count) to `out[g - offset]`.
-  ///
-  /// `x` is a WINDOW of that signal: its samples are signal indices
-  /// [x_start, x_start + x.size()); everything outside `x` is read as zero,
-  /// exactly the zero-padding `convolve_into` applies outside the signal —
-  /// so the caller must retain (at least) the signal samples the pair's
-  /// input window [block_index*block - (kernel-1), end-of-pair) intersects.
-  /// `block_index` must be even (the pairing anchor of the full
-  /// convolution) and `paired` must equal `block_index + 1 <
-  /// ceil((signal_len + kernel - 1) / block)` of the FINAL signal — under
-  /// those conditions the pair arithmetic is the one `convolve_into` runs,
-  /// so an incremental caller is bit-identical to the batch path by
-  /// construction.
-  void convolve_pair_into(std::span<const double> x, std::size_t x_start,
-                          std::size_t signal_len, std::size_t block_index, bool paired,
-                          std::size_t offset, std::size_t count, double* out,
-                          Workspace& ws) const;
-
   /// Valid-mode correlation (against the template whose REVERSAL is this
-  /// kernel, as for `correlate_valid`) on the LAG-ANCHORED pair grid: with
+  /// kernel) on the LAG-ANCHORED pair grid: with
   /// B = block_size(), block b yields lags [b*B, (b+1)*B) from signal
   /// samples [b*B, b*B + fft_size()), and blocks 2g and 2g+1 share one
   /// transform pair. `x` holds signal samples [x_start, x_start +
@@ -132,38 +114,11 @@ class OlsConvolver {
   /// The grid belongs to the signal, not to the window: a window that
   /// spans a whole number of pairs or ends the signal runs exactly the
   /// transforms the whole signal would, so every lag is bit-identical
-  /// however the signal is split into such windows. (`correlate_valid`
+  /// however the signal is split into such windows. (`convolve_into`
   /// anchors its blocks to the window's full convolution instead, and
   /// spends the first block's kernel_size() - 1 outputs on lags before the
   /// window.)
   void correlate_pairs_into(std::span<const double> x, std::size_t x_start, double* out,
-                            Workspace& ws) const;
-
-  /// Full linear convolution; length x.size() + kernel_size() - 1.
-  [[nodiscard]] std::vector<double> convolve_full(std::span<const double> x,
-                                                  Workspace* ws = nullptr) const;
-
-  /// FIR "same" filtering: output has x.size() samples with the group delay
-  /// of the (odd, symmetric) kernel removed. Requires an odd kernel.
-  [[nodiscard]] std::vector<double> filter_same(std::span<const double> x,
-                                                Workspace* ws = nullptr) const;
-
-  /// `filter_same` into a caller-owned buffer (resized to x.size(), every
-  /// element overwritten) — the allocation-free spelling for batch loops
-  /// whose output buffer persists across sessions. Bit-identical to
-  /// `filter_same`.
-  void filter_same_into(std::span<const double> x, std::vector<double>& out,
-                        Workspace& ws) const;
-
-  /// Valid-mode correlation of x against the template whose REVERSAL is
-  /// this convolver's kernel; length x.size() - kernel_size() + 1. Requires
-  /// kernel_size() <= x.size().
-  [[nodiscard]] std::vector<double> correlate_valid(std::span<const double> x,
-                                                    Workspace* ws = nullptr) const;
-
-  /// `correlate_valid` into a caller-owned buffer (resized to the valid
-  /// length, every element overwritten). Bit-identical to `correlate_valid`.
-  void correlate_valid_into(std::span<const double> x, std::vector<double>& out,
                             Workspace& ws) const;
 
  private:
@@ -178,8 +133,7 @@ class OlsConvolver {
   /// the kernel with the fft_size() signal samples from index `base` (re
   /// lane) and from `base + block_size()` (im lane), reading signal index
   /// `idx` as x[idx - x_start] when inside the window and zero otherwise.
-  /// Every public spelling routes its block arithmetic through here, which
-  /// is what makes windowed, full, and streamed calls bit-identical.
+  /// Both public spellings route their block arithmetic through here.
   void transform_pair(std::span<const double> x, std::ptrdiff_t x_start,
                       std::ptrdiff_t base, bool paired, PairLanes z) const;
   /// Signal index read by lane position 0 of convolution block b.

@@ -1,5 +1,6 @@
 #include "dsp/spectrum.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -9,21 +10,36 @@
 
 namespace hyperear::dsp {
 
+namespace {
+
+/// Bit reversal of `k` over log2(n) bits: the index at which
+/// `FftPlan::forward_to_bitrev` leaves DFT bin k.
+std::size_t bit_reverse(std::size_t k, std::size_t n) {
+  std::size_t r = 0;
+  for (std::size_t bit = 1; bit < n; bit <<= 1) r = (r << 1) | ((k & bit) != 0 ? 1 : 0);
+  return r;
+}
+
+}  // namespace
+
 Periodogram periodogram(std::span<const double> x, double sample_rate) {
   require(!x.empty(), "periodogram: empty input");
   require(sample_rate > 0.0, "periodogram: bad sample rate");
   const std::size_t nfft = next_pow2(x.size());
-  std::vector<double> windowed(x.begin(), x.end());
-  const std::vector<double> w = make_window(WindowType::kHann, windowed.size());
+  std::vector<double> re(nfft, 0.0);
+  std::vector<double> im(nfft, 0.0);
+  const std::vector<double> w = make_window(WindowType::kHann, x.size());
   double wsum2 = 0.0;
   for (double v : w) wsum2 += v * v;
-  apply_window(windowed, w);
-  const std::vector<Complex> spec = fft_real(windowed, nfft);
+  std::copy(x.begin(), x.end(), re.begin());
+  apply_window(std::span<double>(re).first(x.size()), w);
+  FftPlan(nfft).forward_to_bitrev(re, im);
   Periodogram out;
   out.bin_hz = sample_rate / static_cast<double>(nfft);
   out.power.resize(nfft / 2 + 1);
   for (std::size_t k = 0; k < out.power.size(); ++k) {
-    const double mag2 = std::norm(spec[k]);
+    const std::size_t at = bit_reverse(k, nfft);
+    const double mag2 = re[at] * re[at] + im[at] * im[at];
     // Scale so that summing bins over a band approximates the band power of
     // the unwindowed signal.
     double p = mag2 / (wsum2 * static_cast<double>(nfft));

@@ -6,7 +6,8 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "dsp/correlation.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/ols.hpp"
 #include "dsp/spectrum.hpp"
 
 namespace hyperear::dsp {
@@ -63,7 +64,12 @@ TEST(Chirp, AutocorrelationPeaksAtZeroLag) {
   // "for its good auto correlation property" (Section IV-A).
   const Chirp c(paper_params());
   const std::vector<double> ref = c.reference(44100.0);
-  const std::vector<double> corr = correlate_full(ref, ref);
+  // Full correlation, lags -(n - 1) .. n - 1: the full convolution with the
+  // reversed reference.
+  const OlsConvolver reversed(std::vector<double>(ref.rbegin(), ref.rend()));
+  std::vector<double> corr(2 * ref.size() - 1);
+  Workspace ws;
+  reversed.convolve_into(ref, 0, corr.size(), corr.data(), ws);
   const std::size_t peak = argmax(corr);
   EXPECT_EQ(peak, ref.size() - 1);  // zero lag
   // Strongest sidelobe well below the main peak.

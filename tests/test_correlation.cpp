@@ -3,18 +3,59 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/ols.hpp"
 
 namespace hyperear::dsp {
 namespace {
 
+std::vector<double> correlate_direct(std::span<const double> x,
+                                     std::span<const double> h) {
+  std::vector<double> out;
+  correlate_valid_direct_into(x, h, out);
+  return out;
+}
+
+/// Full-convolution window [offset, offset + count) of x with the reversed
+/// template, through overlap-save: offset h.size() - 1 and the valid
+/// length give valid-mode correlation, offset 0 and the full length give
+/// lags -(h.size() - 1) .. x.size() - 1.
+std::vector<double> correlate_ols(std::span<const double> x, std::span<const double> h,
+                                  std::size_t offset, std::size_t count) {
+  const OlsConvolver reversed(std::vector<double>(h.rbegin(), h.rend()));
+  Workspace ws;
+  std::vector<double> out(count);
+  reversed.convolve_into(x, offset, count, out.data(), ws);
+  return out;
+}
+
+std::vector<double> correlate_ols(std::span<const double> x, std::span<const double> h) {
+  return correlate_ols(x, h, h.size() - 1, x.size() - h.size() + 1);
+}
+
+/// Normalized correlation as the detector's reference computes it: the
+/// overlap-save correlation divided by the floored sliding denominator.
+std::vector<double> correlate_normalized(std::span<const double> x,
+                                         std::span<const double> h) {
+  double h_energy = 0.0;
+  for (double v : h) h_energy += v * v;
+  std::vector<double> prefix;
+  std::vector<double> out;
+  normalize_correlation_into(correlate_ols(x, h), x, h.size(), std::sqrt(h_energy),
+                             prefix, out);
+  return out;
+}
+
 TEST(CorrelateValid, KnownSmallExample) {
   const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
   const std::vector<double> h{1.0, 1.0};
-  const std::vector<double> c = correlate_valid(x, h);
+  const std::vector<double> c = correlate_direct(x, h);
   ASSERT_EQ(c.size(), 3u);
   EXPECT_DOUBLE_EQ(c[0], 3.0);
   EXPECT_DOUBLE_EQ(c[1], 5.0);
@@ -28,17 +69,16 @@ TEST(CorrelateValid, PeakAtTemplateLocation) {
   std::vector<double> x(512, 0.0);
   const std::size_t offset = 200;
   for (std::size_t i = 0; i < h.size(); ++i) x[offset + i] = h[i];
-  const std::vector<double> c = correlate_valid(x, h);
-  EXPECT_EQ(argmax(c), offset);
+  EXPECT_EQ(argmax(correlate_direct(x, h)), offset);
+  EXPECT_EQ(argmax(correlate_ols(x, h)), offset);
 }
 
 TEST(CorrelateValid, FftAndDirectAgree) {
   Rng rng(32);
-  // Large enough to take the FFT path.
   std::vector<double> x(2048), h(256);
   for (auto& v : x) v = rng.gaussian();
   for (auto& v : h) v = rng.gaussian();
-  const std::vector<double> fast = correlate_valid(x, h);
+  const std::vector<double> fast = correlate_ols(x, h);
   // Direct computation on a few random lags.
   for (std::size_t k : {0u, 100u, 777u, 1792u}) {
     double direct = 0.0;
@@ -50,7 +90,8 @@ TEST(CorrelateValid, FftAndDirectAgree) {
 TEST(CorrelateValid, TemplateLongerThanSignalThrows) {
   const std::vector<double> x{1.0, 2.0};
   const std::vector<double> h{1.0, 2.0, 3.0};
-  EXPECT_THROW((void)correlate_valid(x, h), PreconditionError);
+  std::vector<double> out;
+  EXPECT_THROW(correlate_valid_direct_into(x, h, out), PreconditionError);
 }
 
 TEST(CorrelateNormalized, PerfectMatchScoresOne) {
@@ -98,7 +139,7 @@ TEST(CorrelateFull, AutocorrelationSymmetric) {
   Rng rng(35);
   std::vector<double> x(100);
   for (auto& v : x) v = rng.gaussian();
-  const std::vector<double> c = correlate_full(x, x);
+  const std::vector<double> c = correlate_ols(x, x, 0, 2 * x.size() - 1);
   ASSERT_EQ(c.size(), 199u);
   for (std::size_t k = 0; k < 99; ++k) {
     EXPECT_NEAR(c[k], c[c.size() - 1 - k], 1e-8);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,64 +14,89 @@
 namespace hyperear::dsp {
 namespace {
 
+using Complex = std::complex<double>;
+
+/// Split re/im arrays of a complex signal, the layout FftPlan transforms.
+struct Split {
+  std::vector<double> re;
+  std::vector<double> im;
+  explicit Split(std::size_t n) : re(n, 0.0), im(n, 0.0) {}
+  [[nodiscard]] std::size_t size() const { return re.size(); }
+  [[nodiscard]] Complex at(std::size_t i) const { return {re[i], im[i]}; }
+};
+
+/// Bit reversal of `i` over log2(n) bits: forward_to_bitrev leaves DFT bin
+/// k at index bit_reverse(k, n).
+std::size_t bit_reverse(std::size_t i, std::size_t n) {
+  std::size_t r = 0;
+  for (std::size_t bit = 1; bit < n; bit <<= 1) {
+    r = (r << 1) | ((i & bit) != 0 ? 1 : 0);
+  }
+  return r;
+}
+
 TEST(Fft, DeltaHasFlatSpectrum) {
-  std::vector<Complex> x(8, {0.0, 0.0});
-  x[0] = {1.0, 0.0};
-  fft_inplace(x);
-  for (const Complex& v : x) {
-    EXPECT_NEAR(v.real(), 1.0, 1e-12);
-    EXPECT_NEAR(v.imag(), 0.0, 1e-12);
+  Split x(8);
+  x.re[0] = 1.0;
+  FftPlan(8).forward_to_bitrev(x.re, x.im);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(x.re[i], 1.0, 1e-12);
+    EXPECT_NEAR(x.im[i], 0.0, 1e-12);
   }
 }
 
 TEST(Fft, SingleToneLandsInOneBin) {
   const std::size_t n = 64;
-  std::vector<Complex> x(n);
-  const int k = 5;
+  Split x(n);
+  const std::size_t k = 5;
   for (std::size_t i = 0; i < n; ++i) {
-    x[i] = Complex(std::cos(2.0 * kPi * k * static_cast<double>(i) / static_cast<double>(n)),
-                   std::sin(2.0 * kPi * k * static_cast<double>(i) / static_cast<double>(n)));
+    const double phase = 2.0 * kPi * static_cast<double>(k * i) / static_cast<double>(n);
+    x.re[i] = std::cos(phase);
+    x.im[i] = std::sin(phase);
   }
-  fft_inplace(x);
+  FftPlan(n).forward_to_bitrev(x.re, x.im);
   for (std::size_t i = 0; i < n; ++i) {
-    if (i == static_cast<std::size_t>(k)) {
-      EXPECT_NEAR(std::abs(x[i]), double(n), 1e-9);
+    if (i == bit_reverse(k, n)) {
+      EXPECT_NEAR(std::abs(x.at(i)), double(n), 1e-9);
     } else {
-      EXPECT_NEAR(std::abs(x[i]), 0.0, 1e-9);
+      EXPECT_NEAR(std::abs(x.at(i)), 0.0, 1e-9);
     }
   }
 }
 
 TEST(Fft, RoundTripIdentity) {
   Rng rng(21);
-  std::vector<Complex> x(256);
-  for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-  std::vector<Complex> orig = x;
-  fft_inplace(x);
-  ifft_inplace(x);
+  Split x(256);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i].real(), orig[i].real(), 1e-10);
-    EXPECT_NEAR(x[i].imag(), orig[i].imag(), 1e-10);
+    x.re[i] = rng.gaussian();
+    x.im[i] = rng.gaussian();
+  }
+  const Split orig = x;
+  const FftPlan plan(x.size());
+  plan.forward_to_bitrev(x.re, x.im);
+  plan.inverse_from_bitrev(x.re, x.im);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(x.re[i] / 256.0, orig.re[i], 1e-10);
+    EXPECT_NEAR(x.im[i] / 256.0, orig.im[i], 1e-10);
   }
 }
 
 TEST(Fft, ParsevalHolds) {
   Rng rng(22);
-  std::vector<Complex> x(128);
+  Split x(128);
   double time_energy = 0.0;
-  for (auto& v : x) {
-    v = Complex(rng.gaussian(), 0.0);
-    time_energy += std::norm(v);
+  for (double& v : x.re) {
+    v = rng.gaussian();
+    time_energy += v * v;
   }
-  fft_inplace(x);
+  FftPlan(x.size()).forward_to_bitrev(x.re, x.im);
   double freq_energy = 0.0;
-  for (const auto& v : x) freq_energy += std::norm(v);
+  for (std::size_t i = 0; i < x.size(); ++i) freq_energy += std::norm(x.at(i));
   EXPECT_NEAR(freq_energy / double(x.size()), time_energy, 1e-8 * time_energy);
 }
 
 TEST(Fft, NonPowerOfTwoThrows) {
-  std::vector<Complex> x(12);
-  EXPECT_THROW(fft_inplace(x), PreconditionError);
+  EXPECT_THROW(FftPlan(12), PreconditionError);
 }
 
 /// O(N^2) DFT in long double: the reference the kernel is held against.
@@ -115,35 +142,6 @@ double relative_error(const std::vector<Complex>& got, const std::vector<Complex
     scale = std::max(scale, std::abs(want[i]));
   }
   return err / scale;
-}
-
-TEST(FftPlan, MatchesNaiveDftAtEverySize) {
-  // Every N = 2^0 .. 2^12 covers both odd log2 N (the leading radix-2 pass)
-  // and even log2 N (pure radix-4 stages), forward and inverse.
-  Rng rng(25);
-  for (unsigned bits = 0; bits <= 12; ++bits) {
-    const std::size_t n = std::size_t{1} << bits;
-    const double tol = 1e-12 * std::max(1.0, static_cast<double>(bits));
-    std::vector<Complex> x(n);
-    for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-    const FftPlan plan(n);
-    EXPECT_EQ(plan.size(), n);
-    std::vector<Complex> fwd = x;
-    plan.forward(fwd);
-    EXPECT_LE(relative_error(fwd, naive_dft(x, false)), tol) << "forward n=" << n;
-    std::vector<Complex> inv = x;
-    plan.inverse(inv);
-    EXPECT_LE(relative_error(inv, naive_dft(x, true)), tol) << "inverse n=" << n;
-  }
-}
-
-/// Bit reversal of `i` over log2(n) bits.
-std::size_t bit_reverse(std::size_t i, std::size_t n) {
-  std::size_t r = 0;
-  for (std::size_t bit = 1; bit < n; bit <<= 1) {
-    r = (r << 1) | ((i & bit) != 0 ? 1 : 0);
-  }
-  return r;
 }
 
 TEST(FftPlan, BitReversedPairMatchesNaiveDftAtEverySize) {
@@ -194,67 +192,44 @@ TEST(FftPlan, RoundTripAtOverlapSaveSizes) {
   for (const std::size_t n : {std::size_t{2048}, std::size_t{8192}, std::size_t{32768}}) {
     std::vector<Complex> x(n);
     for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+    Split y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      y.re[i] = x[i].real();
+      y.im[i] = x[i].imag();
+    }
     const FftPlan plan(n);
-    std::vector<Complex> y = x;
-    plan.forward(y);
-    plan.inverse(y);
-    EXPECT_LE(relative_error(y, x), 1e-12 * std::log2(static_cast<double>(n))) << "n=" << n;
+    plan.forward_to_bitrev(y.re, y.im);
+    plan.inverse_from_bitrev(y.re, y.im);
+    std::vector<Complex> back(n);
+    for (std::size_t i = 0; i < n; ++i) back[i] = y.at(i) / static_cast<double>(n);
+    EXPECT_LE(relative_error(back, x), 1e-12 * std::log2(static_cast<double>(n)))
+        << "n=" << n;
   }
 }
 
 TEST(FftPlan, RejectsBadSizes) {
   EXPECT_THROW(FftPlan(12), PreconditionError);
   const FftPlan plan(8);
-  std::vector<Complex> x(4);
-  EXPECT_THROW(plan.forward(x), PreconditionError);
   std::vector<double> re(8);
   std::vector<double> im(4);
   EXPECT_THROW(plan.forward_to_bitrev(re, im), PreconditionError);
   EXPECT_THROW(plan.inverse_from_bitrev(im, re), PreconditionError);
 }
 
-TEST(FftReal, PadsToPowerOfTwo) {
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  const std::vector<Complex> spec = fft_real(x);
-  EXPECT_EQ(spec.size(), 4u);
-  const std::vector<Complex> spec2 = fft_real(x, 10);
-  EXPECT_EQ(spec2.size(), 16u);
-}
-
 TEST(FftReal, ConjugateSymmetry) {
+  // A real signal's spectrum is conjugate-symmetric: bin N - k is the
+  // conjugate of bin k, read at their bit-reversed indices.
   Rng rng(23);
-  std::vector<double> x(64);
-  for (auto& v : x) v = rng.gaussian();
-  const std::vector<Complex> spec = fft_real(x);
-  for (std::size_t k = 1; k < spec.size() / 2; ++k) {
-    EXPECT_NEAR(spec[k].real(), spec[spec.size() - k].real(), 1e-10);
-    EXPECT_NEAR(spec[k].imag(), -spec[spec.size() - k].imag(), 1e-10);
+  const std::size_t n = 64;
+  Split x(n);
+  for (double& v : x.re) v = rng.gaussian();
+  FftPlan(n).forward_to_bitrev(x.re, x.im);
+  for (std::size_t k = 1; k < n / 2; ++k) {
+    const Complex bin = x.at(bit_reverse(k, n));
+    const Complex mirror = x.at(bit_reverse(n - k, n));
+    EXPECT_NEAR(bin.real(), mirror.real(), 1e-10);
+    EXPECT_NEAR(bin.imag(), -mirror.imag(), 1e-10);
   }
-}
-
-TEST(FftConvolve, MatchesDirectConvolution) {
-  Rng rng(24);
-  std::vector<double> a(37), b(12);
-  for (auto& v : a) v = rng.gaussian();
-  for (auto& v : b) v = rng.gaussian();
-  const std::vector<double> fast = fft_convolve(a, b);
-  ASSERT_EQ(fast.size(), a.size() + b.size() - 1);
-  for (std::size_t k = 0; k < fast.size(); ++k) {
-    double direct = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const long long j = static_cast<long long>(k) - static_cast<long long>(i);
-      if (j >= 0 && j < static_cast<long long>(b.size())) direct += a[i] * b[static_cast<std::size_t>(j)];
-    }
-    EXPECT_NEAR(fast[k], direct, 1e-9);
-  }
-}
-
-TEST(FftConvolve, DeltaIsIdentity) {
-  const std::vector<double> x{1.0, -2.0, 3.0, 0.5};
-  const std::vector<double> delta{1.0};
-  const std::vector<double> y = fft_convolve(x, delta);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-12);
 }
 
 }  // namespace

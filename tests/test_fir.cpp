@@ -3,13 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/ols.hpp"
 
 namespace hyperear::dsp {
 namespace {
+
+std::vector<double> filter_same(std::span<const double> signal,
+                                const std::vector<double>& taps) {
+  const OlsConvolver kernel(taps);
+  Workspace ws;
+  std::vector<double> out;
+  filter_same_into(signal, kernel, out, ws);
+  return out;
+}
 
 TEST(FirDesign, LowpassPassesDcBlocksHigh) {
   const double fs = 44100.0;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -48,11 +49,19 @@ MatchedFilterDetector make_detector(const Chirp& chirp) {
   return MatchedFilterDetector(chirp.reference(kFs), cfg);
 }
 
+std::vector<Detection> detect(const MatchedFilterDetector& det,
+                              std::span<const double> recording) {
+  DetectorWorkspace ws;
+  std::vector<Detection> out;
+  det.detect_into(recording, ws, out);
+  return out;
+}
+
 TEST(MatchedFilter, DetectsSingleChirp) {
   const Chirp chirp{ChirpParams{}};
   Rng rng(41);
   const std::vector<double> x = make_recording(chirp, {0.3}, 1.0, 0.01, rng);
-  const auto detections = make_detector(chirp).detect(x);
+  const auto detections = detect(make_detector(chirp), x);
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_NEAR(detections[0].time_s, 0.3, 1e-4);
   EXPECT_GT(detections[0].score, 0.8);
@@ -64,7 +73,7 @@ TEST(MatchedFilter, SubSampleTiming) {
   // A start time deliberately between samples.
   const double t0 = 0.3 + 0.4 / kFs;
   const std::vector<double> x = make_recording(chirp, {t0}, 1.0, 0.005, rng);
-  const auto detections = make_detector(chirp).detect(x);
+  const auto detections = detect(make_detector(chirp), x);
   ASSERT_EQ(detections.size(), 1u);
   // Sub-sample refinement should land within ~0.2 samples.
   EXPECT_NEAR(detections[0].time_s, t0, 0.25 / kFs);
@@ -76,7 +85,7 @@ TEST(MatchedFilter, PeriodicTrainAllFound) {
   std::vector<double> starts;
   for (int i = 0; i < 12; ++i) starts.push_back(0.1 + 0.2 * i);
   const std::vector<double> x = make_recording(chirp, starts, 2.7, 0.02, rng);
-  const auto detections = make_detector(chirp).detect(x);
+  const auto detections = detect(make_detector(chirp), x);
   ASSERT_EQ(detections.size(), starts.size());
   for (std::size_t i = 0; i < starts.size(); ++i) {
     EXPECT_NEAR(detections[i].time_s, starts[i], 1e-4);
@@ -87,7 +96,7 @@ TEST(MatchedFilter, NoFalsePositivesInNoise) {
   const Chirp chirp{ChirpParams{}};
   Rng rng(44);
   const std::vector<double> x = make_recording(chirp, {}, 1.5, 0.1, rng);
-  EXPECT_TRUE(make_detector(chirp).detect(x).empty());
+  EXPECT_TRUE(detect(make_detector(chirp), x).empty());
 }
 
 TEST(MatchedFilter, SurvivesLowSnr) {
@@ -96,7 +105,7 @@ TEST(MatchedFilter, SurvivesLowSnr) {
   // In-band chirp RMS ~ 0.6 over its support; noise RMS 0.5 across the
   // band is roughly 0 dB broadband; the matched filter gain is ~23 dB.
   const std::vector<double> x = make_recording(chirp, {0.5, 0.7, 0.9}, 1.5, 0.5, rng);
-  const auto detections = make_detector(chirp).detect(x);
+  const auto detections = detect(make_detector(chirp), x);
   EXPECT_GE(detections.size(), 2u);
 }
 
@@ -111,7 +120,7 @@ TEST(MatchedFilter, AmplitudeGateDropsWeakEcho) {
     const std::vector<double> echo = make_recording(chirp, {0.85}, 1.4, 0.0, rng2, 0.1);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += echo[i];
   }
-  const auto detections = make_detector(chirp).detect(x);
+  const auto detections = detect(make_detector(chirp), x);
   ASSERT_EQ(detections.size(), 3u);
   for (const auto& d : detections) EXPECT_LT(d.time_s, 0.8);
 }
@@ -127,7 +136,7 @@ TEST(MatchedFilter, StrongerArrivalWinsWithinSpacing) {
     const std::vector<double> echo = make_recording(chirp, {0.53}, 1.2, 0.0, rng2, 0.5);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += echo[i];
   }
-  const auto detections = make_detector(chirp).detect(x);
+  const auto detections = detect(make_detector(chirp), x);
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_NEAR(detections[0].time_s, 0.5, 5e-4);
 }
@@ -409,7 +418,7 @@ TEST(MatchedFilter, StreamProtocolBitIdenticalToDetectAcrossChunkings) {
   const std::vector<double> starts{0.1, 2.0 * static_cast<double>(pair) / kFs - 0.01,
                                    static_cast<double>(4 * pair - 1) / kFs, 1.3};
   const std::vector<double> x = make_recording(chirp, starts, 1.6, 0.01, rng);
-  const std::vector<Detection> expect = det.detect(x);
+  const std::vector<Detection> expect = detect(det, x);
   ASSERT_EQ(expect.size(), starts.size());
   for (const std::vector<std::size_t>& slices :
        {std::vector<std::size_t>{x.size()}, std::vector<std::size_t>{1009},
@@ -578,7 +587,7 @@ TEST(MatchedFilter, EchoWindowIsClippedOnlyAtTheRecordingEnds) {
 
 /// A detector small enough for the direct correlation path (one pair's
 /// window x reference <= kDirectProductLimit), so the oracle computes its
-/// raw correlation with the planless direct sum.
+/// raw correlation with the direct sum.
 struct SmallDetector {
   static constexpr std::size_t kRef = 48;
   std::vector<double> reference;
@@ -671,7 +680,7 @@ TEST(MatchedFilter, ChunkPassAndStitchMatchTheSerialChunkStep) {
       EXPECT_FALSE(passes[3].tail.has_value());
     }
     // The seam peak is detected, on its lag.
-    const std::vector<Detection> found = small.det.detect(x);
+    const std::vector<Detection> found = detect(small.det, x);
     const bool seen = std::any_of(found.begin(), found.end(), [&](const Detection& d) {
       return std::abs(d.time_s * kFs - static_cast<double>(c.seam_lag)) < 0.5;
     });
@@ -888,7 +897,7 @@ TEST(MatchedFilter, ConfigValidation) {
 TEST(MatchedFilter, ShortRecordingYieldsNothing) {
   const Chirp chirp{ChirpParams{}};
   const std::vector<double> x(100, 0.0);
-  EXPECT_TRUE(make_detector(chirp).detect(x).empty());
+  EXPECT_TRUE(detect(make_detector(chirp), x).empty());
 }
 
 /// One golden detection: refined arrival time (s), normalized score,

@@ -38,6 +38,28 @@ double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) 
   return worst;
 }
 
+/// The whole convolution through `convolve_into`'s full window.
+std::vector<double> full_conv(const OlsConvolver& ols, std::span<const double> x,
+                              Workspace& ws) {
+  std::vector<double> out(x.size() + ols.kernel_size() - 1);
+  ols.convolve_into(x, 0, out.size(), out.data(), ws);
+  return out;
+}
+
+std::vector<double> full_conv(const OlsConvolver& ols, std::span<const double> x) {
+  Workspace ws;
+  return full_conv(ols, x, ws);
+}
+
+/// Valid-mode correlation against the template whose reversal is the
+/// convolver's kernel: lag k is full-convolution sample k + kernel - 1.
+std::vector<double> valid_corr(const OlsConvolver& reversed, std::span<const double> x) {
+  Workspace ws;
+  std::vector<double> out(x.size() - reversed.kernel_size() + 1);
+  reversed.convolve_into(x, reversed.kernel_size() - 1, out.size(), out.data(), ws);
+  return out;
+}
+
 // Accuracy contract (documented in DESIGN.md Section 9): for unit-variance
 // inputs at the sizes this library uses, overlap-save agrees with direct
 // evaluation to ~1e-13; 1e-9 leaves four orders of magnitude of headroom
@@ -51,13 +73,12 @@ TEST(ChooseOlsFftSize, PowerOfTwoAtLeastKernelAndDeterministic) {
     EXPECT_TRUE(is_pow2(n)) << "m=" << m;
     EXPECT_GE(n, m) << "m=" << m;
     // Deterministic: independently built convolvers must agree on geometry
-    // (the bit-identity of the planless and plan-cached overloads rests on
-    // this).
+    // (and hence on the output bits).
     EXPECT_EQ(n, choose_ols_fft_size(m)) << "m=" << m;
   }
   // The paper's band-pass kernel: 255 taps -> 2048-point blocks (the
-  // n*log2(n)/(n-m+1) minimum). A change here silently changes every
-  // cached-vs-planless comparison, so pin it.
+  // n*log2(n)/(n-m+1) minimum). A change here silently changes the bits of
+  // every filter built without an explicit size, so pin it.
   EXPECT_EQ(choose_ols_fft_size(255), 2048u);
 }
 
@@ -114,7 +135,7 @@ TEST(OlsConvolver, CorrelateValidAgreesAcrossDetectorBlockSizes) {
   const std::vector<double> reversed(ref.rbegin(), ref.rend());
   const OlsConvolver small(reversed, 8192);
   const OlsConvolver large(reversed, 32768);
-  EXPECT_LT(max_abs_diff(small.correlate_valid(x), large.correlate_valid(x)), kTol);
+  EXPECT_LT(max_abs_diff(valid_corr(small, x), valid_corr(large, x)), kTol);
 }
 
 TEST(OlsConvolver, MatchesDirectAcrossRandomLengths) {
@@ -126,7 +147,7 @@ TEST(OlsConvolver, MatchesDirectAcrossRandomLengths) {
     std::vector<double> x = rng.gaussian_vector(n);
     std::vector<double> k = rng.gaussian_vector(m);
     const OlsConvolver ols(k);
-    const std::vector<double> got = ols.convolve_full(x);
+    const std::vector<double> got = full_conv(ols, x);
     const std::vector<double> want = direct_full_conv(x, k);
     EXPECT_LT(max_abs_diff(got, want), kTol) << "n=" << n << " m=" << m;
   }
@@ -135,15 +156,16 @@ TEST(OlsConvolver, MatchesDirectAcrossRandomLengths) {
 TEST(OlsConvolver, NonPowerOfTwoBoundaryLengths) {
   Rng rng(7);
   // Signal lengths straddling block boundaries for the smallest block the
-  // convolver will pick (m=255 -> N=2048 -> L=1794), plus prime-ish lengths.
+  // convolver will pick (m=255 -> N=2048 -> L=1794), a prime-ish length,
+  // and a long signal of ten pairs.
   const std::size_t m = 255;
   std::vector<double> k = rng.gaussian_vector(m);
   const OlsConvolver ols(k);
   const std::size_t block = ols.block_size();
   for (std::size_t n : {m, m + 1, block - 1, block, block + 1, 2 * block - 1,
-                        2 * block, 2 * block + 1, 4099ul}) {
+                        2 * block, 2 * block + 1, 4099ul, 1ul << 14}) {
     std::vector<double> x = rng.gaussian_vector(n);
-    EXPECT_LT(max_abs_diff(ols.convolve_full(x), direct_full_conv(x, k)), kTol)
+    EXPECT_LT(max_abs_diff(full_conv(ols, x), direct_full_conv(x, k)), kTol)
         << "n=" << n;
   }
 }
@@ -158,7 +180,7 @@ TEST(OlsConvolver, KernelEqualsFftSizeEdge) {
   const OlsConvolver ols(k, /*fft_size=*/64);
   EXPECT_EQ(ols.block_size(), 1u);
   std::vector<double> x = rng.gaussian_vector(157);
-  EXPECT_LT(max_abs_diff(ols.convolve_full(x), direct_full_conv(x, k)), kTol);
+  EXPECT_LT(max_abs_diff(full_conv(ols, x), direct_full_conv(x, k)), kTol);
 }
 
 TEST(OlsConvolver, KernelLongerThanBlock) {
@@ -172,7 +194,7 @@ TEST(OlsConvolver, KernelLongerThanBlock) {
   EXPECT_EQ(ols.block_size(), 57u);
   EXPECT_LT(ols.block_size(), m);
   std::vector<double> x = rng.gaussian_vector(1000);
-  EXPECT_LT(max_abs_diff(ols.convolve_full(x), direct_full_conv(x, k)), kTol);
+  EXPECT_LT(max_abs_diff(full_conv(ols, x), direct_full_conv(x, k)), kTol);
 }
 
 TEST(OlsConvolver, MatchesDirectAtEveryExplicitFftSize) {
@@ -188,7 +210,7 @@ TEST(OlsConvolver, MatchesDirectAtEveryExplicitFftSize) {
       // A few blocks, so both lanes of a pair and an unpaired last block
       // are exercised at every size.
       const std::vector<double> x = rng.gaussian_vector(3 * ols.block_size() + m + 5);
-      EXPECT_LT(max_abs_diff(ols.convolve_full(x), direct_full_conv(x, k)), kTol)
+      EXPECT_LT(max_abs_diff(full_conv(ols, x), direct_full_conv(x, k)), kTol)
           << "m=" << m << " n=" << n;
     }
   }
@@ -200,7 +222,7 @@ TEST(OlsConvolver, WindowedOutputMatchesSliceOfFull) {
   std::vector<double> k = rng.gaussian_vector(m);
   std::vector<double> x = rng.gaussian_vector(3000);
   const OlsConvolver ols(k);
-  const std::vector<double> full = ols.convolve_full(x);
+  const std::vector<double> full = full_conv(ols, x);
   Workspace ws;
   for (int trial = 0; trial < 20; ++trial) {
     const auto offset = static_cast<std::size_t>(
@@ -219,7 +241,7 @@ TEST(OlsConvolver, WindowedOutputMatchesSliceOfFull) {
 TEST(OlsConvolver, PairGridCorrelationIsBitIdenticalForEverySplit) {
   // correlate_pairs_into anchors its transform pairs to the signal's lag
   // grid: windows of whole pairs (or ending the signal) reproduce the
-  // whole-signal correlation bit for bit, and it matches correlate_valid
+  // whole-signal correlation bit for bit, and it matches the direct sum
   // within FFT round-off. Signal lengths put the last block on both
   // parities (paired and unpaired) and leave a one-lag final window.
   Rng rng(23);
@@ -234,7 +256,9 @@ TEST(OlsConvolver, PairGridCorrelationIsBitIdenticalForEverySplit) {
       Workspace ws;
       std::vector<double> whole(lags);
       ols.correlate_pairs_into(x, 0, whole.data(), ws);
-      EXPECT_LT(max_abs_diff(whole, correlate_valid(x, h)), kTol) << "m=" << m;
+      std::vector<double> direct;
+      correlate_valid_direct_into(x, h, direct);
+      EXPECT_LT(max_abs_diff(whole, direct), kTol) << "m=" << m;
       for (const std::size_t pairs : {1u, 2u, 3u}) {
         const std::size_t chunk = pairs * pair;
         std::vector<double> split(lags);
@@ -253,93 +277,16 @@ TEST(OlsConvolver, PairGridCorrelationIsBitIdenticalForEverySplit) {
 }
 
 TEST(OlsConvolver, MatchesMonolithicFftConvolveWithinTolerance) {
+  // Block streaming against one transform over the whole signal: a
+  // convolver whose fft_size covers the full convolution runs a single
+  // block, which is the monolithic FFT convolution.
   Rng rng(19);
   std::vector<double> k = rng.gaussian_vector(255);
   std::vector<double> x = rng.gaussian_vector(1u << 14);
   const OlsConvolver ols(k);
-  EXPECT_LT(max_abs_diff(ols.convolve_full(x), fft_convolve(x, k)), kTol);
-}
-
-TEST(OlsOverloads, FilterSameSpellingsAreBitIdentical) {
-  Rng rng(23);
-  std::vector<double> taps = rng.gaussian_vector(255);
-  const OlsConvolver cached(taps);
-  Workspace ws;
-  // Large product (OLS path) and small product (direct path) both must be
-  // exactly equal between the planless and plan-cached spellings — the
-  // contract that lets PipelineContext swap its cache in and out without
-  // perturbing a single bit of the pipeline output.
-  for (std::size_t n : {100u, 5000u}) {
-    std::vector<double> x = rng.gaussian_vector(n);
-    const std::vector<double> planless = filter_same(x, taps);
-    const std::vector<double> planned = filter_same(x, cached, &ws);
-    ASSERT_EQ(planless.size(), planned.size());
-    for (std::size_t i = 0; i < planless.size(); ++i) {
-      EXPECT_EQ(planless[i], planned[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(OlsOverloads, CorrelateValidSpellingsAreBitIdentical) {
-  Rng rng(29);
-  std::vector<double> h = rng.gaussian_vector(255);
-  const OlsConvolver reversed(std::vector<double>(h.rbegin(), h.rend()));
-  Workspace ws;
-  for (std::size_t n : {300u, 4000u}) {
-    std::vector<double> x = rng.gaussian_vector(n);
-    const std::vector<double> planless = correlate_valid(x, h);
-    const std::vector<double> planned = correlate_valid(x, reversed, &ws);
-    ASSERT_EQ(planless.size(), planned.size());
-    for (std::size_t i = 0; i < planless.size(); ++i) {
-      EXPECT_EQ(planless[i], planned[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(OlsOverloads, CorrelateFullSpellingsAreBitIdentical) {
-  Rng rng(31);
-  std::vector<double> h = rng.gaussian_vector(255);
-  const OlsConvolver reversed(std::vector<double>(h.rbegin(), h.rend()));
-  for (std::size_t n : {200u, 2000u}) {
-    std::vector<double> x = rng.gaussian_vector(n);
-    const std::vector<double> planless = correlate_full(x, h);
-    const std::vector<double> planned = correlate_full(x, reversed);
-    ASSERT_EQ(planless.size(), planned.size());
-    for (std::size_t i = 0; i < planless.size(); ++i) {
-      EXPECT_EQ(planless[i], planned[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(OlsOverloads, CorrelateFullBelowLimitIsTheDirectSum) {
-  // Below kDirectProductLimit both correlate_full spellings evaluate the
-  // direct sum: full-convolution sample g of x with the reversed template,
-  // the terms taken in ascending template-reversal index j.
-  Rng rng(53);
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 1}, {7, 3}, {3, 7}, {200, 255}, {256, 256}, {2000, 32}};
-  for (const auto& [n, m] : shapes) {
-    ASSERT_LE(n * m, kDirectProductLimit);
-    const std::vector<double> x = rng.gaussian_vector(n);
-    const std::vector<double> h = rng.gaussian_vector(m);
-    std::vector<double> want(n + m - 1);
-    for (std::size_t g = 0; g < want.size(); ++g) {
-      double s = 0.0;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (j <= g && g - j < n) s += x[g - j] * h[m - 1 - j];
-      }
-      want[g] = s;
-    }
-    const OlsConvolver reversed(std::vector<double>(h.rbegin(), h.rend()));
-    const std::vector<double> planless = correlate_full(x, h);
-    const std::vector<double> planned = correlate_full(x, reversed);
-    ASSERT_EQ(planless.size(), want.size());
-    ASSERT_EQ(planned.size(), want.size());
-    for (std::size_t g = 0; g < want.size(); ++g) {
-      EXPECT_EQ(planless[g], want[g]) << "n=" << n << " m=" << m << " g=" << g;
-      EXPECT_EQ(planned[g], want[g]) << "n=" << n << " m=" << m << " g=" << g;
-    }
-  }
+  const OlsConvolver monolithic(k, next_pow2(x.size() + k.size() - 1));
+  ASSERT_GE(monolithic.block_size(), x.size() + k.size() - 1);
+  EXPECT_LT(max_abs_diff(full_conv(ols, x), full_conv(monolithic, x)), kTol);
 }
 
 TEST(OlsWorkspace, ReuseAcrossMixedSizesDoesNotPerturbResults) {
@@ -351,8 +298,8 @@ TEST(OlsWorkspace, ReuseAcrossMixedSizesDoesNotPerturbResults) {
   // buffer from the previous one.
   for (std::size_t n : {3000u, 130u, 4096u, 127u, 2500u}) {
     std::vector<double> x = rng.gaussian_vector(n);
-    const std::vector<double> reused = ols.convolve_full(x, &shared);
-    const std::vector<double> fresh = ols.convolve_full(x);
+    const std::vector<double> reused = full_conv(ols, x, shared);
+    const std::vector<double> fresh = full_conv(ols, x);
     ASSERT_EQ(reused.size(), fresh.size());
     for (std::size_t i = 0; i < reused.size(); ++i) {
       EXPECT_EQ(reused[i], fresh[i]) << "n=" << n << " i=" << i;
@@ -362,59 +309,38 @@ TEST(OlsWorkspace, ReuseAcrossMixedSizesDoesNotPerturbResults) {
 
 TEST(OlsWorkspace, WarmedDirtyWorkspaceMatchesFresh) {
   // A workspace warmed by a larger convolver and then filled with NaN must
-  // not leak into any spelling: every lane element is written before it is
-  // read.
+  // not leak into either spelling: every lane element is written before it
+  // is read.
   Rng rng(47);
   const std::vector<double> k = rng.gaussian_vector(255);
   const OlsConvolver ols(k);
   const OlsConvolver larger(rng.gaussian_vector(2205));
   const std::vector<double> x = rng.gaussian_vector(9000);
   Workspace dirty;
-  (void)larger.convolve_full(x, &dirty);
-  for (std::size_t slot = 0; slot < Workspace::kSlots; ++slot) {
-    std::vector<double>& lane = dirty.real_scratch(slot, 1u << 15);
-    std::fill(lane.begin(), lane.end(), std::nan(""));
-  }
-  const std::vector<double> fresh = ols.convolve_full(x);
-  const std::vector<double> reused = ols.convolve_full(x, &dirty);
+  (void)full_conv(larger, x, dirty);
+  const auto poison = [&dirty] {
+    for (std::size_t slot = 0; slot < Workspace::kSlots; ++slot) {
+      std::vector<double>& lane = dirty.real_scratch(slot, 1u << 15);
+      std::fill(lane.begin(), lane.end(), std::nan(""));
+    }
+  };
+  poison();
+  const std::vector<double> fresh = full_conv(ols, x);
+  const std::vector<double> reused = full_conv(ols, x, dirty);
   ASSERT_EQ(reused.size(), fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     EXPECT_EQ(reused[i], fresh[i]) << "i=" << i;
   }
-  // The streamed spelling: one pair, windowed out of the same signal.
-  std::vector<double> pair_fresh(2 * ols.block_size());
-  std::vector<double> pair_dirty(pair_fresh.size());
+  // The pair-grid spelling the matched filter runs.
+  poison();
+  const std::size_t lags = x.size() - ols.kernel_size() + 1;
+  std::vector<double> pairs_fresh(lags);
+  std::vector<double> pairs_dirty(lags);
   Workspace fresh_ws;
-  ols.convolve_pair_into(x, 0, x.size(), 2, true, 2 * ols.block_size(), pair_fresh.size(),
-                         pair_fresh.data(), fresh_ws);
-  ols.convolve_pair_into(x, 0, x.size(), 2, true, 2 * ols.block_size(), pair_dirty.size(),
-                         pair_dirty.data(), dirty);
-  for (std::size_t i = 0; i < pair_fresh.size(); ++i) {
-    EXPECT_EQ(pair_dirty[i], pair_fresh[i]) << "i=" << i;
-    EXPECT_EQ(pair_fresh[i], fresh[2 * ols.block_size() + i]) << "i=" << i;
-  }
-}
-
-TEST(FftInto, MatchesAllocatingSpellings) {
-  Rng rng(41);
-  std::vector<double> x = rng.gaussian_vector(300);
-  const std::vector<Complex> want = fft_real(x, 1024);
-  const FftPlan plan(1024);
-  Workspace ws;
-  std::vector<Complex> spectrum(4096, Complex(-7.0, 3.0));  // dirty, oversized
-  fft_real_into(x, 1024, spectrum, &plan);
-  ASSERT_EQ(spectrum.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(spectrum[i], want[i]) << "i=" << i;
-  }
-
-  const std::vector<double> round_trip = ifft_to_real(want);
-  std::vector<Complex> clobber(want);
-  std::vector<double>& out = ws.real_scratch(0, 1);
-  ifft_to_real_into(clobber, out, &plan);
-  ASSERT_EQ(out.size(), round_trip.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], round_trip[i]) << "i=" << i;
+  ols.correlate_pairs_into(x, 0, pairs_fresh.data(), fresh_ws);
+  ols.correlate_pairs_into(x, 0, pairs_dirty.data(), dirty);
+  for (std::size_t i = 0; i < lags; ++i) {
+    EXPECT_EQ(pairs_dirty[i], pairs_fresh[i]) << "i=" << i;
   }
 }
 
@@ -436,10 +362,8 @@ TEST(OlsErrors, ContractViolationsThrow) {
   EXPECT_THROW(ols.correlate_pairs_into(std::span<const double>(x).first(7), 0, out.data(), ws),
                PreconditionError);
   // Even-length kernels have no centered "same" alignment.
-  EXPECT_THROW((void)ols.filter_same(x), PreconditionError);
-  // Template longer than signal.
-  const std::vector<double> tiny(4, 1.0);
-  EXPECT_THROW((void)ols.correlate_valid(tiny), PreconditionError);
+  std::vector<double> filtered;
+  EXPECT_THROW(filter_same_into(x, ols, filtered, ws), PreconditionError);
 }
 
 }  // namespace

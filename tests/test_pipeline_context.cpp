@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -130,6 +132,22 @@ TEST(PipelineContext, RejectsInvalidInputsAtConstruction) {
   AspOptions bad;
   bad.detector_threshold = 2.0;
   EXPECT_THROW(PipelineContext(bad, chirp, 44100.0), PreconditionError);
+}
+
+TEST(PipelineContext, TryLocalizeNamesABadSampleRate) {
+  // A zero, negative or NaN audio rate is reported as such, not as a
+  // failure of a filter design derived from it.
+  sim::Session s = small_session(1303);
+  for (const double fs : {0.0, -44100.0, std::nan("")}) {
+    s.audio.sample_rate = fs;
+    const auto r = try_localize(s, PipelineConfig{});
+    ASSERT_FALSE(r.has_value()) << fs;
+    EXPECT_EQ(r.error().category, ErrorCategory::precondition) << fs;
+    EXPECT_EQ(r.error().stage, PipelineStage::asp) << fs;
+    EXPECT_NE(r.error().message.find("sample rate"), std::string::npos)
+        << r.error().message;
+    EXPECT_EQ(r.error().message.find("design_"), std::string::npos) << r.error().message;
+  }
 }
 
 }  // namespace

@@ -3,16 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dsp/chirp.hpp"
-#include "dsp/correlation.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/ols.hpp"
 #include "dsp/spectrum.hpp"
 
 namespace hyperear::sim {
 namespace {
+
+/// Valid-mode correlation of x against `ref`: the full convolution with
+/// the reversed reference from lag 0 on.
+std::vector<double> correlate(std::span<const double> x, const std::vector<double>& ref) {
+  const dsp::OlsConvolver reversed(std::vector<double>(ref.rbegin(), ref.rend()));
+  dsp::Workspace ws;
+  std::vector<double> out(x.size() - ref.size() + 1);
+  reversed.convolve_into(x, ref.size() - 1, out.size(), out.data(), ws);
+  return out;
+}
 
 Environment anechoic() {
   Environment env = meeting_room_quiet();
@@ -44,7 +57,7 @@ TEST(Renderer, ArrivalDelayMatchesGeometry) {
   // Matched filter localizes the arrival.
   const dsp::Chirp chirp(spec.chirp);
   const std::vector<double> ref = chirp.reference(44100.0);
-  const std::vector<double> corr = dsp::correlate_valid(rec.mic1, ref);
+  const std::vector<double> corr = correlate(rec.mic1, ref);
   const double arrival = static_cast<double>(argmax(corr)) / 44100.0;
   // Mics are offset from the phone center by D/2 perpendicular to the LoS,
   // which adds < 0.1 ms; the emission + propagation delay dominates.
@@ -69,8 +82,8 @@ TEST(Renderer, InterMicTdoaSignConvention) {
   // (later chirps have near-identical correlation heights and the global
   // argmax could pick different instances per mic).
   const std::size_t window = static_cast<std::size_t>(0.3 * 44100.0);
-  const std::vector<double> c1 = dsp::correlate_valid({rec.mic1.data(), window}, ref);
-  const std::vector<double> c2 = dsp::correlate_valid({rec.mic2.data(), window}, ref);
+  const std::vector<double> c1 = correlate({rec.mic1.data(), window}, ref);
+  const std::vector<double> c2 = correlate({rec.mic2.data(), window}, ref);
   const auto p1 = argmax(c1);
   const auto p2 = argmax(c2);
   // TDoA ~ D / S ~ 0.4 ms ~ 17.6 samples.
@@ -157,7 +170,7 @@ TEST(Renderer, SfoShiftsArrivalsOverTime) {
   const dsp::Chirp chirp(spec.chirp);
   const std::vector<double> ref = chirp.reference(44100.0);
   // Locate the first and the 50th chirp by windowed correlation.
-  const std::vector<double> corr = dsp::correlate_valid(rec.mic1, ref);
+  const std::vector<double> corr = correlate(rec.mic1, ref);
   const std::size_t first = argmax({corr.data(), static_cast<std::size_t>(0.25 * 44100)});
   const std::size_t w50 = static_cast<std::size_t>((0.2 * 50 - 0.05) * 44100);
   const std::size_t win = static_cast<std::size_t>(0.2 * 44100);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -101,6 +104,45 @@ TEST(Scenario, DeterministicGivenSeed) {
   const Session b = make_localization_session(fast_config(), r2);
   EXPECT_EQ(a.audio.mic1, b.audio.mic1);
   EXPECT_EQ(a.imu.accel_y, b.imu.accel_y);
+}
+
+/// FNV-1a over the bytes of a sample buffer.
+std::uint64_t fnv1a(std::span<const double> samples) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : samples) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Scenario, SimulatedAudioBitsArePinned) {
+  // The exact bits of two seeded sessions: one in the quiet meeting room,
+  // one in the busy mall. Both calibrate their noise floor through
+  // dsp::band_power, so a change to the FFT or the periodogram that moves
+  // a single sample of either microphone fails here.
+  struct Pinned {
+    Environment environment;
+    std::uint64_t seed;
+    std::uint64_t mic1;
+    std::uint64_t mic2;
+  };
+  const Pinned cases[] = {
+      {meeting_room_quiet(), 151, 0x2461c404d7233828ULL, 0x9ae26cbc5dc87413ULL},
+      {mall_busy_hour(), 152, 0x36d68903c906f77fULL, 0x7f84e3219a63e80bULL},
+  };
+  for (const Pinned& p : cases) {
+    ScenarioConfig c = fast_config();
+    c.environment = p.environment;
+    Rng rng(p.seed);
+    const Session s = make_localization_session(c, rng);
+    EXPECT_EQ(fnv1a(s.audio.mic1), p.mic1) << p.environment.name;
+    EXPECT_EQ(fnv1a(s.audio.mic2), p.mic2) << p.environment.name;
+  }
 }
 
 TEST(Scenario, RotationSweepSession) {

@@ -34,6 +34,9 @@ applied regex/AST-lite style over the checked-in sources:
                 convenience wrappers returning owning containers —
                 suppresses with `NOLINT(hyperear-hotpath) -- <why>`
                 (NEXTLINE/BEGIN/END work too, reasons required as usual).
+                A hotpath suppression that covers no line the rule would
+                flag (its code was deleted or rewritten, or its file is
+                not in the manifest) is stale and is itself a finding.
   concurrency   src/runtime + src/obs never name the raw std primitives
                 (std::mutex, std::lock_guard, std::unique_lock,
                 std::condition_variable, ...): they use the annotated
@@ -188,6 +191,61 @@ def strip_comments_and_strings(line: str) -> str:
     return "".join(out)
 
 
+class HotpathSuppressions:
+    """The hotpath suppressions of one file, and whether each covers a line
+    the rule would flag. The rule honors the project's NOLINT-with-reason
+    forms when the named check mentions "hotpath": NOLINT covers its own
+    line, NOLINTNEXTLINE the next one, and NOLINTBEGIN..NOLINTEND every line
+    from the BEGIN line through the END line. A suppression whose lines
+    are all clean is reported when its coverage ends."""
+
+    LINE = re.compile(r"NOLINT\([^)]*hotpath[^)]*\)")
+    NEXTLINE = re.compile(r"NOLINTNEXTLINE\([^)]*hotpath[^)]*\)")
+    BEGIN = re.compile(r"NOLINTBEGIN\([^)]*hotpath[^)]*\)")
+    END = re.compile(r"NOLINTEND\([^)]*hotpath[^)]*\)")
+
+    def __init__(self, linter: "Linter", path: Path):
+        self.linter = linter
+        self.path = path
+        # Open suppressions as [directive line, form, covered a violation].
+        self.block: list | None = None
+        self.next: list | None = None
+
+    def cover(self, idx: int, line: str, flagged: bool) -> bool:
+        """Record line `idx`; True when a hotpath suppression covers it."""
+        if self.BEGIN.search(line):
+            self.close(self.block)
+            self.block = [idx, "NOLINTBEGIN", False]
+        own = [idx, "NOLINT", False] if self.LINE.search(line) else None
+        covering = [s for s in (self.block, self.next, own) if s is not None]
+        for s in covering:
+            s[2] = s[2] or flagged
+        self.close(self.next)
+        self.next = None
+        self.close(own)
+        if self.END.search(line):
+            self.close(self.block)
+            self.block = None
+        if self.NEXTLINE.search(line):
+            self.next = [idx, "NOLINTNEXTLINE", False]
+        return bool(covering)
+
+    def finish(self) -> None:
+        self.close(self.block)
+        self.close(self.next)
+        self.block = self.next = None
+
+    def close(self, s: list | None) -> None:
+        if s is not None and not s[2]:
+            self.linter.add(
+                "hotpath",
+                self.path,
+                s[0],
+                f"stale {s[1]}(hyperear-hotpath): it covers no line the "
+                "hotpath rule flags; delete it",
+            )
+
+
 class Linter:
     def __init__(self, root: Path):
         self.root = root
@@ -230,13 +288,13 @@ class Linter:
         steady_ok = rel.startswith(STEADY_CLOCK_ALLOWED)
         is_concurrency = rel.startswith(CONCURRENCY_DIRS)
         is_hotpath = rel in self.hotpath_files
+        arena_names: set[str] = set()
         if is_hotpath:
             self.hotpath_seen.add(rel)
             # ArenaVector-backed buffers bump a workspace arena, not the
             # heap: resize/reserve on them is sanctioned by declaration.
             arena_names = set(re.findall(r"\bArenaVector<[^>]*>\s+(\w+)", text))
-            hot_block_suppressed = False
-            hot_next_suppressed = False
+        hot = HotpathSuppressions(self, path)
 
         in_block_comment = False
         for idx, line in enumerate(lines, start=1):
@@ -273,22 +331,16 @@ class Linter:
                 self.check_concurrency(path, idx, code)
                 if is_header:
                     self.collect_mutex_decl(rel, idx, code)
-            if is_hotpath:
-                # Suppression directives live in comments: read the raw
-                # line. The rule honors the project's NOLINT-with-reason
-                # forms when the named check mentions "hotpath".
-                if self.HOT_NOLINT_BEGIN.search(line):
-                    hot_block_suppressed = True
-                suppressed = (
-                    hot_block_suppressed
-                    or hot_next_suppressed
-                    or self.HOT_NOLINT_LINE.search(line) is not None
-                )
-                if self.HOT_NOLINT_END.search(line):
-                    hot_block_suppressed = False
-                hot_next_suppressed = self.HOT_NOLINT_NEXTLINE.search(line) is not None
-                if not suppressed:
-                    self.check_hotpath(path, idx, code, arena_names)
+            # Suppression directives live in comments: read the raw line.
+            # Outside the manifest the rule flags nothing, so there every
+            # hotpath suppression is stale.
+            violations = (
+                self.hotpath_violations(code, arena_names) if is_hotpath else []
+            )
+            if not hot.cover(idx, line, bool(violations)):
+                for message in violations:
+                    self.add("hotpath", path, idx, message)
+        hot.finish()
 
     def check_whitespace(self, path: Path, idx: int, line: str) -> None:
         stripped = line.rstrip("\r")
@@ -598,43 +650,32 @@ class Linter:
                     "count): delete the module, or give it a caller",
                 )
 
-    HOT_NOLINT_LINE = re.compile(r"NOLINT\([^)]*hotpath[^)]*\)")
-    HOT_NOLINT_NEXTLINE = re.compile(r"NOLINTNEXTLINE\([^)]*hotpath[^)]*\)")
-    HOT_NOLINT_BEGIN = re.compile(r"NOLINTBEGIN\([^)]*hotpath[^)]*\)")
-    HOT_NOLINT_END = re.compile(r"NOLINTEND\([^)]*hotpath[^)]*\)")
-
     HOT_RESIZE = re.compile(r"([A-Za-z_]\w*(?:(?:\.|->)\w+)*)\s*\.\s*(resize|reserve)\s*\(")
     # Receivers that bump workspace-owned storage, not the heap: leased
     # DetectorWorkspace fields (`ws.*`), the caller-owned `_into` output
     # convention (`out`), and anything spelled as a workspace.
     HOT_SANCTIONED_RECEIVERS = {"ws", "out", "workspace"}
 
-    def check_hotpath(
-        self, path: Path, idx: int, code: str, arena_names: set[str]
-    ) -> None:
-        for _ in self.find_vector_value_decls(code):
-            self.add(
-                "hotpath",
-                path,
-                idx,
-                "std::vector value construction in a steady-state file: "
-                "route buffers through SessionWorkspace/DetectorWorkspace, "
-                "or mark cold-path code NOLINT(hyperear-hotpath) -- <why>",
-            )
+    def hotpath_violations(self, code: str, arena_names: set[str]) -> list[str]:
+        """The hotpath rule's messages for one line of a manifest file."""
+        messages = [
+            "std::vector value construction in a steady-state file: "
+            "route buffers through SessionWorkspace/DetectorWorkspace, "
+            "or mark cold-path code NOLINT(hyperear-hotpath) -- <why>"
+            for _ in self.find_vector_value_decls(code)
+        ]
         for m in self.HOT_RESIZE.finditer(code):
             receiver_head = re.split(r"\.|->", m.group(1))[0]
             if receiver_head in self.HOT_SANCTIONED_RECEIVERS:
                 continue
             if receiver_head in arena_names or "workspace" in receiver_head:
                 continue
-            self.add(
-                "hotpath",
-                path,
-                idx,
+            messages.append(
                 f"{m.group(2)} on non-workspace buffer `{m.group(1)}` in a "
                 "steady-state file: grow workspace-owned storage instead, "
-                "or mark cold-path code NOLINT(hyperear-hotpath) -- <why>",
+                "or mark cold-path code NOLINT(hyperear-hotpath) -- <why>"
             )
+        return messages
 
     @staticmethod
     def find_vector_value_decls(code: str) -> list[int]:
