@@ -6,9 +6,10 @@
 /// results at every thread count — both are checked and printed.
 ///
 /// The first row ("no-ctx") runs the pipeline serially WITHOUT the shared
-/// PipelineContext, rebuilding every DSP plan (band-pass taps, chirp
-/// reference, reference FFT spectrum) per session — the cost the engine's
-/// plan cache removes. Engine rows must match it bit-for-bit.
+/// PipelineContext, rebuilding every DSP plan (chirp reference, reference
+/// FFT spectrum, and the probe-only band-pass convolver a context still
+/// carries though ASP runs no band-pass) per session — the cost the
+/// engine's plan cache removes. Engine rows must match it bit-for-bit.
 ///
 /// The "engine-steady-state" row re-runs the whole batch on an engine that
 /// already served it once, so every worker holds a warm SessionWorkspace:

@@ -71,9 +71,9 @@ BENCHMARK(BM_OlsPair);
 
 void BM_MatchedFilterDetect(benchmark::State& state) {
   // A chirp every 0.2 s over the given number of 44.1 kHz samples. 44100
-  // (1 s) is a single short final chunk; 614400 (~14 s, a batch session's
-  // channel) runs the detector's 131072-sample chunk schedule and its
-  // correlation block geometry.
+  // (1 s) is four one-pair chunks, the last a short final one; 614400
+  // (~14 s, a batch session's channel) runs the detector's one-pair chunk
+  // schedule (52 chunks) and its correlation block geometry.
   const auto n = static_cast<std::size_t>(state.range(0));
   const dsp::Chirp chirp{dsp::ChirpParams{}};
   Rng rng(3);

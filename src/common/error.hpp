@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 /// @file error.hpp
 /// Exception types for contract violations inside the HyperEar library.
@@ -51,8 +52,10 @@ namespace detail {
 }  // namespace detail
 
 /// Check a precondition; throws PreconditionError with the given message.
-inline void require(bool condition, const std::string& what) {
-  if (!condition) detail::throw_precondition(what);
+/// A view, so a passing check on a literal message allocates nothing: the
+/// detector runs several per chunk.
+inline void require(bool condition, std::string_view what) {
+  if (!condition) detail::throw_precondition(std::string(what));
 }
 
 }  // namespace hyperear

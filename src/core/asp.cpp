@@ -8,6 +8,7 @@
 #include "common/math_util.hpp"
 #include "core/parallel.hpp"
 #include "core/pipeline_context.hpp"
+#include "core/pipeline_detail.hpp"
 #include "core/session_workspace.hpp"
 #include "dsp/matched_filter.hpp"
 #include "obs/metrics.hpp"
@@ -55,30 +56,27 @@ double estimate_period_with_arena(const std::vector<ChirpEvent>& events,
   return fit.slope;
 }
 
-/// The one ASP implementation. Every public spelling lands here; the
-/// nullable context/workspace parameters exist so the context-free path
-/// builds its session-local state INSIDE the caller's asp-stage try block
-/// (error classification is part of the contract, not an accident of which
-/// wrapper ran).
-AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
-                                const dsp::ChirpParams& chirp_params,
-                                double nominal_period, double calibration_duration,
-                                const AspOptions& options,
-                                const PipelineContext* context,
-                                SessionWorkspace* workspace,
-                                const ChunkExecutor* executor,
-                                const obs::ObsContext* obs) {
+}  // namespace
+
+const PipelineContext& detail::resolve_context(const PipelineContext* context,
+                                               const AspOptions& options,
+                                               const dsp::ChirpParams& chirp,
+                                               double sample_rate,
+                                               std::optional<PipelineContext>& local) {
+  if (context != nullptr && context->matches(options, chirp, sample_rate)) return *context;
+  return local.emplace(options, chirp, sample_rate);
+}
+
+AspResult detail::run_asp(const sim::StereoRecording& recording,
+                          const dsp::ChirpParams& chirp_params, double nominal_period,
+                          double calibration_duration, const AspOptions& options,
+                          const PipelineContext* context, SessionWorkspace* workspace,
+                          const ChunkExecutor* executor, const obs::ObsContext* obs) {
   require(!recording.mic1.empty() && recording.mic1.size() == recording.mic2.size(),
           "preprocess_audio: bad recording");
-  const double fs = recording.sample_rate;
-  // Reuse the caller's precomputed plans when they were built for exactly
-  // this configuration; otherwise derive session-local ones. Both paths run
-  // the same code on the same plans, so the results are bit-identical.
   std::optional<PipelineContext> local_context;
-  if (context == nullptr || !context->matches(options, chirp_params, fs)) {
-    local_context.emplace(options, chirp_params, fs);
-    context = &*local_context;
-  }
+  context = &resolve_context(context, options, chirp_params, recording.sample_rate,
+                             local_context);
   // Same rule for the scratch: a call-local workspace behaves exactly like
   // a warmed one (buffer contents carry no information between sessions),
   // it just pays the allocations the steady-state path avoids.
@@ -89,62 +87,58 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
   }
   workspace->reset();
 
-  AspResult result;
-  result.estimated_period = nominal_period;
-
-  // One task per (channel, detector chunk), channel-major: run the
-  // detector's chunk-local pass over the chunk's raw samples into the
-  // task's own result slot. Tasks read shared immutable plans and the
-  // recording and write only their slot and their executor-provided
-  // scratch, so they may run in any order on any threads.
+  // Task t runs the detector's chunk-local pass over chunk t % chunks of
+  // channel t / chunks into its own result slot. Tasks read shared
+  // immutable plans and the recording and write only their slot and their
+  // executor-provided scratch, so they may run in any order on any threads.
   const dsp::MatchedFilterDetector& detector = context->detector();
   const std::size_t n = recording.mic1.size();
-  const std::size_t pairs = detector.batch_pairs();
+  const std::size_t pairs = detector.chunk_pairs();
   const std::size_t chunks = detector.chunk_count(n, pairs);
-  workspace->asp_tasks().clear();
-  for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
-    for (std::size_t k = 0; k < chunks; ++k) {
-      workspace->asp_tasks().push_back({slot, detector.chunk_span(k, n, pairs)});
-    }
-  }
-  const std::vector<AspChunkTask>& tasks = workspace->asp_tasks();
-  workspace->chunk_passes().resize(tasks.size());
+  const std::size_t tasks = SessionWorkspace::kChannels * chunks;
+  workspace->chunk_passes().resize(tasks);
   std::vector<dsp::ChunkPass>& passes = workspace->chunk_passes();
   const auto run_task = [&](std::size_t t, ChunkScratch& scratch) {
-    const AspChunkTask& task = tasks[t];
-    const std::vector<double>& mic = task.channel == 0 ? recording.mic1 : recording.mic2;
-    const std::span<const double> seg(mic.data() + task.span.start, task.span.size);
-    detector.chunk_pass(seg, task.span.start, task.span.final_chunk, scratch.detector,
-                        passes[t]);
+    const std::vector<double>& mic = t < chunks ? recording.mic1 : recording.mic2;
+    const dsp::ChunkSpan span = detector.chunk_span(t % chunks, n, pairs);
+    detector.chunk_pass(std::span<const double>(mic).subspan(span.start, span.size),
+                        span.start, span.final_chunk, scratch.detector, passes[t]);
   };
   const SerialChunkExecutor serial;
   const ChunkExecutor& exec = executor != nullptr ? *executor : serial;
-  const std::size_t helped = exec.run(tasks.size(), run_task);
+  const std::size_t helped = exec.run(tasks, run_task);
+  if (obs != nullptr && obs->metrics != nullptr) {
+    obs->metrics->counter("asp.chunk_tasks_total").inc(static_cast<double>(tasks));
+    obs->metrics->counter("asp.chunk_tasks_helped_total").inc(static_cast<double>(helped));
+  }
 
   // Serial stitch per channel, in chunk order: the cross-chunk rules and
   // the global passes see exactly what one thread streaming the chunks
   // would have produced.
   for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
     ChannelWorkspace& ch = workspace->channel(slot);
-    dsp::DetectorStream stream;
-    detector.stream_begin(stream, ch.detector);
+    detector.stream_begin(ch.stream, ch.detector);
     for (std::size_t k = 0; k < chunks; ++k) {
-      detector.stitch(passes[slot * chunks + k], stream, ch.detector);
+      detector.stitch(passes[slot * chunks + k], ch.stream, ch.detector);
     }
-    detector.stream_end(stream, ch.detector, ch.detections, obs);
-    convert_chirp_events(ch.detections, slot == 0 ? result.mic1 : result.mic2);
   }
-  if (obs != nullptr && obs->metrics != nullptr) {
-    obs->metrics->counter("asp.chunk_tasks_total").inc(static_cast<double>(tasks.size()));
-    obs->metrics->counter("asp.chunk_tasks_helped_total").inc(static_cast<double>(helped));
-  }
-
-  finish_asp(result, nominal_period, calibration_duration, options,
-             workspace->arena(), obs);
-  return result;
+  return detail::end_asp(*context, *workspace, nominal_period, calibration_duration,
+                         obs);
 }
 
-}  // namespace
+AspResult detail::end_asp(const PipelineContext& context, SessionWorkspace& workspace,
+                          double nominal_period, double calibration_duration,
+                          const obs::ObsContext* obs) {
+  AspResult result;
+  for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
+    ChannelWorkspace& ch = workspace.channel(slot);
+    context.detector().stream_end(ch.stream, ch.detector, ch.detections, obs);
+    convert_chirp_events(ch.detections, slot == 0 ? result.mic1 : result.mic2);
+  }
+  finish_asp(result, nominal_period, calibration_duration, context.asp_options(),
+             workspace.arena(), obs);
+  return result;
+}
 
 void finish_asp(AspResult& result, double nominal_period, double calibration_duration,
                 const AspOptions& options, MonotonicArena& arena,
@@ -197,18 +191,17 @@ AspResult preprocess_audio(const sim::StereoRecording& recording,
                            double nominal_period, double calibration_duration,
                            const PipelineContext& context, SessionWorkspace& workspace,
                            const obs::ObsContext* obs, const ChunkExecutor* executor) {
-  return preprocess_audio_impl(recording, context.chirp_params(), nominal_period,
-                               calibration_duration, context.asp_options(), &context,
-                               &workspace, executor, obs);
+  return detail::run_asp(recording, context.chirp_params(), nominal_period,
+                         calibration_duration, context.asp_options(), &context,
+                         &workspace, executor, obs);
 }
 
 AspResult preprocess_audio(const sim::StereoRecording& recording,
                            const dsp::ChirpParams& chirp_params, double nominal_period,
                            double calibration_duration, const AspOptions& options,
                            const PipelineContext* context, const obs::ObsContext* obs) {
-  return preprocess_audio_impl(recording, chirp_params, nominal_period,
-                               calibration_duration, options, context, nullptr,
-                               nullptr, obs);
+  return detail::run_asp(recording, chirp_params, nominal_period, calibration_duration,
+                         options, context, nullptr, nullptr, obs);
 }
 
 }  // namespace hyperear::core

@@ -81,14 +81,16 @@ class SessionWorkspace;
 /// silently depend on a stale cache.
 ///
 /// `workspace` (core/session_workspace.hpp) is the mutable counterpart:
-/// the chunk-task list and results, per-channel detection staging and the
-/// per-session arena, reset on entry and reusable across sessions. A
+/// the chunk-pass results, per-channel detector streams and detection
+/// staging and the per-session arena, reset on entry and reusable across
+/// sessions. A
 /// warmed workspace makes the stage allocation-free in the steady state;
 /// results are bit-identical to a fresh one.
 ///
-/// The stage runs as (channel, detector-chunk) tasks — each runs the
-/// detector's chunk-local pass over one chunk of raw samples — followed by
-/// a serial stitch per channel in chunk order. `executor`
+/// The stage runs as (channel, detector-chunk) tasks on the detector's one
+/// chunk schedule — each runs the chunk-local pass over one chunk of raw
+/// samples — followed by a serial stitch per channel in chunk order, the
+/// stitch a StreamingSession runs as its audio arrives. `executor`
 /// (core/parallel.hpp) runs the tasks; null runs them serially on the
 /// workspace's scratch. The AspResult is byte-identical for every executor,
 /// since the tasks share no mutable state and the stitch is serial.
@@ -126,9 +128,8 @@ class SessionWorkspace;
                                      std::size_t min_events);
 
 /// Convert raw matched-filter detections to ChirpEvents (clears `out`).
-/// The per-channel half of ASP that `preprocess_audio` runs after
-/// detection; public so an incremental ingest path (core::StreamingSession)
-/// can assemble the same AspResult from streamed detections.
+/// The per-channel step of ASP after detection; public, like
+/// `finish_asp`, so a caller can replay the stage call by call.
 void convert_chirp_events(const std::vector<dsp::Detection>& detections,
                           std::vector<ChirpEvent>& out);
 
@@ -137,9 +138,7 @@ void convert_chirp_events(const std::vector<dsp::Detection>& detections,
 /// (exactly as `preprocess_audio` does — per-mic fits averaged, falling
 /// back to the nominal period when neither mic has enough arrivals) and
 /// record the stage's SFO telemetry on `obs`. `arena` backs the fit's
-/// scratch series. Public for the same reason as `convert_chirp_events`:
-/// `preprocess_audio` and the streaming path share it, so a batch and a
-/// streamed session produce bit-identical AspResults.
+/// scratch series.
 void finish_asp(AspResult& result, double nominal_period, double calibration_duration,
                 const AspOptions& options, MonotonicArena& arena,
                 const obs::ObsContext* obs = nullptr);

@@ -24,11 +24,13 @@ std::optional<PipelineError> config_violation(bool bad, const std::string& what)
 constexpr double kStageMsBounds[] = {1.0,  2.0,   5.0,   10.0,  20.0,
                                      50.0, 100.0, 200.0, 500.0, 1000.0};
 
-}  // namespace
-
-void detail::record_pipeline_metrics(obs::MetricsRegistry& m, const StageMetrics& stage,
-                                     const LocalizationResult* result,
-                                     const PipelineError* error) {
+/// Pipeline-level registry updates for one finished attempt. All derived
+/// from values the pipeline computed anyway — observing costs no extra
+/// clock reads and cannot perturb the result. Exactly one of
+/// `result`/`error` is non-null.
+void record_pipeline_metrics(obs::MetricsRegistry& m, const StageMetrics& stage,
+                             const LocalizationResult* result,
+                             const PipelineError* error) {
   m.counter("pipeline.sessions_total").inc();
   m.histogram("pipeline.asp_ms", kStageMsBounds).observe(stage.asp_ms);
   if (error != nullptr) {
@@ -48,7 +50,12 @@ void detail::record_pipeline_metrics(obs::MetricsRegistry& m, const StageMetrics
   }
 }
 
-Expected<LocalizationResult, PipelineError> detail::localize_from_asp(
+/// Everything the session shell runs after the ASP stage: MSP
+/// preprocessing, the TTL (2D) or PLE (3D) solve chosen by the session
+/// prior, stage spans under `session_span` and wall times into `stage`
+/// (whose ASP fields are already filled), and the registry updates for the
+/// attempt's outcome.
+Expected<LocalizationResult, PipelineError> localize_from_asp(
     const AspResult& asp, const sim::Session& session, const PipelineConfig& config,
     StageMetrics& stage, const obs::ObsContext* obs,
     const obs::TraceSpan* session_span) {
@@ -118,6 +125,48 @@ Expected<LocalizationResult, PipelineError> detail::localize_from_asp(
   return result;
 }
 
+}  // namespace
+
+Expected<LocalizationResult, PipelineError> detail::run_session(
+    const sim::Session& session, const PipelineConfig& config, double carried_asp_ms,
+    const std::function<AspResult()>& asp_stage, StageMetrics* metrics,
+    const obs::ObsContext* obs) {
+  StageMetrics local;
+  local.asp_ms = carried_asp_ms;
+  if (metrics != nullptr) *metrics = local;
+
+  obs::MetricsRegistry* registry = obs != nullptr ? obs->metrics : nullptr;
+  obs::Tracer* tracer = obs != nullptr ? obs->tracer : nullptr;
+  const std::uint64_t sid = obs != nullptr ? obs->session_id : 0;
+  obs::TraceSpan session_span(tracer, "session", sid);
+
+  if (std::optional<PipelineError> bad = config.validate()) {
+    if (registry != nullptr) record_pipeline_metrics(*registry, local, nullptr, &*bad);
+    return make_unexpected(*std::move(bad));
+  }
+
+  AspResult asp;
+  try {
+    obs::TraceSpan span(tracer, "asp", sid, &session_span);
+    const obs::MonotonicTime t0 = obs::monotonic_now();
+    asp = asp_stage();
+    local.asp_ms = carried_asp_ms + obs::ms_since(t0);
+    local.chirps_mic1 = asp.mic1.size();
+    local.chirps_mic2 = asp.mic2.size();
+    local.sfo_estimated = asp.sfo_estimated;
+  } catch (const std::exception& e) {
+    if (metrics != nullptr) *metrics = local;
+    PipelineError error = error_from_exception(e, PipelineStage::asp);
+    if (registry != nullptr) record_pipeline_metrics(*registry, local, nullptr, &error);
+    return make_unexpected(std::move(error));
+  }
+
+  Expected<LocalizationResult, PipelineError> r =
+      localize_from_asp(asp, session, config, local, obs, &session_span);
+  if (metrics != nullptr) *metrics = local;
+  return r;
+}
+
 std::optional<PipelineError> PipelineConfig::validate() const {
   // Every float test is written so that a NaN fails it (a NaN compares
   // false to everything), and the fields the stages convert to counts or
@@ -172,69 +221,23 @@ PleOptions PipelineConfig::ple_options() const {
 
 namespace {
 
-/// The one pipeline implementation. Both public spellings land here; the
-/// nullable context/workspace parameters exist so the context-free wrapper
-/// builds its session-local state INSIDE the asp-stage try block below —
-/// a pathological configuration (absurd sample rate, bad taps) fails plan
-/// construction and must be classified as an asp-stage error exactly like
-/// it always was, no matter which spelling ran.
+/// Both `try_localize` spellings: the session shell around the one ASP
+/// implementation, which resolves the nullable context and workspace
+/// inside the asp stage, so a plan that cannot be built is an asp-stage
+/// error whichever spelling ran.
 Expected<LocalizationResult, PipelineError> try_localize_impl(
     const sim::Session& session, const PipelineConfig& config,
     const PipelineContext* context, SessionWorkspace* workspace,
     StageMetrics* metrics, const obs::ObsContext* obs, const ChunkExecutor* executor) {
-  StageMetrics local;
-  if (metrics != nullptr) *metrics = local;
-
-  obs::MetricsRegistry* registry =
-      obs != nullptr ? obs->metrics : nullptr;
-  obs::Tracer* tracer = obs != nullptr ? obs->tracer : nullptr;
-  const std::uint64_t sid = obs != nullptr ? obs->session_id : 0;
-  obs::TraceSpan session_span(tracer, "session", sid);
-
-  if (std::optional<PipelineError> bad = config.validate()) {
-    if (registry != nullptr) {
-      detail::record_pipeline_metrics(*registry, local, nullptr, &*bad);
-    }
-    return make_unexpected(*std::move(bad));
-  }
-
-  AspResult asp;
-  try {
-    obs::TraceSpan span(tracer, "asp", sid, &session_span);
-    const obs::MonotonicTime t0 = obs::monotonic_now();
-    // A caller-supplied context is only authoritative when it was built for
-    // exactly this config + session; otherwise fall through the context-free
-    // ASP spelling, which rebuilds session-locally (bit-identical plans).
-    const bool context_ok =
-        context != nullptr && context->matches(config.asp, session.prior.chirp,
-                                               session.audio.sample_rate);
-    if (context_ok && workspace != nullptr) {
-      asp = preprocess_audio(session.audio, session.prior.nominal_period,
-                             session.prior.calibration_duration, *context,
-                             *workspace, obs, executor);
-    } else {
-      asp = preprocess_audio(session.audio, session.prior.chirp,
-                             session.prior.nominal_period,
-                             session.prior.calibration_duration, config.asp,
-                             context_ok ? context : nullptr, obs);
-    }
-    local.asp_ms = obs::ms_since(t0);
-    local.chirps_mic1 = asp.mic1.size();
-    local.chirps_mic2 = asp.mic2.size();
-    local.sfo_estimated = asp.sfo_estimated;
-  } catch (const std::exception& e) {
-    if (metrics != nullptr) *metrics = local;
-    PipelineError error = error_from_exception(e, PipelineStage::asp);
-    if (registry != nullptr) {
-      detail::record_pipeline_metrics(*registry, local, nullptr, &error);
-    }
-    return make_unexpected(std::move(error));
-  }
-
-  Expected<LocalizationResult, PipelineError> r =
-      detail::localize_from_asp(asp, session, config, local, obs, &session_span);
-  if (metrics != nullptr) *metrics = local;
-  return r;
+  return detail::run_session(
+      session, config, 0.0,
+      [&] {
+        return detail::run_asp(session.audio, session.prior.chirp,
+                               session.prior.nominal_period,
+                               session.prior.calibration_duration, config.asp, context,
+                               workspace, executor, obs);
+      },
+      metrics, obs);
 }
 
 }  // namespace

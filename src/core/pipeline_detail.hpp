@@ -1,44 +1,71 @@
 #pragma once
 
+#include <functional>
+#include <optional>
+
 #include "common/expected.hpp"
 #include "core/pipeline.hpp"
 
 /// @file pipeline_detail.hpp
-/// The pipeline's back half, factored out of `try_localize` so the
-/// incremental ingest path (core/streaming_session.hpp) can run the exact
-/// same instructions from MSP onward. Not a stable public surface — batch
-/// callers use `try_localize`; these exist so the streamed and batch
-/// spellings cannot drift (one implementation, two front ends).
+/// The seams that let the batch pipeline and the incremental ingest path
+/// (core/streaming_session.hpp) run one implementation: the ASP stage with
+/// its plan and scratch resolution, the ASP tail after the last stitched
+/// chunk, and the session shell around the stages. Not a stable public
+/// surface — batch callers use `try_localize` / `preprocess_audio`; these
+/// exist so the streamed and batch spellings cannot drift.
 
 namespace hyperear::obs {
 struct ObsContext;
-class TraceSpan;
-class MetricsRegistry;
-}  // namespace hyperear::obs
+}
 
 namespace hyperear::core::detail {
 
-/// Everything `try_localize` does after the ASP stage: MSP preprocessing,
-/// the TTL (2D) or PLE (3D) solve chosen by the session prior, stage spans
-/// and wall-time metrics into `stage`, and the pipeline-level registry
-/// updates for the attempt's outcome. `stage` must carry the already-filled
-/// ASP fields (asp_ms, chirp counts, sfo_estimated); msp/solve fields are
-/// written here. `session_span` parents the per-stage trace spans (null:
-/// stages become root spans, as with a null tracer).
-///
-/// The caller owns error classification for the stages BEFORE this call
-/// (config validation, asp) and copies `stage` to its sink afterwards.
-[[nodiscard]] Expected<LocalizationResult, PipelineError> localize_from_asp(
-    const AspResult& asp, const sim::Session& session, const PipelineConfig& config,
-    StageMetrics& stage, const obs::ObsContext* obs,
-    const obs::TraceSpan* session_span);
+/// The plan rule of every ASP spelling: `context` when it was built for
+/// exactly `options`, `chirp` and `sample_rate`, otherwise one built into
+/// `local` for them (which throws when no plan can be built). Plans built
+/// either way are bit-identical.
+const PipelineContext& resolve_context(const PipelineContext* context,
+                                       const AspOptions& options,
+                                       const dsp::ChirpParams& chirp,
+                                       double sample_rate,
+                                       std::optional<PipelineContext>& local);
 
-/// Pipeline-level registry updates for one finished attempt. All derived
-/// from values the pipeline computed anyway — observing costs no extra
-/// clock reads and cannot perturb the result. Exactly one of
-/// `result`/`error` is non-null.
-void record_pipeline_metrics(obs::MetricsRegistry& m, const StageMetrics& stage,
-                             const LocalizationResult* result,
-                             const PipelineError* error);
+/// The one ASP implementation behind both `preprocess_audio` spellings and
+/// `try_localize`. Plans come from `resolve_context` with the recording's
+/// sample rate, so a plan that cannot be built fails inside the caller's
+/// asp stage. A null `workspace` means a call-local one, a null `executor`
+/// serial chunk tasks. The AspResult is byte-identical for every
+/// combination.
+[[nodiscard]] AspResult run_asp(const sim::StereoRecording& recording,
+                                const dsp::ChirpParams& chirp, double nominal_period,
+                                double calibration_duration, const AspOptions& options,
+                                const PipelineContext* context,
+                                SessionWorkspace* workspace,
+                                const ChunkExecutor* executor,
+                                const obs::ObsContext* obs);
+
+/// ASP after each channel's last chunk is stitched into `workspace`: end
+/// the channel's detector stream (pass 2, the amplitude gate, detector
+/// telemetry), convert its detections to the result's events, then fit
+/// the SFO (`finish_asp`). The batch stage and `StreamingSession::finalize`
+/// both end here, so their AspResults are bit-identical.
+[[nodiscard]] AspResult end_asp(const PipelineContext& context,
+                                SessionWorkspace& workspace, double nominal_period,
+                                double calibration_duration,
+                                const obs::ObsContext* obs);
+
+/// The session shell shared by `try_localize` and
+/// `StreamingSession::finalize`: the root "session" span, config
+/// validation, the "asp" span around `asp_stage` with anything it throws
+/// classified as an asp-stage error, MSP and the TTL (2D) or PLE (3D)
+/// solve chosen by the session prior, the `pipeline.*` registry updates
+/// for the outcome, and the StageMetrics sink, written on every path up to
+/// the stage that failed. `carried_asp_ms` is ASP wall time spent before
+/// the call (a stream's detection during its pushes); the stage's own is
+/// added to it.
+[[nodiscard]] Expected<LocalizationResult, PipelineError> run_session(
+    const sim::Session& session, const PipelineConfig& config, double carried_asp_ms,
+    const std::function<AspResult()>& asp_stage, StageMetrics* metrics,
+    const obs::ObsContext* obs);
 
 }  // namespace hyperear::core::detail

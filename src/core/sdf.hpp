@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/asp.hpp"
@@ -44,6 +46,36 @@ struct SdfResult {
 /// partner within `max_offset` are dropped.
 [[nodiscard]] std::vector<TdoaSample> pair_inter_mic_tdoas(const AspResult& asp,
                                                            double max_offset_s);
+
+/// The pairing rule of `pair_inter_mic_tdoas` over ascending arrival
+/// times: each mic1 arrival takes the nearest mic2 arrival, scanning
+/// forward from the previous arrival's partner, and a pair more than
+/// `max_offset_s` apart is dropped. Writes the trace to `out` (cleared
+/// first) and returns its settled prefix: the samples that no arrival
+/// appended to either series can change. A pairing is settled when its
+/// scan stopped on a comparison rather than by running out of mic2
+/// arrivals, and only while every earlier one is.
+std::size_t pair_arrival_times(std::span<const double> mic1,
+                               std::span<const double> mic2, double max_offset_s,
+                               std::vector<TdoaSample>& out);
+
+/// A zero crossing of a TDoA trace.
+struct ZeroCrossing {
+  std::size_t index = 0;  ///< trace index of the first sample after it
+  double time_s = 0.0;    ///< linearly interpolated crossing time
+  double swing_s = 0.0;   ///< TDoA change around it; > 0 for a rising crossing
+};
+
+/// The first zero crossing between samples i - 1 and i, for i in
+/// [begin, end) (begin >= 1): a sign change, or a touch of zero, whose
+/// swing over samples i - 4 .. i + 3 (clipped to the trace) reaches
+/// `min_swing_s`. A genuine crossing has small values right at the zero,
+/// so the noise gate reads that neighbourhood rather than the adjacent
+/// pair. find_direction takes the first of a whole trace; a live session
+/// scans its settled prefix less the 3 samples the gate reads ahead.
+[[nodiscard]] std::optional<ZeroCrossing> find_zero_crossing(
+    std::span<const TdoaSample> trace, std::size_t begin, std::size_t end,
+    double min_swing_s);
 
 /// Integrated gyro-z yaw relative to the start of the record, evaluated at
 /// time t (linear interpolation between IMU samples).

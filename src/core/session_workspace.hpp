@@ -15,7 +15,7 @@
 /// The context/workspace split is the pipeline's ownership model. A
 /// `PipelineContext` is deeply immutable and shared read-only by any number
 /// of concurrent runs; a `SessionWorkspace` is all the mutable state of one
-/// run — the ASP chunk-task list and per-task results, per-channel
+/// run — the ASP chunk-pass results, per-channel detector streams and
 /// detection staging, and an arena for per-session transients — and is
 /// therefore single-owner: one workspace per session in flight
 /// (runtime::WorkspacePool hands each engine worker an exclusive lease).
@@ -26,33 +26,30 @@
 /// allocation-free while results stay bit-identical to a fresh one — and
 /// to the context-free path, which simply builds a call-local workspace.
 ///
-/// Chunk scratch (the detector's per-chunk buffers, ~4 MiB at the batch
-/// chunk) is not here: it belongs to the thread that runs the chunk pass
-/// (core::ThreadScratchLease), for batch and streaming sessions alike. A
-/// workspace therefore never holds a chunk's working set — the per-chunk
-/// members of its detector slots stay empty — and a session that is open
-/// but idle costs only its staging.
+/// Chunk scratch (the detector's per-chunk buffers, ~0.5 MiB at the
+/// one-pair chunk) is not here: it belongs to the thread that runs the
+/// chunk pass (core::ThreadScratchLease), for batch and streaming sessions
+/// alike. A workspace therefore never holds a chunk's working set — the
+/// per-chunk members of its detector slots stay empty — and a session that
+/// is open but idle costs only its staging.
 
 namespace hyperear::core {
 
-/// Per-channel detection staging of the ASP stage: the stitch's candidate
-/// list and the detections of one microphone. The pipeline leaves the
-/// detector's per-chunk members (fft through prefix, pass) empty.
+/// Per-channel detection state of the ASP stage: the detector stream's
+/// cursor, the stitch's candidate list and the detections of one
+/// microphone. The pipeline leaves the detector's per-chunk members (fft
+/// through prefix, pass) empty.
 struct ChannelWorkspace {
   /// Band-passed whole channel. The pipeline never fills it (ASP runs no
   /// band-pass); it exists only for perfbench's probe, which still times a
   /// band-pass row with `dsp::filter_same_into` and
   /// `PipelineContext::bandpass_convolver`, until that row is retired.
   std::vector<double> filtered;
+  /// The channel's detector cursor: a batch run stitches a whole session
+  /// through it, a StreamingSession one chunk per push.
+  dsp::DetectorStream stream;
   dsp::DetectorWorkspace detector;         ///< stitch and pass-2 staging
   std::vector<dsp::Detection> detections;  ///< detector output staging
-};
-
-/// One task of the ASP fan-out: run the detector's chunk-local pass over
-/// one detector chunk of one channel.
-struct AspChunkTask {
-  std::size_t channel = 0;
-  dsp::ChunkSpan span;
 };
 
 /// Reusable per-worker state for the canonical pipeline entry points
@@ -70,9 +67,8 @@ class SessionWorkspace {
     return channels_[index];
   }
 
-  /// The ASP stage's task list, channel-major in schedule order.
-  [[nodiscard]] std::vector<AspChunkTask>& asp_tasks() { return asp_tasks_; }
-  /// Per-task chunk-pass results, parallel to `asp_tasks()`.
+  /// The ASP stage's chunk-pass results, one per (channel, chunk) task,
+  /// channel-major in schedule order.
   [[nodiscard]] std::vector<dsp::ChunkPass>& chunk_passes() { return chunk_passes_; }
 
   /// Bump allocator for per-session transients (e.g. the SFO fit's scratch
@@ -88,7 +84,6 @@ class SessionWorkspace {
 
  private:
   std::array<ChannelWorkspace, kChannels> channels_;
-  std::vector<AspChunkTask> asp_tasks_;
   std::vector<dsp::ChunkPass> chunk_passes_;
   MonotonicArena arena_;
 };

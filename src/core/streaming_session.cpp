@@ -1,17 +1,13 @@
 #include "core/streaming_session.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 #include "core/pipeline_context.hpp"
 #include "core/pipeline_detail.hpp"
 #include "core/session_workspace.hpp"
 #include "obs/clock.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace hyperear::core {
 
@@ -42,36 +38,28 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
     ws_ = owned_workspace_.get();
   }
   ws_->reset();
-  // Same context rule as the batch path: a supplied context is authoritative
-  // only when it matches this config + session; otherwise build
-  // session-local plans. Plan failure is remembered, not thrown — finalize
-  // classifies it as an asp-stage error in batch order (after the
+  // The batch path's plan rule. Plan failure is remembered, not thrown —
+  // finalize classifies it as an asp-stage error in batch order (after the
   // empty-recording check), so the streamed and batch error taxonomies
   // agree.
   try {
-    const double fs = meta_.audio.sample_rate;
-    if (shared_context_ != nullptr &&
-        shared_context_->matches(config_.asp, meta_.prior.chirp, fs)) {
-      context_ = shared_context_.get();
-    } else {
-      local_context_.emplace(config_.asp, meta_.prior.chirp, fs);
-      context_ = &*local_context_;
-    }
+    context_ = &detail::resolve_context(shared_context_.get(), config_.asp,
+                                        meta_.prior.chirp, meta_.audio.sample_rate,
+                                        local_context_);
   } catch (...) {
     ctx_error_ = std::current_exception();
   }
   if (context_ != nullptr) {
-    // The ring's high-water mark: run_detector leaves at most one streaming
-    // chunk behind and one ingest slice adds at most the slice, so a ring
+    // The ring's high-water mark: run_detector leaves at most one chunk
+    // behind and one ingest slice adds at most the slice, so a ring
     // reserved at that bound never regrows.
     const dsp::MatchedFilterDetector& det = context_->detector();
-    const std::size_t ring_capacity =
-        det.chunk_samples(det.streaming_pairs()) + kIngestSlice;
+    const std::size_t ring_capacity = det.chunk_samples(det.chunk_pairs()) + kIngestSlice;
     for (std::size_t slot = 0; slot < 2; ++slot) {
-      Channel& ch = channels_[slot];
       // NOLINTNEXTLINE(hyperear-hotpath) -- once per session, at its bound
-      ch.ring.reserve(ring_capacity);
-      context_->detector().stream_begin(ch.stream, ws_->channel(slot).detector);
+      channels_[slot].ring.reserve(ring_capacity);
+      ChannelWorkspace& cw = ws_->channel(slot);
+      det.stream_begin(cw.stream, cw.detector);
     }
   }
   slide1_mark_s_ = meta_.prior.calibration_duration;
@@ -120,56 +108,42 @@ void StreamingSession::append(Channel& ch, std::span<const double> slice) {
 
 void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
   const dsp::MatchedFilterDetector& det = context_->detector();
-  const std::size_t ref_len = det.reference().size();
-  const std::size_t chunk = det.chunk_samples(det.streaming_pairs());
-  for (;;) {
-    const std::size_t start = next_chunk_start_;
-    std::size_t end = 0;
-    bool final_chunk = false;
-    if (!drain_all) {
-      // Eager rule: process the schedule's next chunk only when STRICTLY
-      // more than its end has been appended — then the chunk is certainly
-      // full and certainly not the recording's last, so `final_chunk =
-      // false` matches what the schedule will say once the true length
-      // is known. Both rings always hold the same span of samples.
-      const std::size_t avail = channels_[0].ring_start + channels_[0].ring.size();
-      if (avail <= start + chunk) break;
-      end = start + chunk;
-    } else {
-      // End of stream: the final length is known, so this is the
-      // streaming schedule's (at most one) remaining chunk, which holds
-      // the recording's last lag.
-      const std::size_t n = total_;
-      if (n < ref_len || start > n - ref_len) break;
-      end = std::min(start + chunk, n);
-      final_chunk = end == n;
-    }
+  const std::size_t pairs = det.chunk_pairs();
+  // Before the end of the stream, lay the schedule over the samples so
+  // far: every chunk of it but the last is then certainly full and
+  // certainly not the recording's last, exactly as the schedule over the
+  // true length will say. At the end of the stream the length is known
+  // and the remaining chunks run through the final one. Both rings
+  // always hold the same span of samples.
+  const std::size_t n =
+      drain_all ? total_ : channels_[0].ring_start + channels_[0].ring.size();
+  const std::size_t chunks = det.chunk_count(n, pairs);
+  for (; next_chunk_ < chunks; ++next_chunk_) {
+    const dsp::ChunkSpan span = det.chunk_span(next_chunk_, n, pairs);
+    if (span.final_chunk && !drain_all) return;
     for (std::size_t slot = 0; slot < 2; ++slot) {
       Channel& ch = channels_[slot];
-      const std::span<const double> seg(ch.ring.data() + (start - ch.ring_start),
-                                        end - start);
-      det.chunk_pass(seg, start, final_chunk, scratch.detector, scratch.detector.pass);
-      det.stitch(scratch.detector.pass, ch.stream, ws_->channel(slot).detector);
+      ChannelWorkspace& cw = ws_->channel(slot);
+      const std::span<const double> seg(ch.ring.data() + (span.start - ch.ring_start),
+                                        span.size);
+      det.chunk_pass(seg, span.start, span.final_chunk, scratch.detector,
+                     scratch.detector.pass);
+      det.stitch(scratch.detector.pass, cw.stream, cw.detector);
       collect_candidates(slot, ch);
     }
-    next_chunk_start_ = channels_[0].stream.next_start;
     scan_zero_crossings(false);
-    advance_phase(end);
-    // After the recording's last chunk the detector's schedule cursor may
-    // point past the end of the signal; nothing further reads the rings, so
-    // compacting would erase past ring.end(). Stop before compaction.
-    if (final_chunk) break;
-    // Compact the rings below the next chunk's start. This branch runs at
-    // most once per streaming chunk, so the erase is O(1) amortized per
-    // incoming sample and each ring holds about one streaming chunk at its
-    // peak.
+    advance_phase(span.start + span.size);
+    // Nothing reads the rings after the recording's last chunk, whose
+    // next start may lie past their end.
+    if (span.final_chunk) return;
+    // Compact the rings below the next chunk's start. This runs once per
+    // chunk, so the erase is O(1) amortized per incoming sample and each
+    // ring holds about one chunk at its peak.
+    const std::size_t next_start = ws_->channel(0).stream.next_start;
     for (Channel& ch : channels_) {
-      if (next_chunk_start_ > ch.ring_start) {
-        ch.ring.erase(ch.ring.begin(),
-                      ch.ring.begin() +
-                          static_cast<std::ptrdiff_t>(next_chunk_start_ - ch.ring_start));
-        ch.ring_start = next_chunk_start_;
-      }
+      ch.ring.erase(ch.ring.begin(),
+                    ch.ring.begin() + static_cast<std::ptrdiff_t>(next_start - ch.ring_start));
+      ch.ring_start = next_start;
     }
   }
 }
@@ -198,51 +172,20 @@ void StreamingSession::collect_candidates(std::size_t slot, Channel& ch) {
 
 void StreamingSession::scan_zero_crossings(bool final_pass) {
   // Re-pair the provisional per-mic arrival streams into a TDoA trace with
-  // `pair_inter_mic_tdoas`' exact two-pointer rule, tracking which prefix
-  // of the trace can no longer change: a mic1 event's pairing is settled
-  // once its nearest-mic2 scan stopped on a comparison (not on running out
-  // of mic2 events) — appended events can then never be reached. Crossings
-  // are emitted only from that settled prefix (plus the lookahead the
-  // swing gate needs), so the event stream is invariant to chunking; the
-  // final pass at finalize() emits the rest.
-  const std::vector<double>& m1 = channels_[0].arrivals;
-  const std::vector<double>& m2 = channels_[1].arrivals;
-  tdoa_scratch_.clear();
-  std::size_t stable = 0;
-  std::size_t j = 0;
-  bool settled_so_far = true;
-  for (const double t1 : m1) {
-    while (j + 1 < m2.size() && std::abs(m2[j + 1] - t1) <= std::abs(m2[j] - t1)) {
-      ++j;
-    }
-    if (j >= m2.size()) break;
-    // The scan stopped because it ran out of mic2 events, not because the
-    // next one was farther: a future mic2 arrival could re-pair this and
-    // every later mic1 event.
-    if (j + 1 >= m2.size()) settled_so_far = false;
-    const double dt = t1 - m2[j];
-    if (std::abs(dt) <= sdf_.max_pairing_offset_s) {
-      tdoa_scratch_.push_back({0.5 * (t1 + m2[j]), dt});
-    }
-    if (settled_so_far) stable = tdoa_scratch_.size();
-  }
-  const std::size_t n = tdoa_scratch_.size();
-  // The swing gate of core::find_direction reads up to 3 samples past the
-  // crossing, so a non-final scan stops 3 short of the settled prefix.
-  const std::size_t scan_end = final_pass ? n : (stable >= 4 ? stable - 3 : 0);
-  for (std::size_t i = crossing_cursor_; i < scan_end; ++i) {
-    const TdoaSample& a = tdoa_scratch_[i - 1];
-    const TdoaSample& b = tdoa_scratch_[i];
-    if (a.tdoa_s == 0.0 && b.tdoa_s == 0.0) continue;
-    if (a.tdoa_s * b.tdoa_s > 0.0) continue;
-    const std::size_t lo = i >= 4 ? i - 4 : 0;
-    const std::size_t hi = std::min(i + 3, n - 1);
-    const double swing = tdoa_scratch_[hi].tdoa_s - tdoa_scratch_[lo].tdoa_s;
-    if (std::abs(swing) < sdf_.min_swing_s) continue;
-    const double span = b.tdoa_s - a.tdoa_s;
-    const double frac = span != 0.0 ? -a.tdoa_s / span : 0.5;
-    events_.push_back({StreamEvent::Kind::sdf_zero_cross, 0,
-                       lerp(a.time_s, b.time_s, frac), phase_, false, 0.0});
+  // the batch pairing rule. Crossings are emitted only from the trace's
+  // settled prefix, less the 3 samples the swing gate reads ahead, so the
+  // event stream is invariant to chunking; the final pass at finalize()
+  // emits the rest.
+  const std::size_t stable = pair_arrival_times(
+      channels_[0].arrivals, channels_[1].arrivals, sdf_.max_pairing_offset_s,
+      tdoa_scratch_);
+  const std::size_t scan_end =
+      final_pass ? tdoa_scratch_.size() : (stable >= 4 ? stable - 3 : 0);
+  for (std::optional<ZeroCrossing> c = find_zero_crossing(
+           tdoa_scratch_, crossing_cursor_, scan_end, sdf_.min_swing_s);
+       c; c = find_zero_crossing(tdoa_scratch_, c->index + 1, scan_end, sdf_.min_swing_s)) {
+    events_.push_back(
+        {StreamEvent::Kind::sdf_zero_cross, 0, c->time_s, phase_, false, 0.0});
   }
   crossing_cursor_ = std::max(crossing_cursor_, scan_end);
 }
@@ -279,71 +222,35 @@ Expected<LocalizationResult, PipelineError> StreamingSession::finalize(
   require(!finalized_, "StreamingSession: finalize called twice");
   finalized_ = true;
 
-  StageMetrics local;
-  local.asp_ms = asp_ms_;
-  if (metrics != nullptr) *metrics = local;
+  bool asp_done = false;
+  Expected<LocalizationResult, PipelineError> r = detail::run_session(
+      meta_, config_, asp_ms_,
+      [&] {
+        // Batch error order: the empty-recording precondition fires before
+        // any plan problem (preprocess_audio checks the recording before
+        // building a context).
+        require(total_ > 0, "preprocess_audio: bad recording");
+        if (ctx_error_) std::rethrow_exception(ctx_error_);
+        {
+          const ThreadScratchLease lease;
+          run_detector(true, lease.scratch());
+        }
+        scan_zero_crossings(true);
+        advance_phase(total_);
+        AspResult asp = detail::end_asp(*context_, *ws_, meta_.prior.nominal_period,
+                                        meta_.prior.calibration_duration, obs);
+        asp_done = true;
+        return asp;
+      },
+      metrics, obs);
 
-  obs::MetricsRegistry* registry = obs != nullptr ? obs->metrics : nullptr;
-  obs::Tracer* tracer = obs != nullptr ? obs->tracer : nullptr;
-  const std::uint64_t sid = obs != nullptr ? obs->session_id : 0;
-  obs::TraceSpan session_span(tracer, "session", sid);
-
-  if (std::optional<PipelineError> bad = config_.validate()) {
-    if (registry != nullptr) {
-      detail::record_pipeline_metrics(*registry, local, nullptr, &*bad);
-    }
-    phase_ = StreamPhase::done;
-    return make_unexpected(*std::move(bad));
-  }
-
-  AspResult asp;
-  try {
-    obs::TraceSpan span(tracer, "asp", sid, &session_span);
-    const obs::MonotonicTime t0 = obs::monotonic_now();
-    // Batch error order: the empty-recording precondition fires before any
-    // plan problem (preprocess_audio checks the recording before building
-    // a context).
-    require(total_ > 0, "preprocess_audio: bad recording");
-    if (ctx_error_) std::rethrow_exception(ctx_error_);
-    {
-      const ThreadScratchLease lease;
-      run_detector(true, lease.scratch());
-    }
-    scan_zero_crossings(true);
-    advance_phase(total_);
-    for (std::size_t slot = 0; slot < 2; ++slot) {
-      Channel& ch = channels_[slot];
-      ChannelWorkspace& cw = ws_->channel(slot);
-      context_->detector().stream_end(ch.stream, cw.detector, cw.detections, obs);
-      convert_chirp_events(cw.detections, slot == 0 ? asp.mic1 : asp.mic2);
-    }
-    finish_asp(asp, meta_.prior.nominal_period, meta_.prior.calibration_duration,
-               config_.asp, ws_->arena(), obs);
-    local.asp_ms = asp_ms_ + obs::ms_since(t0);
-    local.chirps_mic1 = asp.mic1.size();
-    local.chirps_mic2 = asp.mic2.size();
-    local.sfo_estimated = asp.sfo_estimated;
-  } catch (const std::exception& e) {
-    if (metrics != nullptr) *metrics = local;
-    PipelineError error = error_from_exception(e, PipelineStage::asp);
-    if (registry != nullptr) {
-      detail::record_pipeline_metrics(*registry, local, nullptr, &error);
-    }
-    phase_ = StreamPhase::done;
-    return make_unexpected(std::move(error));
-  }
-
+  phase_ = StreamPhase::done;
+  if (!asp_done) return r;
   const double end_time_s = meta_.audio.sample_rate > 0.0
                                 ? static_cast<double>(total_) / meta_.audio.sample_rate
                                 : 0.0;
-  phase_ = StreamPhase::solving;
-  events_.push_back(
-      {StreamEvent::Kind::phase_change, 0, end_time_s, phase_, false, 0.0});
-
-  Expected<LocalizationResult, PipelineError> r =
-      detail::localize_from_asp(asp, meta_, config_, local, obs, &session_span);
-  if (metrics != nullptr) *metrics = local;
-
+  events_.push_back({StreamEvent::Kind::phase_change, 0, end_time_s,
+                     StreamPhase::solving, false, 0.0});
   if (r.has_value()) {
     // Deterministic confidence: a pure function of the result, so the fix
     // event is chunking- and thread-invariant. The paper's protocol asks
@@ -351,10 +258,9 @@ Expected<LocalizationResult, PipelineError> StreamingSession::finalize(
     // full confidence, fewer accepted slides proportionally less.
     const double conf =
         r->valid ? std::min(1.0, static_cast<double>(r->slides_used) / 5.0) : 0.0;
-    events_.push_back(
-        {StreamEvent::Kind::fix, 0, end_time_s, phase_, r->valid, conf});
+    events_.push_back({StreamEvent::Kind::fix, 0, end_time_s, StreamPhase::solving,
+                       r->valid, conf});
   }
-  phase_ = StreamPhase::done;
   events_.push_back(
       {StreamEvent::Kind::phase_change, 0, end_time_s, phase_, false, 0.0});
   return r;

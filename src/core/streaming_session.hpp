@@ -26,14 +26,13 @@
 /// protocol-phase transitions) while the user is still sliding.
 /// `finalize()` then completes the pipeline (SFO fit, MSP, TTL/PLE) and
 /// returns a fix that is BIT-IDENTICAL to `core::try_localize` on the
-/// concatenated audio — for every chunking — because every stage either
-/// runs the batch code verbatim (`detail::localize_from_asp`, `finish_asp`)
-/// or a streaming spelling proven equivalent instruction-for-instruction
-/// (the detector's stream_begin/chunk/end protocol).
+/// concatenated audio — for every chunking — because it runs the batch
+/// code: the detector's one chunk schedule, chunk pass and stitch, then
+/// the batch ASP tail and session shell (core/pipeline_detail.hpp).
 /// tests/test_streaming.cpp holds the property test.
 ///
 /// Memory: a session holds per channel a ring of raw samples reserved once
-/// at its bound — one streaming chunk (`streaming_pairs()` OLS pairs: 14180
+/// at its bound — one detector chunk (`chunk_pairs()` OLS pairs: 14180
 /// samples by default) plus one ingest slice (4096 samples), about 143 KiB
 /// per channel — plus the stitch's staging in its workspace (the echo
 /// maxima its deferred candidates still need, and the candidates). `push`
@@ -72,8 +71,8 @@ enum class StreamPhase : std::uint8_t {
 
 /// One incremental event. The event SEQUENCE (kinds, channels, times,
 /// payloads, order) is invariant to how the audio was chunked: events
-/// derived from detector output are keyed to the detector's streaming
-/// chunk schedule, and phase transitions are interleaved by their time
+/// derived from detector output are keyed to the detector's chunk
+/// schedule, and phase transitions are interleaved by their time
 /// mark, not by which push happened to cross it.
 struct StreamEvent {
   enum class Kind : std::uint8_t {
@@ -157,7 +156,6 @@ class StreamingSession {
     /// bound.
     std::vector<double> ring;
     std::size_t ring_start = 0;     ///< recording index of ring[0]
-    dsp::DetectorStream stream;     ///< resumable detector cursor
     std::size_t candidates_seen = 0;  ///< consumed prefix of ws candidates
     std::size_t next_lag = 0;         ///< candidates below this lag are consumed
     std::vector<double> arrivals;     ///< provisional arrival times (pass-1 basis)
@@ -168,7 +166,7 @@ class StreamingSession {
   static constexpr std::size_t kIngestSlice = 4096;
 
   static void append(Channel& ch, std::span<const double> slice);
-  /// Run every streaming-schedule chunk that is certainly full and
+  /// Run every chunk of the detector's schedule that is certainly full and
   /// non-final; with `drain_all` (the length is known), every remaining
   /// chunk through the final one. Chunk passes run on
   /// `scratch`, the calling thread's; only the stitch touches the session.
@@ -196,7 +194,7 @@ class StreamingSession {
 
   Channel channels_[2];
   std::size_t total_ = 0;          ///< raw samples pushed per channel
-  std::size_t next_chunk_start_ = 0;  ///< shared detector schedule cursor
+  std::size_t next_chunk_ = 0;     ///< next chunk of the detector's schedule
   double asp_ms_ = 0.0;            ///< detect wall time across pushes
 
   std::vector<StreamEvent> events_;

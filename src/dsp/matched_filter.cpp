@@ -157,30 +157,35 @@ MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
   require(energy > 0.0, "MatchedFilterDetector: zero-energy reference");
   reference_norm_ = std::sqrt(energy);
   // The pair grid is a function of the reference alone: the FFT size is
-  // costed for kBatchChunkSamples windows whatever chunks a caller runs,
+  // costed for kFftCostingWindow windows whatever chunks a caller runs,
   // and the direct-vs-OLS choice compares one pair's window with the
   // product limit every other convolution spelling uses.
   const std::size_t m = reference_.size();
-  const std::size_t fft_size = choose_ols_fft_size(m, kBatchChunkSamples);
+  const std::size_t fft_size = choose_ols_fft_size(m, kFftCostingWindow);
   block_ = fft_size - m + 1;
   if (chunk_samples(1) * m > kDirectProductLimit) {
     ols_.emplace(std::vector<double>(reference_.rbegin(), reference_.rend()), fft_size);
   }
-  const std::size_t batch_lags = kBatchChunkSamples > m ? kBatchChunkSamples - m + 1 : 1;
-  batch_pairs_ = std::max<std::size_t>(1, (batch_lags + pair_lags() / 2) / pair_lags());
-  streaming_pairs_ =
-      std::max<std::size_t>(1, (min_spacing_ + pair_lags() - 1) / pair_lags());
+  chunk_pairs_ = std::max<std::size_t>(1, (min_spacing_ + pair_lags() - 1) / pair_lags());
 }
 
 void MatchedFilterDetector::correlate_chunk(std::span<const double> seg, std::size_t start,
                                             DetectorWorkspace& ws) const {
+  // Size the per-chunk buffers for a full chunk of the schedule up front: a
+  // thread whose first pass is a short final chunk would otherwise grow
+  // them geometrically past one chunk on its next full one.
+  const std::size_t lags = seg.size() - reference_.size() + 1;
+  const std::size_t full = std::max(lags, chunk_pairs_ * pair_lags());
+  ws.raw.reserve(full);
+  ws.local_max.reserve(full);
+  ws.prefix.reserve(full + pair_lags() + reference_.size());
   if (!ols_) {
     // The direct sum computes every lag on its own, so it is chunk-invariant
     // as it stands.
     correlate_valid_direct_into(seg, reference_, ws.raw);
     return;
   }
-  ws.raw.resize(seg.size() - reference_.size() + 1);
+  ws.raw.resize(lags);
   ols_->correlate_pairs_into(seg, start, ws.raw.data(), ws.fft);
 }
 
@@ -189,15 +194,15 @@ void MatchedFilterDetector::detect_into(std::span<const double> recording,
                                         std::vector<Detection>& out,
                                         const obs::ObsContext* obs) const {
   // The batch spelling IS the streaming protocol run to completion over
-  // the batch chunk schedule — one implementation, so the two paths cannot
+  // the one chunk schedule — one implementation, so the two paths cannot
   // drift. A recording shorter than the reference streams zero chunks and
   // still passes through stream_end, which clears the output and staging
   // and keeps the telemetry consistent.
   DetectorStream stream;
   stream_begin(stream, ws);
-  const std::size_t chunks = chunk_count(recording.size(), batch_pairs_);
+  const std::size_t chunks = chunk_count(recording.size(), chunk_pairs_);
   for (std::size_t k = 0; k < chunks; ++k) {
-    const ChunkSpan span = chunk_span(k, recording.size(), batch_pairs_);
+    const ChunkSpan span = chunk_span(k, recording.size(), chunk_pairs_);
     stream_chunk(recording.subspan(span.start, span.size), span.final_chunk, stream, ws);
   }
   stream_end(stream, ws, out, obs);

@@ -41,8 +41,8 @@ struct Detection {
 };
 
 /// Detector configuration. The chunk schedule is not configurable: the
-/// detections are the same for every chunk length, and each caller picks
-/// its own (`MatchedFilterDetector::batch_pairs`/`streaming_pairs`).
+/// detections are the same for every chunk length, and every caller runs
+/// chunks of `MatchedFilterDetector::chunk_pairs()` pairs.
 struct DetectorConfig {
   double sample_rate = 44100.0;
   /// Minimum normalized correlation for a peak to count as a chirp.
@@ -250,7 +250,7 @@ class MatchedFilterDetector {
   MatchedFilterDetector(std::vector<double> reference, const DetectorConfig& config);
 
   /// Detect all chirp arrivals in the recording into `out` (cleared
-  /// first). Processes the input in chunks of `batch_pairs()` pairs so
+  /// first). Processes the input in chunks of `chunk_pairs()` pairs so
   /// memory stays bounded for long sessions, and every intermediate buffer
   /// lives in `ws`, so a warmed workspace makes the whole call
   /// allocation-free apart from growth of `out` itself.
@@ -274,9 +274,10 @@ class MatchedFilterDetector {
   /// the recording's N - reference + 1 lags, and the samples those lags
   /// read; `final_chunk` is true iff it holds the last lag. An incremental
   /// caller may process a chunk as soon as MORE than its full extent of
-  /// samples exist (it is then certainly full and non-final), and the rest
+  /// samples exist (it is then certainly full and non-final: every chunk
+  /// but the last of the schedule over the samples so far), and the rest
   /// once the length is known. For every P the detections are
-  /// byte-identical to `detect_into`, which runs P = batch_pairs(); pass 2
+  /// byte-identical to `detect_into`, which runs P = chunk_pairs(); pass 2
   /// (global min-spacing) and the amplitude gate run in `stream_end`, over
   /// candidates accumulated in `ws.candidates`. The telemetry differs only
   /// in the chunk count.
@@ -325,15 +326,12 @@ class MatchedFilterDetector {
   [[nodiscard]] std::size_t chunk_samples(std::size_t pairs) const {
     return pairs * pair_lags() + reference_.size() - 1;
   }
-  /// Pairs per batch chunk: the pair count whose lags come nearest to
-  /// kBatchChunkSamples - reference + 1 (11 for the 2205-sample default
-  /// reference). Large chunks keep batch correlation windows long and the
-  /// fan-out's tasks few.
-  [[nodiscard]] std::size_t batch_pairs() const { return batch_pairs_; }
-  /// Pairs per streaming chunk: the fewest whose lags cover min_spacing
-  /// (1 by default), so a live stream holds little audio and a candidate's
-  /// echo window reaches at most one chunk ahead.
-  [[nodiscard]] std::size_t streaming_pairs() const { return streaming_pairs_; }
+  /// Pairs per chunk of the one schedule that batch detection, the ASP
+  /// fan-out and live streams all run: the fewest whose lags cover
+  /// min_spacing (1 by default), so a live stream holds little audio, a
+  /// thread's chunk scratch stays one pair's working set, and a
+  /// candidate's echo window reaches at most one chunk ahead.
+  [[nodiscard]] std::size_t chunk_pairs() const { return chunk_pairs_; }
   /// min_spacing_s in lags.
   [[nodiscard]] std::size_t min_spacing_lags() const { return min_spacing_; }
 
@@ -351,15 +349,17 @@ class MatchedFilterDetector {
   [[nodiscard]] const DetectorConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<double>& reference() const { return reference_; }
 
-  /// The chunk length the detector's FFT size is costed for (the
-  /// two-argument `choose_ols_fft_size`), and the batch chunk length the
-  /// pair count approximates: ~3 s at 44.1 kHz.
-  static constexpr std::size_t kBatchChunkSamples = std::size_t{1} << 17;
+  /// The window the detector's FFT size is costed for (the two-argument
+  /// `choose_ols_fft_size`): ~3 s at 44.1 kHz. Only the block size reads
+  /// it, so the pair grid is a function of the reference alone; no chunk
+  /// of the schedule has this length.
+  static constexpr std::size_t kFftCostingWindow = std::size_t{1} << 17;
 
  private:
   /// Lag-anchored valid correlation of one chunk against the reference
   /// into `ws.raw`: OLS pairs through the cached reversed-template
   /// convolver, or the direct sum when the reference is short enough.
+  /// First reserves `ws`'s per-chunk buffers for a full chunk.
   void correlate_chunk(std::span<const double> seg, std::size_t start,
                        DetectorWorkspace& ws) const;
   /// The echo runner of a stitched peak over its whole window: its
@@ -374,8 +374,7 @@ class MatchedFilterDetector {
   std::size_t block_ = 0;        ///< OLS block: lags per correlation block
   std::size_t min_spacing_ = 0;  ///< min_spacing_s in lags
   std::size_t exclusion_ = 0;    ///< echo exclusion half-width in lags
-  std::size_t batch_pairs_ = 1;
-  std::size_t streaming_pairs_ = 1;
+  std::size_t chunk_pairs_ = 1;
   /// Overlap-save convolver for the time-reversed reference; engaged
   /// unless one pair's window times the reference is small enough for
   /// the direct sum (the rule every other convolution spelling uses).

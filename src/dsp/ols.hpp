@@ -53,15 +53,16 @@ inline constexpr std::size_t kDirectProductLimit = 1u << 16;
 [[nodiscard]] std::size_t choose_ols_fft_size(std::size_t kernel_len);
 
 /// Transform size for a convolver that serves windows of `window_len`
-/// samples (the matched-filter detector's chunks). Costs each of the
+/// samples (the matched-filter detector costs its one-pair chunks' block
+/// size for a fixed long window). Costs each of the
 /// one-argument rule's candidate sizes by the pair model: ceil(blocks / 2)
 /// transform pairs of N log2(N) butterflies, blocks =
 /// ceil(window_len / (N - M + 1)). Returns the smallest size whose cost is
 /// within 1/16 of the minimum and no more than the one-argument choice's.
 /// A convolver built without an explicit size keeps the one-argument rule.
-/// For the 2205-tap reference on 131072-sample windows (the
-/// matched-filter detector's costing window) this is 8192: 11 full pairs,
-/// against 3 pairs at 32768 of which the last is half empty.
+/// For the 2205-tap reference on 131072-sample windows
+/// (`MatchedFilterDetector::kFftCostingWindow`) this is 8192: 11 full
+/// pairs, against 3 pairs at 32768 of which the last is half empty.
 /// Deterministic, like the one-argument rule.
 [[nodiscard]] std::size_t choose_ols_fft_size(std::size_t kernel_len,
                                               std::size_t window_len);

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -196,6 +198,69 @@ TEST(Engine, SingleSessionsMatchTheSerialPipelineAtEveryWidth) {
       EXPECT_EQ(helped, 0.0);
     }
   }
+}
+
+TEST(Engine, FanOutThreadsKeepOneChunkOfScratch) {
+  // A batch session fans its ASP chunk tasks out over idle workers, and
+  // each task runs on the scratch of the thread that claimed it. Batch and
+  // live streams run the detector's one chunk schedule, so no thread's
+  // scratch outgrows one chunk's lags, however long the recording.
+  constexpr std::size_t kThreads = 3;
+  const std::vector<sim::Session> sessions = make_batch(kThreads, 780);
+  const core::PipelineContext context(core::PipelineConfig{}, sessions[0].prior.chirp,
+                                      sessions[0].audio.sample_rate);
+  const dsp::MatchedFilterDetector& det = context.detector();
+  const std::size_t chunk_lags = det.chunk_pairs() * det.pair_lags();
+  ASSERT_GE(det.chunk_count(sessions[0].audio.mic1.size(), det.chunk_pairs()), 10u);
+
+  struct Seen {
+    std::thread::id thread;
+    std::size_t raw = 0;
+    std::size_t local_max = 0;
+  };
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::vector<Seen> seen;
+  // Declared last: the workers are joined before anything they touch dies.
+  Engine engine({}, kThreads);
+
+  // One session at a time: the other workers are idle and help.
+  for (const sim::Session& s : sessions) {
+    ASSERT_EQ(engine.submit(s).get().status, SessionStatus::ok);
+  }
+  ASSERT_GT(engine.metrics().counter("asp.chunk_tasks_helped_total").value(), 0.0);
+
+  // Then one session per worker, each reporting on its worker and waiting
+  // there until all have reported: the reports come from kThreads distinct
+  // threads, the whole pool, once no chunk pass is left in flight. Each
+  // reads its own thread's scratch.
+  for (const sim::Session& s : sessions) {
+    ASSERT_TRUE(engine.try_submit(
+        std::make_shared<const sim::Session>(s), [&](SessionReport&& report) {
+          std::unique_lock lock(mutex);
+          ++arrived;
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(60), [&] { return arrived == kThreads; });
+          const core::ThreadScratchLease lease;
+          const dsp::DetectorWorkspace& scratch = lease.scratch().detector;
+          seen.push_back({std::this_thread::get_id(), scratch.raw.capacity(),
+                          scratch.local_max.capacity()});
+          EXPECT_EQ(report.status, SessionStatus::ok);
+          cv.notify_all();
+        }));
+  }
+  std::unique_lock lock(mutex);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(120),
+                          [&] { return seen.size() == kThreads; }));
+  std::set<std::thread::id> threads;
+  for (const Seen& s : seen) {
+    threads.insert(s.thread);
+    EXPECT_GT(s.raw, 0u);  // the thread did run chunk passes
+    EXPECT_LE(s.raw, chunk_lags);
+    EXPECT_LE(s.local_max, chunk_lags);
+  }
+  EXPECT_EQ(threads.size(), kThreads);
 }
 
 TEST(Engine, LiveStreamsAndFanOutsShareEachWorkersThreadScratch) {

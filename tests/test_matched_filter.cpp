@@ -252,7 +252,7 @@ std::vector<DetectionCandidate> oracle_candidates(const MatchedFilterDetector& d
   std::vector<double> raw(x.size() - m + 1);
   if (det.chunk_samples(1) * m > kDirectProductLimit) {
     const OlsConvolver ols(std::vector<double>(ref.rbegin(), ref.rend()),
-                           choose_ols_fft_size(m, MatchedFilterDetector::kBatchChunkSamples));
+                           choose_ols_fft_size(m, MatchedFilterDetector::kFftCostingWindow));
     Workspace fft;
     ols.correlate_pairs_into(x, 0, raw.data(), fft);
   } else {
@@ -406,8 +406,7 @@ TEST(MatchedFilter, StreamProtocolBitIdenticalToDetectAcrossChunkings) {
   // The detector half of the streaming tentpole: the stream_begin /
   // stream_chunk / stream_end protocol driven by ANY arrival pattern of
   // samples must reproduce detect() bit for bit — candidates are keyed to
-  // the chunk schedule, never to how a caller buffered the audio, and the
-  // streaming schedule's small chunks detect what batch's large ones do.
+  // the chunk schedule, never to how a caller buffered the audio.
   const Chirp chirp{ChirpParams{}};
   Rng rng(55);
   DetectorConfig cfg;
@@ -424,7 +423,7 @@ TEST(MatchedFilter, StreamProtocolBitIdenticalToDetectAcrossChunkings) {
        {std::vector<std::size_t>{x.size()}, std::vector<std::size_t>{1009},
         std::vector<std::size_t>{1u << 14},
         std::vector<std::size_t>{3, 8191, 1, 20011}}) {
-    const std::vector<Detection> got = stream_detect(det, x, slices, det.streaming_pairs());
+    const std::vector<Detection> got = stream_detect(det, x, slices, det.chunk_pairs());
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
       EXPECT_EQ(got[i].time_s, expect[i].time_s) << i;
@@ -506,11 +505,10 @@ std::vector<double> seam_recording(const Chirp& chirp, std::size_t pair, Rng& rn
 TEST(MatchedFilter, DetectionsByteIdenticalForEveryChunkLength) {
   // The detector's contract: a chunk is any whole number of OLS pairs, and
   // every chunk length yields the same candidates and detections to the
-  // last bit — the one-pair streaming schedule, a few small ones, the
-  // batch schedule, and the whole recording as one chunk. One config has
-  // a min_spacing wider than a pair (reachable through
-  // asp.min_event_spacing_s), so an echo window then spans several
-  // one-pair chunks.
+  // last bit — the one-pair schedule every caller runs, a few small ones,
+  // and the whole recording as one chunk. One config has a min_spacing
+  // wider than a pair (reachable through asp.min_event_spacing_s), so an
+  // echo window then spans several one-pair chunks.
   const Chirp chirp{ChirpParams{}};
   const std::vector<double>& ref = chirp.reference(kFs);
   DetectorConfig narrow;
@@ -523,18 +521,16 @@ TEST(MatchedFilter, DetectionsByteIdenticalForEveryChunkLength) {
     const std::vector<double> x = seam_recording(chirp, det.pair_lags(), rng);
     const std::size_t whole = whole_pairs(det, x.size());
     const std::string name = "min_spacing " + std::to_string(cfg.min_spacing_s);
-    EXPECT_EQ(det.streaming_pairs(), cfg.min_spacing_s > 0.2 ? 2u : 1u) << name;
+    EXPECT_EQ(det.chunk_pairs(), cfg.min_spacing_s > 0.2 ? 2u : 1u) << name;
     const ScheduleRun want = run_schedule(det, x, whole);
     ASSERT_GE(want.detections.size(), 5u) << name;
-    for (const std::size_t pairs : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                                    det.batch_pairs()}) {
+    for (const std::size_t pairs : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
       const std::string where = name + " pairs " + std::to_string(pairs);
       const ScheduleRun got = run_schedule(det, x, pairs);
       ASSERT_EQ(got.passes.size(), det.chunk_count(x.size(), pairs)) << where;
       expect_same_candidates(got.candidates, want.candidates, where);
       expect_same_detections(got.detections, want.detections, where);
     }
-    EXPECT_EQ(det.batch_pairs(), 11u);
     std::vector<Detection> batch;
     DetectorWorkspace ws;
     det.detect_into(x, ws, batch);

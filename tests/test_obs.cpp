@@ -337,7 +337,7 @@ TEST(Obs, AspChunkTaskCountersCountEveryTaskAndOnlyHelpedOnes) {
 
   const dsp::MatchedFilterDetector& detector = context.detector();
   const std::size_t chunks =
-      detector.chunk_count(session.audio.mic1.size(), detector.batch_pairs());
+      detector.chunk_count(session.audio.mic1.size(), detector.chunk_pairs());
   ASSERT_GE(chunks, 2u);
   EXPECT_EQ(registry.counter("asp.chunk_tasks_total").value(),
             static_cast<double>(core::SessionWorkspace::kChannels * chunks));

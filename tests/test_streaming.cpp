@@ -242,14 +242,14 @@ TEST(StreamingSession, SingleSamplePushesMatchBatch) {
 }
 
 /// The duration-independent retention bound of a default-config session,
-/// in samples across both channels: per channel one streaming chunk of the
+/// in samples across both channels: per channel one chunk of the
 /// session's detector plus `slice` in-flight samples (the push size, or
 /// the session's 4096-sample ingest slice for larger pushes).
 std::size_t retention_bound(const sim::Session& meta, std::size_t slice) {
   const core::PipelineContext context(core::PipelineConfig{}, meta.prior.chirp,
                                       meta.audio.sample_rate);
   const dsp::MatchedFilterDetector& det = context.detector();
-  return 2 * (det.chunk_samples(det.streaming_pairs()) + slice);
+  return 2 * (det.chunk_samples(det.chunk_pairs()) + slice);
 }
 
 TEST(StreamingSession, PeakRetainedMemoryStaysBounded) {
@@ -265,7 +265,7 @@ TEST(StreamingSession, PeakRetainedMemoryStaysBounded) {
   ASSERT_TRUE(got.has_value());
   EXPECT_GT(peak, 0u);
   // The retention contract is a duration-independent constant: per channel
-  // one streaming chunk (the matched filter processes a chunk only once it
+  // one detector chunk (the matched filter processes a chunk only once it
   // is certainly full) and the in-flight slice.
   const std::size_t bound = retention_bound(s.meta, 2048);
   EXPECT_LE(bound * sizeof(double), std::size_t{700} * 1024);
@@ -336,15 +336,14 @@ TEST(StreamingSession, LeasedWorkspaceHoldsNoChunkScratch) {
 }
 
 TEST(StreamingSession, StreamOnlyThreadKeepsOneStreamingChunkOfScratch) {
-  // Chunk scratch belongs to the thread. A thread that only ever streams
-  // runs nothing but streaming chunks, so its scratch stays at one
-  // streaming chunk's working set — never a batch chunk's.
+  // Chunk scratch belongs to the thread, and a thread that streams runs
+  // the detector's one chunk schedule, so its scratch stays at one
+  // chunk's working set however long the recording.
   const SplitSession s = split(make_session(840));
   const core::PipelineContext context(core::PipelineConfig{}, s.meta.prior.chirp,
                                       s.meta.audio.sample_rate);
   const dsp::MatchedFilterDetector& det = context.detector();
-  const std::size_t chunk_lags = det.streaming_pairs() * det.pair_lags();
-  ASSERT_LT(chunk_lags, det.batch_pairs() * det.pair_lags());
+  const std::size_t chunk_lags = det.chunk_pairs() * det.pair_lags();
   std::thread streamer([&] {
     ASSERT_TRUE(run_streamed(s, {4410}).has_value());
     const core::ThreadScratchLease lease;
