@@ -1,14 +1,19 @@
 /// Non-line-of-sight detection and recovery (extension of the paper's
 /// Section IX, which proposes exploiting user mobility when an obstruction
 /// blocks the direct path). The beacon hides behind a cabinet: the first
-/// session's dominant arrivals are reflections, which the LoS test catches
-/// from the instability of their inter-mic TDoA. The app then asks the user
-/// to step aside; the second session has a clear view and localizes.
+/// session's dominant arrivals are reflections. Their inter-mic TDoA and
+/// amplitude stay steady here (the winning reflections keep their
+/// bearing), so the LoS test catches them by their echo competition: each
+/// winner has near-peer competitors within the detector's min_spacing,
+/// which a clear direct path does not. The app then asks the user to step
+/// aside; the second session has a clear view and localizes.
 
 #include <cstdio>
+#include <vector>
 
 #include "core/nlos.hpp"
 #include "core/pipeline.hpp"
+#include "core/pipeline_context.hpp"
 #include "sim/scenario.hpp"
 
 namespace {
@@ -28,9 +33,21 @@ sim::Session record_session(double direct_gain, std::uint64_t seed) {
 }
 
 core::NlosAssessment check(const sim::Session& s) {
-  const core::AspResult asp =
-      core::preprocess_audio(s.audio, s.prior.chirp, 0.2, s.prior.calibration_duration);
-  return core::assess_line_of_sight(asp);
+  const core::AspOptions options;
+  const core::PipelineContext context(options, s.prior.chirp, s.audio.sample_rate);
+  const core::AspResult asp = core::preprocess_audio(
+      s.audio, s.prior.chirp, 0.2, s.prior.calibration_duration, options, &context);
+  const std::vector<double> echo =
+      core::echo_competition(context.detector(), s.audio.mic1, asp.mic1);
+  return core::assess_line_of_sight(asp, echo);
+}
+
+void print(const core::NlosAssessment& a) {
+  std::printf(
+      "  LoS check: tdoa dispersion %.1f us, amplitude churn %.2f, echo competition "
+      "%.2f -> %s\n",
+      1e6 * a.tdoa_mad_s, a.amplitude_dispersion, a.echo_competition,
+      a.suspected ? "OBSTRUCTED" : "clear");
 }
 
 }  // namespace
@@ -39,9 +56,7 @@ int main() {
   std::printf("Attempt 1: beacon behind a cabinet (direct path blocked)\n");
   const sim::Session blocked = record_session(0.03, 5050);
   const core::NlosAssessment first = check(blocked);
-  std::printf("  LoS check: tdoa dispersion %.1f us, amplitude churn %.2f -> %s\n",
-              1e6 * first.tdoa_mad_s, first.amplitude_dispersion,
-              first.suspected ? "OBSTRUCTED" : "clear");
+  print(first);
   if (first.suspected) {
     const auto bad = core::try_localize(blocked);
     if (bad.has_value() && bad->valid) {
@@ -56,9 +71,7 @@ int main() {
   std::printf("Attempt 2: after moving, the line of sight is clear\n");
   const sim::Session clear = record_session(1.0, 5051);
   const core::NlosAssessment second = check(clear);
-  std::printf("  LoS check: tdoa dispersion %.1f us, amplitude churn %.2f -> %s\n",
-              1e6 * second.tdoa_mad_s, second.amplitude_dispersion,
-              second.suspected ? "OBSTRUCTED" : "clear");
+  print(second);
   const auto outcome = core::try_localize(clear);
   if (!outcome.has_value() || !outcome->valid) {
     std::printf("  localization failed\n");

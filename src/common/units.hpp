@@ -38,9 +38,6 @@ inline constexpr double kPi = 3.14159265358979323846;
 /// Convert a decibel ratio to a linear power ratio.
 [[nodiscard]] constexpr double db_to_power(double db) noexcept;
 
-/// Convert a linear power ratio to decibels. Input must be positive.
-[[nodiscard]] double power_to_db(double ratio);
-
 }  // namespace hyperear
 
 #include <cmath>
@@ -52,7 +49,5 @@ constexpr double db_to_power(double db) noexcept {
   // so fall back to a non-constexpr path at runtime only.
   return __builtin_pow(10.0, db / 10.0);
 }
-
-inline double power_to_db(double ratio) { return 10.0 * std::log10(ratio); }
 
 }  // namespace hyperear

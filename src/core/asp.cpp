@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
@@ -21,7 +22,7 @@ void convert_chirp_events(const std::vector<dsp::Detection>& detections,
   out.clear();
   out.reserve(detections.size());
   for (const dsp::Detection& d : detections) {
-    out.push_back({d.time_s, d.score, d.amplitude, d.echo_competition});
+    out.push_back({d.time_s, d.score, d.amplitude});
   }
 }
 
@@ -72,8 +73,12 @@ AspResult detail::run_asp(const sim::StereoRecording& recording,
                           double calibration_duration, const AspOptions& options,
                           const PipelineContext* context, SessionWorkspace* workspace,
                           const ChunkExecutor* executor, const obs::ObsContext* obs) {
-  require(!recording.mic1.empty() && recording.mic1.size() == recording.mic2.size(),
-          "preprocess_audio: bad recording");
+  if (recording.mic1.size() != recording.mic2.size()) {
+    throw PreconditionError("preprocess_audio: mic1 has " +
+                            std::to_string(recording.mic1.size()) + " samples, mic2 has " +
+                            std::to_string(recording.mic2.size()));
+  }
+  require(!recording.mic1.empty(), "preprocess_audio: empty recording");
   std::optional<PipelineContext> local_context;
   context = &resolve_context(context, options, chirp_params, recording.sample_rate,
                              local_context);

@@ -40,7 +40,6 @@ struct ChirpEvent {
   double time_s = 0.0;     ///< arrival of the chirp start, phone-clock seconds
   double score = 0.0;      ///< normalized correlation
   double amplitude = 0.0;  ///< raw matched-filter amplitude (NLoS diagnostics)
-  double echo_competition = 0.0;  ///< runner-up arrival ratio (NLoS cue)
 };
 
 /// ASP configuration (defaults reproduce the paper's pipeline).

@@ -23,7 +23,7 @@
 namespace hyperear::core {
 
 /// Scratch for one ASP chunk pass: the detector's per-chunk buffers (FFT
-/// lanes, raw correlation, echo index, prefix sums, the pass result handed
+/// lanes, raw correlation, peak lags, prefix sums, the pass result handed
 /// to the stitch); the pass reads the recording in place. It belongs to
 /// the thread that runs the pass, not to the session, so memory is
 /// threads x one chunk's working set however many sessions are open.

@@ -149,25 +149,17 @@ void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
 }
 
 void StreamingSession::collect_candidates(std::size_t slot, Channel& ch) {
-  // A stitched candidate's arrival time is final at once; only its echo
-  // ratio waits in the stitch's deferred list for the lags after it. The
-  // events read times alone, so they take the deferred candidates too: all
-  // of ws.candidates, then ws.deferred, in lag order, each lag once.
-  const dsp::DetectorWorkspace& dws = ws_->channel(slot).detector;
-  const auto take = [&](const dsp::DetectionCandidate& c) {
-    if (c.global_index < ch.next_lag) return;  // consumed while deferred
-    ch.next_lag = c.global_index + 1;
-    const double t = c.detection.time_s;
+  // A stitched candidate is final at once, and the stitch appends them in
+  // lag order.
+  const std::vector<dsp::DetectionCandidate>& candidates =
+      ws_->channel(slot).detector.candidates;
+  for (; ch.candidates_seen < candidates.size(); ++ch.candidates_seen) {
+    const double t = candidates[ch.candidates_seen].detection.time_s;
     if (ch.arrivals.empty()) {
       events_.push_back({StreamEvent::Kind::beacon_acquired, slot, t, phase_, false, 0.0});
     }
     ch.arrivals.push_back(t);
-  };
-  for (std::size_t i = ch.candidates_seen; i < dws.candidates.size(); ++i) {
-    take(dws.candidates[i]);
   }
-  ch.candidates_seen = dws.candidates.size();
-  for (const dsp::ChunkPass::Peak& p : dws.deferred) take(p.candidate);
 }
 
 void StreamingSession::scan_zero_crossings(bool final_pass) {
@@ -229,7 +221,7 @@ Expected<LocalizationResult, PipelineError> StreamingSession::finalize(
         // Batch error order: the empty-recording precondition fires before
         // any plan problem (preprocess_audio checks the recording before
         // building a context).
-        require(total_ > 0, "preprocess_audio: bad recording");
+        require(total_ > 0, "preprocess_audio: empty recording");
         if (ctx_error_) std::rethrow_exception(ctx_error_);
         {
           const ThreadScratchLease lease;

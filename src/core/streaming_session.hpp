@@ -32,12 +32,11 @@
 /// tests/test_streaming.cpp holds the property test.
 ///
 /// Memory: a session holds per channel a ring of raw samples reserved once
-/// at its bound — one detector chunk (`chunk_pairs()` OLS pairs: 14180
-/// samples by default) plus one ingest slice (4096 samples), about 143 KiB
-/// per channel — plus the stitch's staging in its workspace (the echo
-/// maxima its deferred candidates still need, and the candidates). `push`
-/// appends and detects in bounded slices, so the bound holds for a push of
-/// any size, and `retained_samples()` (high-water mark:
+/// at its bound — one detector chunk (one OLS pair: 14180 samples for the
+/// default chirp at 44.1 kHz) plus one ingest slice (4096 samples), about
+/// 143 KiB per channel — plus the stitch's staging in its workspace (the pass-1
+/// candidates). `push` appends and detects in bounded slices, so the bound
+/// holds for a push of any size, and `retained_samples()` (high-water mark:
 /// `peak_retained_samples()`) is a constant independent of how long the
 /// user records. The detector's per-chunk working set is not the session's:
 /// each push leases the calling thread's core::ChunkScratch, so an idle
@@ -157,7 +156,6 @@ class StreamingSession {
     std::vector<double> ring;
     std::size_t ring_start = 0;     ///< recording index of ring[0]
     std::size_t candidates_seen = 0;  ///< consumed prefix of ws candidates
-    std::size_t next_lag = 0;         ///< candidates below this lag are consumed
     std::vector<double> arrivals;     ///< provisional arrival times (pass-1 basis)
   };
 

@@ -67,21 +67,6 @@ std::vector<double> Biquad::filter(std::span<const double> signal) {
   return out;
 }
 
-double Biquad::magnitude_at(double freq_hz, double sample_rate) const {
-  // H(z) at z = e^{-iw}: numerator and denominator polynomials in z
-  // evaluated as real and imaginary parts, z^k = cos(kw) - i sin(kw).
-  const double w = 2.0 * kPi * freq_hz / sample_rate;
-  const double c1 = std::cos(w);
-  const double s1 = std::sin(w);
-  const double c2 = std::cos(2.0 * w);
-  const double s2 = std::sin(2.0 * w);
-  const double num_re = b0_ + b1_ * c1 + b2_ * c2;
-  const double num_im = -(b1_ * s1 + b2_ * s2);
-  const double den_re = 1.0 + a1_ * c1 + a2_ * c2;
-  const double den_im = -(a1_ * s1 + a2_ * s2);
-  return std::hypot(num_re, num_im) / std::hypot(den_re, den_im);
-}
-
 ButterworthCascade::ButterworthCascade(Kind kind, int order, double cutoff_hz,
                                        double sample_rate) {
   require(order >= 2 && order % 2 == 0, "ButterworthCascade: order must be even and >= 2");

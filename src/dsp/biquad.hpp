@@ -32,9 +32,6 @@ class Biquad {
   /// Filter a whole signal (stateful, starts from reset state).
   [[nodiscard]] std::vector<double> filter(std::span<const double> signal);
 
-  /// Magnitude response at a frequency.
-  [[nodiscard]] double magnitude_at(double freq_hz, double sample_rate) const;
-
  private:
   double b0_, b1_, b2_, a1_, a2_;
   double x1_ = 0.0, x2_ = 0.0, y1_ = 0.0, y2_ = 0.0;

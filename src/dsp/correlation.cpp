@@ -53,18 +53,4 @@ WindowNormalizer::WindowNormalizer(std::span<const double> x, std::size_t h_size
   energy_ = energy;
 }
 
-void normalize_correlation_into(std::span<const double> corr, std::span<const double> x,
-                                std::size_t h_size, double h_norm,
-                                std::vector<double>& prefix_scratch,
-                                std::vector<double>& out) {
-  require(h_norm > 0.0, "normalize_correlation_into: zero-energy template");
-  require(h_size >= 1 && h_size <= x.size() &&
-              corr.size() == x.size() - h_size + 1,
-          "normalize_correlation_into: correlation/signal length mismatch");
-  const WindowNormalizer norm(x, h_size, h_norm, prefix_scratch);
-  out.resize(corr.size());
-  for (std::size_t k = 0; k < corr.size(); ++k) out[k] = corr[k] / norm.denominator(k);
-  HE_ENSURES(out.size() == corr.size());
-}
-
 }  // namespace hyperear::dsp

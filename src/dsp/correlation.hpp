@@ -31,9 +31,8 @@ void correlate_valid_direct_into(std::span<const double> x, std::span<const doub
 /// from prefix sums of x^2. Silent stretches would otherwise divide by
 /// (numerically) zero and amplify FFT round-off into spurious peaks, so
 /// the window energy is floored at 1e-4 of the average window energy
-/// (and at 1e-30). `normalize_correlation_into` and the matched-filter
-/// detector's fused gate pass both divide by this one formula, so their
-/// normalized values agree bit for bit.
+/// (and at 1e-30). The matched-filter detector's fused gate pass divides
+/// by it.
 ///
 /// The lags may be cut into segments of `segment_lags` lags (0: one
 /// segment): segment q covers lags [q*S, (q+1)*S) and the samples those
@@ -62,18 +61,5 @@ class WindowNormalizer {
   const double* energy_;
   double h_norm_;
 };
-
-/// Sliding normalized cross-correlation from an already-computed
-/// valid-mode correlation `corr` of `x` against a template of length
-/// `h_size` and L2 norm `h_norm`: corr[k] / norm.denominator(k), values in
-/// [-1, 1] and robust to amplitude variation across the recording. The
-/// prefix-sum scratch and the output live in caller-owned buffers (resized
-/// as needed). Requires corr.size() == x.size() - h_size + 1 and
-/// h_norm > 0. The reference the detector's fused gate pass is tested
-/// against.
-void normalize_correlation_into(std::span<const double> corr, std::span<const double> x,
-                                std::size_t h_size, double h_norm,
-                                std::vector<double>& prefix_scratch,
-                                std::vector<double>& out);
 
 }  // namespace hyperear::dsp

@@ -94,15 +94,4 @@ void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel
   kernel.convolve_into(signal, kernel.kernel_size() / 2, signal.size(), out.data(), ws);
 }
 
-double fir_magnitude_at(std::span<const double> taps, double freq_hz, double sample_rate) {
-  require(sample_rate > 0.0, "fir_magnitude_at: sample rate must be positive");
-  const double omega = 2.0 * kPi * freq_hz / sample_rate;
-  double re = 0.0, im = 0.0;
-  for (std::size_t i = 0; i < taps.size(); ++i) {
-    re += taps[i] * std::cos(omega * static_cast<double>(i));
-    im -= taps[i] * std::sin(omega * static_cast<double>(i));
-  }
-  return std::sqrt(re * re + im * im);
-}
-
 }  // namespace hyperear::dsp

@@ -43,8 +43,4 @@ class Workspace;
 void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel,
                       std::vector<double>& out, Workspace& ws);
 
-/// Frequency response magnitude of an FIR at the given frequency.
-[[nodiscard]] double fir_magnitude_at(std::span<const double> taps, double freq_hz,
-                                      double sample_rate);
-
 }  // namespace hyperear::dsp

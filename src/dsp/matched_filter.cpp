@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -15,14 +14,6 @@
 namespace hyperear::dsp {
 
 namespace {
-
-/// The |raw| local-maximum rule of echo competition: `mid` when it is at
-/// least its left and above its right neighbor, else 0. Two selects rather
-/// than `&&`, so the compiler emits no branch.
-double echo_local_max(double left, double mid, double right) {
-  const double right_ok = mid > right ? mid : 0.0;
-  return mid >= left ? right_ok : 0.0;
-}
 
 /// Refine a candidate's detection at recording lag k: the arrival time
 /// from the parabola through the lag and its two neighbors when both exist
@@ -50,8 +41,6 @@ CorrelationScan scan_correlation(std::span<const double> raw,
   const std::size_t n = raw.size();
   require(n >= 1, "scan_correlation: empty correlation");
   require(threshold > 0.0, "scan_correlation: threshold must be positive");
-  ws.local_max.resize(n);
-  ws.block_max.resize((n + kEchoBlock - 1) / kEchoBlock);
   ws.peaks.clear();
   // Lags that cannot clear the gate skip its sqrt/div: raw <= 0 (the
   // threshold is positive), and raw^2 < skip_margin * energy, i.e. a
@@ -73,68 +62,24 @@ CorrelationScan scan_correlation(std::span<const double> raw,
     if (!(pos && near)) return 0.0;
     return r / norm.denominator(k) >= threshold ? r : 0.0;  // r > 0: r == |r|
   };
-  // Rolling three-lag windows (left, mid, right) of the gated and the
-  // ungated |raw|: lag j is decided once lag j + 1 is known. Lag 0 has no
-  // left neighbor in the chunk: m_left = 0 makes its gated test one-sided
-  // (a peak is >= 1e-12 anyway), a NaN a_left keeps it out of local_max.
+  // A rolling three-lag window (left, mid, right) of the gated |raw|: lag
+  // j is decided once lag j + 1 is known. Lag 0 has no left neighbor in
+  // the chunk: m_left = 0 makes its test one-sided (a peak is >= 1e-12
+  // anyway).
   const double first_masked = gated(0);
   double m_left = 0.0;
   double m_mid = first_masked;
-  double a_left = std::numeric_limits<double>::quiet_NaN();
-  double a_mid = std::abs(raw[0]);
-  std::size_t j = 0;
-  for (std::size_t b = 0; b < ws.block_max.size(); ++b) {
-    double block = 0.0;
-    const std::size_t end = std::min((b + 1) * kEchoBlock, n - 1);
-    for (; j < end; ++j) {
-      const double m_right = gated(j + 1);
-      const double a_right = std::abs(raw[j + 1]);
-      if (m_mid >= 1e-12 && m_mid >= m_left && m_mid > m_right) ws.peaks.push_back(j);
-      const double lm = echo_local_max(a_left, a_mid, a_right);
-      ws.local_max[j] = lm;
-      block = std::max(block, lm);
-      m_left = m_mid;
-      m_mid = m_right;
-      a_left = a_mid;
-      a_mid = a_right;
-    }
-    ws.block_max[b] = block;
+  for (std::size_t j = 0; j + 1 < n; ++j) {
+    const double m_right = gated(j + 1);
+    if (m_mid >= 1e-12 && m_mid >= m_left && m_mid > m_right) ws.peaks.push_back(j);
+    m_left = m_mid;
+    m_mid = m_right;
   }
   // The last lag's right neighbor is outside the chunk.
-  ws.local_max[n - 1] = 0.0;
   if (m_mid >= 1e-12 && m_mid >= m_left) ws.peaks.push_back(n - 1);
   return {first_masked, m_mid};
 }
 
-
-double echo_runner(std::span<const double> local_max, std::span<const double> block_max,
-                   std::size_t i, std::size_t min_spacing, std::size_t exclusion) {
-  const std::size_t n = local_max.size();
-  double best = 0.0;
-  const auto take = [&best](double v) {
-    if (v > best) best = v;
-  };
-  // Largest local_max over the inclusive lag range [lo, hi].
-  const auto range = [&](std::size_t lo, std::size_t hi) {
-    if (lo > hi) return;
-    const std::size_t first = lo / kEchoBlock;
-    const std::size_t last = hi / kEchoBlock;
-    if (first == last) {
-      for (std::size_t j = lo; j <= hi; ++j) take(local_max[j]);
-      return;
-    }
-    for (std::size_t j = lo; j < (first + 1) * kEchoBlock; ++j) take(local_max[j]);
-    for (std::size_t b = first + 1; b < last; ++b) take(block_max[b]);
-    for (std::size_t j = last * kEchoBlock; j <= hi; ++j) take(local_max[j]);
-  };
-  // Window (lo, hi) exclusive; the exclusion zone splits it in two.
-  const std::size_t lo = i > min_spacing ? i - min_spacing : 0;
-  const std::size_t hi = std::min(i + min_spacing, n - 1);
-  if (hi < lo + 2) return best;
-  if (i >= exclusion) range(lo + 1, std::min(i - exclusion, hi - 1));
-  range(std::max(lo + 1, i + exclusion), hi - 1);
-  return best;
-}
 
 // NOLINTNEXTLINE(hyperear-hotpath) -- one-time plan construction: the detector takes ownership of its reference
 MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
@@ -151,7 +96,6 @@ MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
   require(config_.min_spacing_s > 0.0 && spacing < 0x1p52,
           "MatchedFilterDetector: min_spacing_s must be positive and finite");
   min_spacing_ = static_cast<std::size_t>(spacing);
-  exclusion_ = static_cast<std::size_t>(1.2e-3 * config_.sample_rate);
   double energy = 0.0;
   for (double v : reference_) energy += v * v;
   require(energy > 0.0, "MatchedFilterDetector: zero-energy reference");
@@ -166,19 +110,20 @@ MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
   if (chunk_samples(1) * m > kDirectProductLimit) {
     ols_.emplace(std::vector<double>(reference_.rbegin(), reference_.rend()), fft_size);
   }
-  chunk_pairs_ = std::max<std::size_t>(1, (min_spacing_ + pair_lags() - 1) / pair_lags());
 }
 
-void MatchedFilterDetector::correlate_chunk(std::span<const double> seg, std::size_t start,
-                                            DetectorWorkspace& ws) const {
+void MatchedFilterDetector::correlate(std::span<const double> seg, std::size_t start,
+                                      DetectorWorkspace& ws) const {
+  require(seg.size() >= reference_.size(),
+          "correlate: segment shorter than the reference");
+  require(start % pair_lags() == 0, "correlate: segment must start on an OLS pair");
   // Size the per-chunk buffers for a full chunk of the schedule up front: a
   // thread whose first pass is a short final chunk would otherwise grow
   // them geometrically past one chunk on its next full one.
   const std::size_t lags = seg.size() - reference_.size() + 1;
-  const std::size_t full = std::max(lags, chunk_pairs_ * pair_lags());
-  ws.raw.reserve(full);
-  ws.local_max.reserve(full);
-  ws.prefix.reserve(full + pair_lags() + reference_.size());
+  const std::size_t chunk_lags = chunk_pairs() * pair_lags();
+  ws.raw.reserve(std::max(lags, chunk_lags));
+  ws.prefix.reserve(chunk_lags + pair_lags() + reference_.size());
   if (!ols_) {
     // The direct sum computes every lag on its own, so it is chunk-invariant
     // as it stands.
@@ -200,9 +145,9 @@ void MatchedFilterDetector::detect_into(std::span<const double> recording,
   // and keeps the telemetry consistent.
   DetectorStream stream;
   stream_begin(stream, ws);
-  const std::size_t chunks = chunk_count(recording.size(), chunk_pairs_);
+  const std::size_t chunks = chunk_count(recording.size(), chunk_pairs());
   for (std::size_t k = 0; k < chunks; ++k) {
-    const ChunkSpan span = chunk_span(k, recording.size(), chunk_pairs_);
+    const ChunkSpan span = chunk_span(k, recording.size(), chunk_pairs());
     stream_chunk(recording.subspan(span.start, span.size), span.final_chunk, stream, ws);
   }
   stream_end(stream, ws, out, obs);
@@ -234,12 +179,9 @@ void MatchedFilterDetector::stream_begin(DetectorStream& stream,
   // global property and is enforced once over all chunks in stream_end,
   // so the detections cannot depend on where the chunk boundaries
   // happened to fall. Correlation lags are contiguous across chunks, and
-  // every rule that reads a neighbor lag — the local-maximum test, the
-  // parabolic refinement, the echo window — reads it across chunk
-  // boundaries in the stitch.
+  // every rule that reads a neighbor lag — the local-maximum test and the
+  // parabolic refinement — reads it across chunk boundaries in the stitch.
   stream = DetectorStream{};
-  ws.deferred.clear();
-  ws.echo_maxima.clear();
   ws.candidates.clear();
 }
 
@@ -256,16 +198,14 @@ void MatchedFilterDetector::chunk_pass(std::span<const double> seg, std::size_t 
   const std::size_t ref_len = reference_.size();
   require(seg.size() >= ref_len, "chunk_pass: segment shorter than the reference");
   const std::size_t lags = seg.size() - ref_len + 1;
-  require(start % pair_lags() == 0, "chunk_pass: chunk must start on an OLS pair");
   require(final_chunk || lags % pair_lags() == 0,
           "chunk_pass: only the final chunk may end inside an OLS pair");
 
-  correlate_chunk(seg, start, scratch);
+  correlate(seg, start, scratch);
   const std::vector<double>& raw = scratch.raw;
   // Candidate gating on the normalized statistic, ranking on amplitude:
-  // one pass suppresses sub-threshold shapes, finds local maxima of the
-  // gated |raw|, and indexes the ungated |raw| local maxima for the echo
-  // competition below. The normalizer restarts at every pair.
+  // one pass suppresses sub-threshold shapes and finds local maxima of the
+  // gated |raw|. The normalizer restarts at every pair.
   const WindowNormalizer norm(seg, ref_len, reference_norm_, scratch.prefix, pair_lags());
   const CorrelationScan scan = scan_correlation(raw, norm, config_.threshold, scratch);
 
@@ -275,7 +215,6 @@ void MatchedFilterDetector::chunk_pass(std::span<const double> seg, std::size_t 
   out.interior.clear();
   out.head.reset();
   out.tail.reset();
-  out.edge_maxima.clear();
   out.first_masked = scan.first_masked;
   out.last_masked = scan.last_masked;
   out.first_raw = raw.front();
@@ -284,15 +223,8 @@ void MatchedFilterDetector::chunk_pass(std::span<const double> seg, std::size_t 
   out.penult_raw = lags >= 2 ? raw[lags - 2] : 0.0;
   const std::size_t last = lags - 1;
   for (const std::size_t i : scratch.peaks) {
-    // Echo competition: strongest |raw| local max in the window but
-    // outside the exclusion zone around the winner (the autocorrelation
-    // main lobe plus near sidelobes span ~1 ms; only arrivals beyond that
-    // are genuine competing paths). The stitch extends it past the chunk.
-    ChunkPass::Peak p{DetectionCandidate{Detection{}, std::abs(raw[i]), start + i},
-                      echo_runner(scratch.local_max, scratch.block_max, i, min_spacing_,
-                                  exclusion_),
-                      start + 1, start + last};
-    p.candidate.detection.score = raw[i] / norm.denominator(i);
+    DetectionCandidate p{Detection{}, std::abs(raw[i]), start + i};
+    p.detection.score = raw[i] / norm.denominator(i);
     if (i == 0) {
       // The left neighbor is the previous chunk's last lag. A non-final
       // chunk spans whole pairs, hence more than one lag, so a head is
@@ -308,69 +240,10 @@ void MatchedFilterDetector::chunk_pass(std::span<const double> seg, std::size_t 
     std::optional<double> right;
     if (i < last) right = raw[i + 1];
     // Refine timing on the raw correlation around the winning sample.
-    refine_detection(p.candidate.detection, start + i, raw[i - 1], raw[i], right,
+    refine_detection(p.detection, start + i, raw[i - 1], raw[i], right,
                      config_.sample_rate);
     out.interior.push_back(p);
   }
-  // What a neighbor's echo window can reach of this chunk, sparsely. A
-  // window from a later chunk covers a suffix of the last min_spacing
-  // lags, one from an earlier chunk a prefix of the first min_spacing,
-  // except that the exclusion zone of a candidate just across the seam
-  // may cut it anywhere in the last (first) `exclusion` lags. Those lags
-  // go out whole; of the rest, only the maxima that no lag nearer the
-  // seam exceeds, since a suffix (prefix) maximum is always one of them.
-  // local_max is 0 off the maxima and on the two edge lags, whose status
-  // the stitch decides.
-  const std::vector<double>& lm = scratch.local_max;
-  std::vector<EchoPeak>& edge = out.edge_maxima;
-  const std::size_t reach = std::min(min_spacing_, lags);
-  const std::size_t dense = std::min(exclusion_, reach);
-  const auto put = [&](std::size_t j) {
-    if (lm[j] > 0.0) edge.push_back({start + j, lm[j]});
-  };
-  const auto put_record = [&](std::size_t j, double& record) {
-    if (lm[j] > record) {
-      record = lm[j];
-      edge.push_back({start + j, record});
-    }
-  };
-  for (std::size_t j = 0; j < dense; ++j) put(j);
-  double record = 0.0;
-  for (std::size_t j = dense; j < reach; ++j) put_record(j, record);
-  const std::size_t trailing = edge.size();
-  record = 0.0;
-  for (std::size_t j = lags - dense; j-- > lags - reach;) put_record(j, record);
-  std::reverse(edge.begin() + static_cast<std::ptrdiff_t>(trailing), edge.end());
-  for (std::size_t j = lags - dense; j < lags; ++j) put(j);
-  // A chunk shorter than 2 * min_spacing exported overlapping ranges.
-  if (lags - reach < reach) {
-    std::sort(edge.begin(), edge.end(),
-              [](const EchoPeak& a, const EchoPeak& b) { return a.lag < b.lag; });
-  }
-}
-
-double MatchedFilterDetector::full_runner(const ChunkPass::Peak& peak,
-                                          const std::vector<EchoPeak>& maxima) const {
-  // The window is lags (i - min_spacing, i + min_spacing) less the
-  // exclusion zone; the stitched maxima never include the recording's
-  // first or last lag, which have one neighbor only, so the window is
-  // clipped at the recording's ends and nowhere else.
-  const std::size_t i = peak.candidate.global_index;
-  const std::size_t lo = i >= min_spacing_ ? i - min_spacing_ + 1 : 0;
-  const std::size_t hi = i + min_spacing_;
-  double best = peak.runner;
-  const auto scan = [&](std::size_t from, std::size_t to) {
-    if (from >= to) return;
-    auto it = std::lower_bound(maxima.begin(), maxima.end(), from,
-                               [](const EchoPeak& e, std::size_t lag) { return e.lag < lag; });
-    for (; it != maxima.end() && it->lag < to; ++it) {
-      const std::size_t gap = it->lag > i ? it->lag - i : i - it->lag;
-      if (gap >= exclusion_ && it->value > best) best = it->value;
-    }
-  };
-  scan(lo, std::min(hi, peak.inner_begin));
-  scan(std::max(lo, peak.inner_end), hi);
-  return best;
 }
 
 void MatchedFilterDetector::stitch(const ChunkPass& pass, DetectorStream& stream,
@@ -378,31 +251,15 @@ void MatchedFilterDetector::stitch(const ChunkPass& pass, DetectorStream& stream
   require(pass.start == stream.next_start, "stitch: chunk out of schedule order");
   ++stream.chunks_streamed;
   const double fs = config_.sample_rate;
-  if (stream.have_prev) {
-    // The previous chunk's last lag now has its right neighbor: decide
-    // whether it is an echo maximum, and resolve its held-back candidate.
-    const double seam_max = echo_local_max(std::abs(stream.prev_penult_raw),
-                                           std::abs(stream.prev_last_raw),
-                                           std::abs(pass.first_raw));
-    if (seam_max > 0.0) ws.echo_maxima.push_back({pass.start - 1, seam_max});
-    if (stream.pending && stream.pending->candidate.key > pass.first_masked) {
-      ChunkPass::Peak p = *stream.pending;
-      refine_detection(p.candidate.detection, p.candidate.global_index,
-                       stream.prev_penult_raw, stream.prev_last_raw, pass.first_raw, fs);
-      ws.deferred.push_back(p);
-    }
-    stream.pending.reset();
-    // This chunk's first lag is an echo maximum only with both neighbors:
-    // not the recording's first lag, nor the last (a one-lag final chunk).
-    if (pass.lags >= 2) {
-      const double first_max = echo_local_max(std::abs(stream.prev_last_raw),
-                                              std::abs(pass.first_raw),
-                                              std::abs(pass.second_raw));
-      if (first_max > 0.0) ws.echo_maxima.push_back({pass.start, first_max});
-    }
+  // The previous chunk's last lag now has its right neighbor: resolve its
+  // held-back candidate.
+  if (stream.pending && stream.pending->key > pass.first_masked) {
+    DetectionCandidate c = *stream.pending;
+    refine_detection(c.detection, c.global_index, stream.prev_penult_raw,
+                     stream.prev_last_raw, pass.first_raw, fs);
+    ws.candidates.push_back(c);
   }
-  ws.echo_maxima.insert(ws.echo_maxima.end(), pass.edge_maxima.begin(),
-                        pass.edge_maxima.end());
+  stream.pending.reset();
   // The head's local-maximum test and refinement read the previous chunk's
   // last lag as the left neighbor.
   if (pass.head &&
@@ -411,51 +268,24 @@ void MatchedFilterDetector::stitch(const ChunkPass& pass, DetectorStream& stream
     if (stream.have_prev) left = stream.prev_last_raw;
     std::optional<double> right;
     if (pass.lags >= 2) right = pass.second_raw;
-    ChunkPass::Peak p = *pass.head;
-    refine_detection(p.candidate.detection, pass.start, left, pass.first_raw, right, fs);
-    ws.deferred.push_back(p);
+    DetectionCandidate c = *pass.head;
+    refine_detection(c.detection, pass.start, left, pass.first_raw, right, fs);
+    ws.candidates.push_back(c);
   }
-  ws.deferred.insert(ws.deferred.end(), pass.interior.begin(), pass.interior.end());
-  if (pass.tail) stream.pending = *pass.tail;
+  ws.candidates.insert(ws.candidates.end(), pass.interior.begin(), pass.interior.end());
+  stream.pending = pass.tail;
   stream.prev_last_masked = pass.last_masked;
   stream.prev_last_raw = pass.last_raw;
   stream.prev_penult_raw = pass.penult_raw;
   stream.have_prev = true;
-  const std::size_t end = pass.start + pass.lags;
-  stream.next_start = end;
-
-  // Every lag's echo status is known through end - 2 (the last lag waits
-  // for the next chunk), or everywhere once the chunk is final. A
-  // candidate whose window (i - min_spacing, i + min_spacing) is covered
-  // is complete; candidates leave in lag order.
-  std::size_t done = 0;
-  for (; done < ws.deferred.size(); ++done) {
-    const ChunkPass::Peak& p = ws.deferred[done];
-    if (!pass.final_chunk && p.candidate.global_index + min_spacing_ + 1 > end) break;
-    DetectionCandidate c = p.candidate;
-    const double runner = full_runner(p, ws.echo_maxima);
-    c.detection.echo_competition =
-        c.detection.amplitude > 0.0 ? runner / c.detection.amplitude : 0.0;
-    ws.candidates.push_back(c);
-  }
-  ws.deferred.erase(ws.deferred.begin(),
-                    ws.deferred.begin() + static_cast<std::ptrdiff_t>(done));
-  // Drop the maxima no remaining window reaches: every later candidate
-  // lies at or after `floor`, so its window starts above floor - min_spacing.
-  std::size_t floor = end;
-  if (stream.pending) floor = stream.pending->candidate.global_index;
-  if (!ws.deferred.empty()) floor = std::min(floor, ws.deferred.front().candidate.global_index);
-  const auto keep = std::find_if(ws.echo_maxima.begin(), ws.echo_maxima.end(),
-                                 [&](const EchoPeak& e) { return e.lag + min_spacing_ > floor; });
-  ws.echo_maxima.erase(ws.echo_maxima.begin(), keep);
+  stream.next_start = pass.start + pass.lags;
 }
 
 void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace& ws,
                                        std::vector<Detection>& out,
                                        const obs::ObsContext* obs) const {
   using Candidate = DetectorWorkspace::Candidate;
-  require(!stream.pending && ws.deferred.empty(),
-          "stream_end: the recording's final chunk was not stitched");
+  require(!stream.pending, "stream_end: the recording's final chunk was not stitched");
   out.clear();
 
   // Pass 2: enforce min_spacing once, globally, strongest-first — the same

@@ -32,12 +32,6 @@ struct Detection {
   double time_s = 0.0;    ///< arrival time of the chirp START, sub-sample
   double score = 0.0;     ///< normalized correlation in [0, 1]
   double amplitude = 0.0; ///< raw matched-filter output (energy-normalized ref)
-  /// Strongest competing correlation peak near this arrival (outside the
-  /// autocorrelation main lobe), as a fraction of the winner. A clear
-  /// direct path dominates its window (small values); an obstructed path
-  /// leaves several reflections of similar strength (values near 1) — the
-  /// NLoS cue used by core::assess_line_of_sight.
-  double echo_competition = 0.0;
 };
 
 /// Detector configuration. The chunk schedule is not configurable: the
@@ -48,8 +42,7 @@ struct DetectorConfig {
   /// Minimum normalized correlation for a peak to count as a chirp.
   double threshold = 0.25;
   /// Minimum spacing between detections, seconds (should be < beacon period
-  /// but much larger than the chirp length). Also the half-width of the
-  /// echo-competition window.
+  /// but much larger than the chirp length).
   double min_spacing_s = 0.1;
   /// Drop detections whose raw amplitude is below this fraction of the
   /// median detection amplitude (weak echoes / noise flukes). Set to 0 to
@@ -73,48 +66,23 @@ struct ChunkSpan {
   bool final_chunk = false;
 };
 
-/// A local maximum of the |raw| correlation at recording lag `lag`: at
-/// least its left and above its right neighbor. Echo-competition material.
-struct EchoPeak {
-  std::size_t lag = 0;
-  double value = 0.0;
-};
-
 /// What the detector's chunk-local pass (`MatchedFilterDetector::chunk_pass`)
 /// hands the serial stitch. Everything in it is a function of the chunk's
 /// samples alone, so the chunks of a recording can be passed in any order,
 /// on any threads, and stitched afterwards in schedule order.
 struct ChunkPass {
-  /// A candidate whose echo ratio the stitch completes. `runner` is the
-  /// strongest |raw| local maximum of its echo window among the chunk's
-  /// inner lags (all but the first and the last); the stitch adds the
-  /// chunk's edge lags and the neighboring chunks' lags.
-  struct Peak {
-    DetectionCandidate candidate;
-    double runner = 0.0;
-    /// The recording lags [inner_begin, inner_end) that `runner` covers:
-    /// the chunk's inner lags.
-    std::size_t inner_begin = 0;
-    std::size_t inner_end = 0;
-  };
   std::size_t start = 0;  ///< recording index of the chunk's first sample and lag
   std::size_t lags = 0;   ///< correlation lags in the chunk
   bool final_chunk = false;
   /// Candidates at every other peak lag, in ascending lag order: time,
   /// score and amplitude are final.
-  std::vector<Peak> interior;
+  std::vector<DetectionCandidate> interior;
   /// A peak on lag 0: its local-maximum test and refinement need the
   /// previous chunk's last lag, so the stitch finishes it.
-  std::optional<Peak> head;
+  std::optional<DetectionCandidate> head;
   /// A peak on the last lag of a non-final chunk: held pending until the
   /// next chunk's first lag. Only score, key and lag are final.
-  std::optional<Peak> tail;
-  /// What a neighbor's echo windows can read of the chunk's first and last
-  /// min_spacing lags, ascending: every |raw| local maximum within the
-  /// exclusion half-width of either end, and beyond it only the maxima
-  /// that no lag nearer that end exceeds. A few dozen per chunk, so a
-  /// stored pass stays small.
-  std::vector<EchoPeak> edge_maxima;
+  std::optional<DetectionCandidate> tail;
   double first_masked = 0.0;  ///< gated |raw| at lag 0
   double last_masked = 0.0;   ///< gated |raw| at the last lag
   double first_raw = 0.0;     ///< raw correlation at lag 0
@@ -125,16 +93,15 @@ struct ChunkPass {
 
 /// Mutable scratch for matched-filter detection, reusable across `detect_into`
 /// calls, channels, and sessions: the per-chunk correlation buffers, the
-/// echo-competition index, the normalizer scratch, and the stitch's
-/// staging. Like `dsp::Workspace` it is single-owner state — own one per
-/// call stack (core::SessionWorkspace embeds one per channel slot) and
-/// never share it across threads. Buffer contents carry no information
+/// normalizer scratch, and the stitch's staging. Like `dsp::Workspace` it
+/// is single-owner state — own one per call stack (core::SessionWorkspace
+/// embeds one per channel slot) and never share it across threads. Buffer contents carry no information
 /// between streams; only capacity is retained, so a warmed workspace makes
 /// detection allocation-free in the steady state while the detections stay
 /// bit-identical to a fresh one.
 ///
 /// `chunk_pass` uses the per-chunk members (fft through prefix); the stitch
-/// and `stream_end` use the staging (deferred through selected). A caller
+/// and `stream_end` use the staging (amps through selected). A caller
 /// that runs chunk passes elsewhere (core's ASP fan-out and
 /// StreamingSession, on the thread's core::ChunkScratch) leaves the
 /// per-chunk members of its stitching workspace empty.
@@ -143,24 +110,13 @@ struct DetectorWorkspace {
 
   Workspace fft;                      ///< FFT scratch for the OLS pair loop
   std::vector<double> raw;            ///< per-chunk raw correlation
-  std::vector<double> local_max;      ///< per-chunk |raw| local maxima (echo index)
-  std::vector<double> block_max;      ///< per-kEchoBlock maxima of local_max
   std::vector<std::size_t> peaks;     ///< per-chunk gated local-max lags
   std::vector<double> prefix;         ///< normalizer scratch (energies, prefix sums)
   ChunkPass pass;                     ///< chunk-pass staging of a serial caller
-  /// Stitched candidates whose echo window reaches lags not yet stitched,
-  /// in lag order.
-  std::vector<ChunkPass::Peak> deferred;
-  /// Stitched |raw| local maxima that a deferred or future candidate's
-  /// echo window can reach, in lag order.
-  std::vector<EchoPeak> echo_maxima;
   std::vector<double> amps;           ///< amplitude-gate scratch
   std::vector<Candidate> candidates;  ///< pass-1 output, in lag order
   std::vector<Candidate> selected;    ///< pass-2 staging
 };
-
-/// Lags per entry of the block-maximum index over a chunk's local maxima.
-inline constexpr std::size_t kEchoBlock = 256;
 
 /// What `scan_correlation` reports about a chunk's gated statistic at its
 /// two edge lags, which the cross-chunk local-maximum test compares.
@@ -176,42 +132,26 @@ struct CorrelationScan {
 /// writes `ws.peaks`: every lag whose gated value is >= 1e-12, >= its left
 /// and > its right neighbor, where the neighbor test is skipped on a side
 /// that lies outside the chunk (the caller resolves it across the seam).
-/// It writes `ws.local_max`: |raw| at every interior lag that is >= its
-/// left and > its right neighbor, else 0, and 0 at both ends (a NaN fails
-/// every comparison, so it never counts and never lets a neighbor count).
-/// It writes `ws.block_max`: the maximum of each kEchoBlock-lag block of
-/// local_max. `raw` may be `ws.raw`. Exposed for
-/// the oracle tests of the echo competition.
+/// `raw` may be `ws.raw`. Exposed for the oracle test of the fused gate
+/// and peak pick.
 CorrelationScan scan_correlation(std::span<const double> raw,
                                  const WindowNormalizer& norm, double threshold,
                                  DetectorWorkspace& ws);
 
-/// Echo competition at lag i of a chunk: the largest local_max[j] over
-/// lo < j < hi, with lo = max(i - min_spacing, 0) and
-/// hi = min(i + min_spacing, size - 1), excluding |j - i| < exclusion; 0
-/// when nothing qualifies. Two range-maximum queries over the block
-/// maxima plus the partial blocks at their ends, so the cost is
-/// O(min_spacing / kEchoBlock + kEchoBlock) rather than a scan of the
-/// 2 * min_spacing window. `local_max`/`block_max` come from
-/// scan_correlation.
-[[nodiscard]] double echo_runner(std::span<const double> local_max,
-                                 std::span<const double> block_max, std::size_t i,
-                                 std::size_t min_spacing, std::size_t exclusion);
-
 /// Resumable cursor for incremental (streaming) detection: the cross-chunk
 /// state of the stitch, lifted out so a caller can run a chunk schedule
 /// itself as samples arrive. Plain data — persist one per live stream
-/// (next to the stream's DetectorWorkspace, whose staging vectors carry
-/// the deferred candidates, the echo maxima and the pass-1 output between
-/// calls) and drive it with MatchedFilterDetector::stream_begin /
-/// stream_chunk (or chunk_pass + stitch) / stream_end. `detect_into` is
+/// (next to the stream's DetectorWorkspace, whose `candidates` carry the
+/// pass-1 output between calls) and drive it with
+/// MatchedFilterDetector::stream_begin / stream_chunk (or chunk_pass +
+/// stitch) / stream_end. `detect_into` is
 /// itself written as begin -> chunk loop -> end over this struct, so the
 /// streamed and batch spellings share every instruction.
 struct DetectorStream {
   /// The previous chunk's last-lag candidate, held until the next chunk's
   /// first lag is known: that lag resolves its right-neighbor comparison
   /// and is the right point of its parabolic refinement.
-  std::optional<ChunkPass::Peak> pending;
+  std::optional<DetectionCandidate> pending;
   double prev_last_masked = 0.0;  ///< previous chunk's final masked value
   double prev_last_raw = 0.0;     ///< previous chunk's final raw correlation
   double prev_penult_raw = 0.0;   ///< and the raw correlation one lag before
@@ -240,9 +180,8 @@ struct DetectorStream {
 /// chunk is any whole number of pairs, so every chunk length produces the
 /// same bytes: the raw correlation comes from the same transforms, the
 /// normalizer restarts at every pair, local maxima and refinement read
-/// their neighbors across seams, echo windows are clipped only at the ends
-/// of the recording, and the `min_spacing_s` rule is enforced once,
-/// globally, strongest-first.
+/// their neighbors across seams, and the `min_spacing_s` rule is enforced
+/// once, globally, strongest-first.
 class MatchedFilterDetector {
  public:
   /// `reference` is the sampled chirp (unit energy recommended); must be
@@ -290,14 +229,14 @@ class MatchedFilterDetector {
 
   /// The chunk-local half of `stream_chunk`: correlate the chunk starting
   /// at recording index `start` (a multiple of pair_lags()), normalize,
-  /// gate, pick peaks and rank echo competitors, all inside the chunk.
-  /// `seg` holds at least one lag (reference().size() samples); unless
-  /// `final_chunk`, its lags are a whole number of pairs. Peaks that need
-  /// no sample of another chunk are finished into `out.interior`; the
-  /// edge-lag peaks, the edge values and the edge echo maxima go to the
-  /// other fields of `out` for the stitch. Reads nothing but `seg` and
-  /// writes only `scratch`'s per-chunk buffers and `out`, so many chunks
-  /// may be passed concurrently, each with its own scratch and out.
+  /// gate and pick peaks, all inside the chunk. `seg` holds at least one
+  /// lag (reference().size() samples); unless `final_chunk`, its lags are
+  /// a whole number of pairs. Peaks that need no sample of another chunk
+  /// are finished into `out.interior`; the edge-lag peaks and the edge
+  /// values go to the other fields of `out` for the stitch. Reads nothing
+  /// but `seg` and writes only `scratch`'s per-chunk buffers and `out`, so
+  /// many chunks may be passed concurrently, each with its own scratch and
+  /// out.
   void chunk_pass(std::span<const double> seg, std::size_t start, bool final_chunk,
                   DetectorWorkspace& scratch, ChunkPass& out) const;
 
@@ -305,11 +244,9 @@ class MatchedFilterDetector {
   /// chunk pass of the chunk starting at stream.next_start (checked). It
   /// resolves the previous chunk's pending tail against this chunk's first
   /// lag, runs the head's left-neighbor test against the previous chunk's
-  /// last lag, decides whether the two seam lags are echo maxima, defers
-  /// this chunk's tail, and completes the echo window of every candidate
-  /// whose window has been stitched, appending those to `ws.candidates` in
-  /// lag order. A candidate within min_spacing of the chunk's end waits in
-  /// `ws.deferred` for the next chunk's leading maxima.
+  /// last lag, and appends the resolved tail, the head and the interior
+  /// candidates to `ws.candidates`, in lag order and final at once; this
+  /// chunk's tail waits in `stream.pending` for the next chunk's first lag.
   void stitch(const ChunkPass& pass, DetectorStream& stream,
               DetectorWorkspace& ws) const;
 
@@ -327,11 +264,11 @@ class MatchedFilterDetector {
     return pairs * pair_lags() + reference_.size() - 1;
   }
   /// Pairs per chunk of the one schedule that batch detection, the ASP
-  /// fan-out and live streams all run: the fewest whose lags cover
-  /// min_spacing (1 by default), so a live stream holds little audio, a
-  /// thread's chunk scratch stays one pair's working set, and a
-  /// candidate's echo window reaches at most one chunk ahead.
-  [[nodiscard]] std::size_t chunk_pairs() const { return chunk_pairs_; }
+  /// fan-out and live streams all run: one for every config, so a live
+  /// stream holds little audio and a thread's chunk scratch stays one
+  /// pair's working set. Every cross-chunk rule reads only the seam lags,
+  /// and the min-spacing rule runs over the whole stream in `stream_end`.
+  [[nodiscard]] static constexpr std::size_t chunk_pairs() { return 1; }
   /// min_spacing_s in lags.
   [[nodiscard]] std::size_t min_spacing_lags() const { return min_spacing_; }
 
@@ -355,26 +292,23 @@ class MatchedFilterDetector {
   /// of the schedule has this length.
   static constexpr std::size_t kFftCostingWindow = std::size_t{1} << 17;
 
- private:
-  /// Lag-anchored valid correlation of one chunk against the reference
-  /// into `ws.raw`: OLS pairs through the cached reversed-template
-  /// convolver, or the direct sum when the reference is short enough.
-  /// First reserves `ws`'s per-chunk buffers for a full chunk.
-  void correlate_chunk(std::span<const double> seg, std::size_t start,
-                       DetectorWorkspace& ws) const;
-  /// The echo runner of a stitched peak over its whole window: its
-  /// in-chunk runner, raised by the stitched maxima of the window's lags
-  /// outside the chunk's inner lags.
-  [[nodiscard]] double full_runner(const ChunkPass::Peak& peak,
-                                   const std::vector<EchoPeak>& maxima) const;
+  /// Lag-anchored valid correlation of the samples `seg`, which start at
+  /// recording index `start` (a multiple of pair_lags()), against the
+  /// reference into `ws.raw`: OLS pairs through the cached
+  /// reversed-template convolver, or the direct sum when the reference is
+  /// short enough. The pair grid is anchored to the recording, so a lag
+  /// holds the same bits whichever segment computed it: a chunk pass, or
+  /// the whole recording at start 0. Reserves `ws`'s per-chunk buffers
+  /// for a full chunk.
+  void correlate(std::span<const double> seg, std::size_t start,
+                 DetectorWorkspace& ws) const;
 
+ private:
   std::vector<double> reference_;
   DetectorConfig config_;
   double reference_norm_ = 0.0;  ///< L2 norm of the reference
   std::size_t block_ = 0;        ///< OLS block: lags per correlation block
   std::size_t min_spacing_ = 0;  ///< min_spacing_s in lags
-  std::size_t exclusion_ = 0;    ///< echo exclusion half-width in lags
-  std::size_t chunk_pairs_ = 1;
   /// Overlap-save convolver for the time-reversed reference; engaged
   /// unless one pair's window times the reference is small enough for
   /// the direct sum (the rule every other convolution spelling uses).

@@ -1,9 +1,6 @@
 #include "dsp/sma.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "common/units.hpp"
 
 namespace hyperear::dsp {
 
@@ -18,32 +15,6 @@ std::vector<double> moving_average(std::span<const double> x, std::size_t n) {
     out[i] = acc / static_cast<double>(count);
   }
   return out;
-}
-
-double moving_average_magnitude(std::size_t n, double freq_hz, double sample_rate) {
-  require(n >= 1 && sample_rate > 0.0, "moving_average_magnitude: bad arguments");
-  if (freq_hz == 0.0) return 1.0;
-  const double w = kPi * freq_hz / sample_rate;
-  const double num = std::sin(static_cast<double>(n) * w);
-  const double den = static_cast<double>(n) * std::sin(w);
-  if (std::abs(den) < 1e-30) return 1.0;
-  return std::abs(num / den);
-}
-
-double moving_average_cutoff_hz(std::size_t n, double sample_rate) {
-  require(n >= 2, "moving_average_cutoff_hz: n must be >= 2");
-  const double target = std::sqrt(0.5);  // -3 dB
-  double lo = 0.0;
-  double hi = sample_rate / 2.0;
-  for (int iter = 0; iter < 100; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (moving_average_magnitude(n, mid, sample_rate) > target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
 }
 
 }  // namespace hyperear::dsp

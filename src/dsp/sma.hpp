@@ -15,13 +15,4 @@ namespace hyperear::dsp {
 /// far. Requires n >= 1.
 [[nodiscard]] std::vector<double> moving_average(std::span<const double> x, std::size_t n);
 
-/// Magnitude response of the length-n SMA at frequency f (sample rate fs):
-/// |sin(pi f n / fs) / (n sin(pi f / fs))|.
-[[nodiscard]] double moving_average_magnitude(std::size_t n, double freq_hz,
-                                              double sample_rate);
-
-/// The -3 dB cutoff frequency of the length-n SMA at the given sample rate,
-/// found by bisection. Requires n >= 2.
-[[nodiscard]] double moving_average_cutoff_hz(std::size_t n, double sample_rate);
-
 }  // namespace hyperear::dsp

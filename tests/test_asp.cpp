@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
+#include "core/streaming_session.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/ols.hpp"
@@ -152,6 +154,34 @@ TEST(Asp, BadRecordingThrows) {
   rec.mic1 = {1.0, 2.0};
   rec.mic2 = {1.0};
   EXPECT_THROW((void)preprocess_audio(rec, dsp::ChirpParams{}, 0.2, 2.0), PreconditionError);
+}
+
+/// The message a rejected recording raises.
+std::string rejection(const sim::StereoRecording& rec) {
+  try {
+    (void)preprocess_audio(rec, dsp::ChirpParams{}, 0.2, 2.0);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Asp, ChannelLengthMismatchNamesBothLengths) {
+  sim::StereoRecording rec;
+  rec.mic1 = {1.0, 2.0};
+  rec.mic2 = {1.0};
+  EXPECT_EQ(rejection(rec), "preprocess_audio: mic1 has 2 samples, mic2 has 1");
+  rec.mic1.clear();
+  EXPECT_EQ(rejection(rec), "preprocess_audio: mic1 has 0 samples, mic2 has 1");
+}
+
+TEST(Asp, EmptyRecordingIsNamedOnBothPaths) {
+  EXPECT_EQ(rejection(sim::StereoRecording{}), "preprocess_audio: empty recording");
+  // A stream that never received a sample fails with the same text.
+  StreamingSession empty{sim::Session{}};
+  const auto streamed = empty.finalize();
+  ASSERT_FALSE(streamed.has_value());
+  EXPECT_EQ(streamed.error().message, "preprocess_audio: empty recording");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "support/oracles.hpp"
 
 namespace hyperear::dsp {
 namespace {
@@ -14,6 +15,14 @@ std::vector<double> tone(double freq, double fs, std::size_t n) {
   std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = std::sin(2.0 * kPi * freq * static_cast<double>(i) / fs);
   return x;
+}
+
+/// Magnitude response of a biquad from its impulse response, which these
+/// filters' poles decay below double precision well within 2^14 samples.
+double magnitude_at(Biquad filter, double freq_hz, double sample_rate) {
+  std::vector<double> impulse(std::size_t{1} << 14, 0.0);
+  impulse[0] = 1.0;
+  return oracle::fir_magnitude_at(filter.filter(impulse), freq_hz, sample_rate);
 }
 
 double steady_rms(const std::vector<double>& x) {
@@ -25,30 +34,30 @@ double steady_rms(const std::vector<double>& x) {
 
 TEST(Biquad, LowpassMagnitudeResponse) {
   const Biquad lp = Biquad::lowpass(1000.0, 44100.0, 0.7071);
-  EXPECT_NEAR(lp.magnitude_at(1.0, 44100.0), 1.0, 1e-3);
-  EXPECT_NEAR(lp.magnitude_at(1000.0, 44100.0), std::sqrt(0.5), 0.02);
-  EXPECT_LT(lp.magnitude_at(10000.0, 44100.0), 0.02);
+  EXPECT_NEAR(magnitude_at(lp, 1.0, 44100.0), 1.0, 1e-3);
+  EXPECT_NEAR(magnitude_at(lp, 1000.0, 44100.0), std::sqrt(0.5), 0.02);
+  EXPECT_LT(magnitude_at(lp, 10000.0, 44100.0), 0.02);
 }
 
 TEST(Biquad, HighpassMagnitudeResponse) {
   const Biquad hp = Biquad::highpass(1000.0, 44100.0, 0.7071);
-  EXPECT_LT(hp.magnitude_at(10.0, 44100.0), 1e-3);
-  EXPECT_NEAR(hp.magnitude_at(10000.0, 44100.0), 1.0, 0.01);
+  EXPECT_LT(magnitude_at(hp, 10.0, 44100.0), 1e-3);
+  EXPECT_NEAR(magnitude_at(hp, 10000.0, 44100.0), 1.0, 0.01);
 }
 
 TEST(Biquad, BandpassPeaksAtCenter) {
   const Biquad bp = Biquad::bandpass(3000.0, 44100.0, 2.0);
-  const double at_center = bp.magnitude_at(3000.0, 44100.0);
+  const double at_center = magnitude_at(bp, 3000.0, 44100.0);
   EXPECT_NEAR(at_center, 1.0, 0.02);
-  EXPECT_LT(bp.magnitude_at(500.0, 44100.0), 0.3);
-  EXPECT_LT(bp.magnitude_at(12000.0, 44100.0), 0.3);
+  EXPECT_LT(magnitude_at(bp, 500.0, 44100.0), 0.3);
+  EXPECT_LT(magnitude_at(bp, 12000.0, 44100.0), 0.3);
 }
 
 TEST(Biquad, FilterMatchesMagnitudePrediction) {
   const double fs = 44100.0;
   Biquad lp = Biquad::lowpass(2000.0, fs, 0.7071);
   const std::vector<double> y = lp.filter(tone(500.0, fs, 8192));
-  EXPECT_NEAR(steady_rms(y) * std::sqrt(2.0), lp.magnitude_at(500.0, fs), 0.02);
+  EXPECT_NEAR(steady_rms(y) * std::sqrt(2.0), magnitude_at(lp, 500.0, fs), 0.02);
 }
 
 TEST(Biquad, ResetClearsState) {

@@ -11,6 +11,7 @@
 #include "common/stats.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/ols.hpp"
+#include "support/oracles.hpp"
 
 namespace hyperear::dsp {
 namespace {
@@ -45,11 +46,8 @@ std::vector<double> correlate_normalized(std::span<const double> x,
                                          std::span<const double> h) {
   double h_energy = 0.0;
   for (double v : h) h_energy += v * v;
-  std::vector<double> prefix;
-  std::vector<double> out;
-  normalize_correlation_into(correlate_ols(x, h), x, h.size(), std::sqrt(h_energy),
-                             prefix, out);
-  return out;
+  return oracle::normalize_correlation(correlate_ols(x, h), x, h.size(),
+                                       std::sqrt(h_energy));
 }
 
 TEST(CorrelateValid, KnownSmallExample) {

@@ -10,6 +10,7 @@
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/ols.hpp"
+#include "support/oracles.hpp"
 
 namespace hyperear::dsp {
 namespace {
@@ -26,19 +27,19 @@ std::vector<double> filter_same(std::span<const double> signal,
 TEST(FirDesign, LowpassPassesDcBlocksHigh) {
   const double fs = 44100.0;
   const std::vector<double> h = design_lowpass(2000.0, fs, 201);
-  EXPECT_NEAR(fir_magnitude_at(h, 0.0, fs), 1.0, 1e-9);
-  EXPECT_NEAR(fir_magnitude_at(h, 500.0, fs), 1.0, 0.02);
-  EXPECT_LT(fir_magnitude_at(h, 8000.0, fs), 0.01);
+  EXPECT_NEAR(oracle::fir_magnitude_at(h, 0.0, fs), 1.0, 1e-9);
+  EXPECT_NEAR(oracle::fir_magnitude_at(h, 500.0, fs), 1.0, 0.02);
+  EXPECT_LT(oracle::fir_magnitude_at(h, 8000.0, fs), 0.01);
 }
 
 TEST(FirDesign, BandpassForChirpBand) {
   // The ASP band: 2-6.4 kHz (paper Section VII-E).
   const double fs = 44100.0;
   const std::vector<double> h = design_bandpass(2000.0, 6400.0, fs, 255);
-  EXPECT_NEAR(fir_magnitude_at(h, 4000.0, fs), 1.0, 0.03);
+  EXPECT_NEAR(oracle::fir_magnitude_at(h, 4000.0, fs), 1.0, 0.03);
   // Human voice below 2 kHz is attenuated (the paper's noise argument).
-  EXPECT_LT(fir_magnitude_at(h, 800.0, fs), 0.02);
-  EXPECT_LT(fir_magnitude_at(h, 12000.0, fs), 0.02);
+  EXPECT_LT(oracle::fir_magnitude_at(h, 800.0, fs), 0.02);
+  EXPECT_LT(oracle::fir_magnitude_at(h, 12000.0, fs), 0.02);
 }
 
 TEST(FirDesign, ArgumentValidation) {

@@ -15,6 +15,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "core/asp.hpp"
+#include "core/nlos.hpp"
 #include "dsp/chirp.hpp"
 #include "dsp/correlation.hpp"
 #include "dsp/fir.hpp"
@@ -22,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/scenario.hpp"
+#include "support/oracles.hpp"
 
 namespace hyperear::dsp {
 namespace {
@@ -194,7 +197,6 @@ void expect_same_detection(const Detection& a, const Detection& b,
   EXPECT_EQ(bits(a.time_s), bits(b.time_s)) << where;
   EXPECT_EQ(bits(a.score), bits(b.score)) << where;
   EXPECT_EQ(bits(a.amplitude), bits(b.amplitude)) << where;
-  EXPECT_EQ(bits(a.echo_competition), bits(b.echo_competition)) << where;
 }
 
 void expect_same_candidates(const std::vector<DetectionCandidate>& got,
@@ -217,10 +219,9 @@ void expect_same_detections(const std::vector<Detection>& got,
   }
 }
 
-/// The echo competition as the detector computed it before the range-max
-/// index: a scan of the whole min_spacing window around lag i. Kept as the
-/// oracle for echo_runner, and — over a whole recording's raw correlation —
-/// for the stitched echo window.
+/// The echo competition's runner as a scan of the whole min_spacing window
+/// around lag i: the reference for core::strongest_competitor and, over a
+/// whole recording's raw correlation, for the offline NLoS pass.
 double oracle_echo_runner(std::span<const double> raw, std::size_t i,
                           std::size_t min_spacing, std::size_t exclusion) {
   const std::size_t lo = i > min_spacing ? i - min_spacing : 0;
@@ -241,8 +242,8 @@ double oracle_echo_runner(std::span<const double> raw, std::size_t i,
 /// Pass 1 of the detector over the whole recording as ONE array, from the
 /// public primitives alone — no chunk, no seam, no stitch: the
 /// lag-anchored correlation, the pair-segmented normalizer, the fused
-/// scan, refinement at the array neighbors, and the brute-force echo
-/// window over the whole recording. `raw_out` receives the correlation.
+/// scan and refinement at the array neighbors. `raw_out` receives the
+/// correlation.
 std::vector<DetectionCandidate> oracle_candidates(const MatchedFilterDetector& det,
                                                   std::span<const double> x,
                                                   std::vector<double>* raw_out = nullptr) {
@@ -264,7 +265,6 @@ std::vector<DetectionCandidate> oracle_candidates(const MatchedFilterDetector& d
   const WindowNormalizer norm(x, m, std::sqrt(energy), scratch, det.pair_lags());
   DetectorWorkspace ws;
   (void)scan_correlation(raw, norm, cfg.threshold, ws);
-  const auto exclusion = static_cast<std::size_t>(1.2e-3 * cfg.sample_rate);
   std::vector<DetectionCandidate> out;
   for (const std::size_t i : ws.peaks) {
     DetectionCandidate c{Detection{}, std::abs(raw[i]), i};
@@ -278,9 +278,6 @@ std::vector<DetectionCandidate> oracle_candidates(const MatchedFilterDetector& d
     }
     c.detection.time_s = (static_cast<double>(i) + offset) / cfg.sample_rate;
     c.detection.amplitude = std::abs(value);
-    const double runner = oracle_echo_runner(raw, i, det.min_spacing_lags(), exclusion);
-    c.detection.echo_competition =
-        c.detection.amplitude > 0.0 ? runner / c.detection.amplitude : 0.0;
     out.push_back(c);
   }
   if (raw_out != nullptr) *raw_out = std::move(raw);
@@ -429,7 +426,6 @@ TEST(MatchedFilter, StreamProtocolBitIdenticalToDetectAcrossChunkings) {
       EXPECT_EQ(got[i].time_s, expect[i].time_s) << i;
       EXPECT_EQ(got[i].score, expect[i].score) << i;
       EXPECT_EQ(got[i].amplitude, expect[i].amplitude) << i;
-      EXPECT_EQ(got[i].echo_competition, expect[i].echo_competition) << i;
     }
   }
 }
@@ -477,9 +473,9 @@ TEST(MatchedFilter, SeamLagsRefinedLikeOneChunk) {
 /// A recording for the chunk-length property tests: a 0.2 s beacon train
 /// with two echoes per arrival (10 ms and 35 ms late), plus lone arrivals
 /// on, beside and within min_spacing of the seams of the one-pair grid,
-/// and two pairs 55 lags (1.25 ms, just outside the echo exclusion) apart
-/// that straddle a seam, so a candidate beside the seam has its strongest
-/// competitor just across it.
+/// and two pairs 55 lags (1.25 ms, just outside the echo-competition
+/// exclusion) apart that straddle a seam, so a candidate beside the seam
+/// has its strongest competitor just across it.
 std::vector<double> seam_recording(const Chirp& chirp, std::size_t pair, Rng& rng) {
   std::vector<double> direct;
   for (int k = 0; k < 21; ++k) direct.push_back(0.07 + 0.2 * k);
@@ -507,8 +503,8 @@ TEST(MatchedFilter, DetectionsByteIdenticalForEveryChunkLength) {
   // every chunk length yields the same candidates and detections to the
   // last bit — the one-pair schedule every caller runs, a few small ones,
   // and the whole recording as one chunk. One config has a min_spacing
-  // wider than a pair (reachable through asp.min_event_spacing_s), so an
-  // echo window then spans several one-pair chunks.
+  // wider than a pair (reachable through asp.min_event_spacing_s), so the
+  // min-spacing pass then spans several one-pair chunks.
   const Chirp chirp{ChirpParams{}};
   const std::vector<double>& ref = chirp.reference(kFs);
   DetectorConfig narrow;
@@ -521,7 +517,7 @@ TEST(MatchedFilter, DetectionsByteIdenticalForEveryChunkLength) {
     const std::vector<double> x = seam_recording(chirp, det.pair_lags(), rng);
     const std::size_t whole = whole_pairs(det, x.size());
     const std::string name = "min_spacing " + std::to_string(cfg.min_spacing_s);
-    EXPECT_EQ(det.chunk_pairs(), cfg.min_spacing_s > 0.2 ? 2u : 1u) << name;
+    EXPECT_EQ(det.chunk_pairs(), 1u) << name;
     const ScheduleRun want = run_schedule(det, x, whole);
     ASSERT_GE(want.detections.size(), 5u) << name;
     for (const std::size_t pairs : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
@@ -542,10 +538,12 @@ TEST(MatchedFilter, DetectionsByteIdenticalForEveryChunkLength) {
 
 TEST(MatchedFilter, EchoWindowIsClippedOnlyAtTheRecordingEnds) {
   // The stitched candidates against a brute-force oracle over the whole
-  // recording as one array: same lags, scores and refinement, and the echo
-  // runner is the largest |raw| local maximum of (i - min_spacing,
-  // i + min_spacing) outside the exclusion zone, found by scanning the
-  // whole recording's correlation — whichever chunk the lags fall in.
+  // recording as one array: same lags, scores and refinement. Then the
+  // offline NLoS pass over those candidates: each one's lag is its time
+  // times the sample rate, rounded, and its echo runner is the largest
+  // |raw| local maximum of (i - min_spacing, i + min_spacing) outside the
+  // exclusion zone, found by scanning the whole recording's correlation —
+  // whichever chunk the lags fall in.
   const Chirp chirp{ChirpParams{}};
   const std::vector<double>& ref = chirp.reference(kFs);
   DetectorConfig narrow;
@@ -560,19 +558,31 @@ TEST(MatchedFilter, EchoWindowIsClippedOnlyAtTheRecordingEnds) {
     const std::vector<DetectionCandidate> want = oracle_candidates(det, x, &raw);
     const std::string name = "min_spacing " + std::to_string(cfg.min_spacing_s);
     expect_same_candidates(run_schedule(det, x, 1).candidates, want, name);
+    std::vector<Detection> detections;
+    for (const DetectionCandidate& c : want) detections.push_back(c.detection);
+    std::vector<core::ChirpEvent> events;
+    core::convert_chirp_events(detections, events);
+    const std::vector<double> ratios = core::echo_competition(det, x, events);
+    ASSERT_EQ(ratios.size(), want.size()) << name;
     // The seams matter: some candidates' strongest competitor lies in
     // another one-pair chunk, beyond where a chunk-clipped window ends.
     const std::size_t chunk = det.pair_lags();
     const auto exclusion = static_cast<std::size_t>(1.2e-3 * kFs);
     std::size_t crossing = 0;
-    for (const DetectionCandidate& c : want) {
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const DetectionCandidate& c = want[k];
+      EXPECT_EQ(std::llround(c.detection.time_s * kFs),
+                static_cast<long long>(c.global_index))
+          << name << " candidate " << k;
+      const double unclipped =
+          oracle_echo_runner(raw, c.global_index, det.min_spacing_lags(), exclusion);
+      EXPECT_EQ(bits(ratios[k]), bits(unclipped / c.detection.amplitude))
+          << name << " candidate " << k;
       const std::size_t first = c.global_index / chunk * chunk;
       const std::size_t end = std::min(first + chunk, raw.size());
       const std::span<const double> own(raw.data() + first, end - first);
       const double clipped = oracle_echo_runner(own, c.global_index - first,
                                                 det.min_spacing_lags(), exclusion);
-      const double unclipped =
-          oracle_echo_runner(raw, c.global_index, det.min_spacing_lags(), exclusion);
       if (unclipped > clipped) ++crossing;
     }
     EXPECT_GT(crossing, 5u) << name;
@@ -732,11 +742,10 @@ TEST(MatchedFilter, DirectCorrelationReusesTheChunkBuffer) {
     EXPECT_EQ(bits(second[i].time_s), bits(first[i].time_s)) << i;
     EXPECT_EQ(bits(second[i].score), bits(first[i].score)) << i;
     EXPECT_EQ(bits(second[i].amplitude), bits(first[i].amplitude)) << i;
-    EXPECT_EQ(bits(second[i].echo_competition), bits(first[i].echo_competition)) << i;
   }
 }
 
-/// Raw-correlation arrays that stress the range-max index and the gate:
+/// Raw-correlation arrays that stress the competitor scan and the gate:
 /// seeded noise, quantized plateaus, NaN/±Inf sprinkled in, constants, and
 /// values on the gate's threshold to the last ulp.
 std::vector<std::vector<double>> adversarial_raws(std::size_t n,
@@ -766,11 +775,11 @@ std::vector<std::vector<double>> adversarial_raws(std::size_t n,
   return raws;
 }
 
-TEST(EchoCompetition, RangeMaxMatchesWindowScanOracle) {
-  // echo_runner over scan_correlation's local-max index must reproduce the
-  // full window scan bit for bit: at every lag (including the first and the
-  // last), for windows clipped at both chunk edges, for ranges straddling
-  // or exactly filling a kEchoBlock block, and for exclusion >= min_spacing.
+TEST(EchoCompetition, CompetitorScanMatchesWindowScanOracle) {
+  // core::strongest_competitor, the offline NLoS pass's scan, must
+  // reproduce the full window scan bit for bit: at every lag (including
+  // the first and the last), for windows clipped at both ends of the
+  // correlation, and for exclusion >= min_spacing.
   Rng rng(4242);
   const double threshold = 0.25;
   for (const std::size_t n : {1u, 2u, 3u, 255u, 256u, 257u, 512u, 513u, 1031u}) {
@@ -779,19 +788,13 @@ TEST(EchoCompetition, RangeMaxMatchesWindowScanOracle) {
     std::vector<double> prefix;
     const WindowNormalizer norm(x, h_size, 1.0, prefix);
     for (const std::vector<double>& raw : adversarial_raws(n, norm, threshold, rng)) {
-      DetectorWorkspace ws;
-      (void)scan_correlation(raw, norm, threshold, ws);
-      ASSERT_EQ(ws.local_max.size(), n);
-      EXPECT_EQ(ws.local_max.front(), 0.0);
-      EXPECT_EQ(ws.local_max.back(), 0.0);
       for (const std::size_t min_spacing :
            {0u, 1u, 2u, 128u, 255u, 256u, 257u, 384u, 512u, 2000u}) {
         const std::size_t exclusions[] = {0, 1, 52, min_spacing, min_spacing + 1};
         for (const std::size_t exclusion : exclusions) {
           for (std::size_t i = 0; i < n; ++i) {
             const double want = oracle_echo_runner(raw, i, min_spacing, exclusion);
-            const double got =
-                echo_runner(ws.local_max, ws.block_max, i, min_spacing, exclusion);
+            const double got = core::strongest_competitor(raw, i, min_spacing, exclusion);
             ASSERT_EQ(bits(got), bits(want))
                 << "n=" << n << " i=" << i << " spacing=" << min_spacing
                 << " exclusion=" << exclusion;
@@ -814,9 +817,8 @@ TEST(EchoCompetition, FusedScanMatchesSeparatePasses) {
     std::vector<double> prefix;
     const WindowNormalizer norm(x, h_size, 1.0, prefix);
     for (const std::vector<double>& raw : adversarial_raws(n, norm, threshold, rng)) {
-      std::vector<double> normalized;
-      std::vector<double> oracle_prefix;
-      normalize_correlation_into(raw, x, h_size, 1.0, oracle_prefix, normalized);
+      const std::vector<double> normalized =
+          oracle::normalize_correlation(raw, x, h_size, 1.0);
       std::vector<double> masked(n);
       for (std::size_t k = 0; k < n; ++k) {
         masked[k] = normalized[k] >= threshold ? std::abs(raw[k]) : 0.0;

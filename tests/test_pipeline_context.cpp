@@ -36,7 +36,6 @@ void expect_identical_events(const std::vector<ChirpEvent>& a,
     EXPECT_EQ(a[i].time_s, b[i].time_s) << "event " << i;
     EXPECT_EQ(a[i].score, b[i].score) << "event " << i;
     EXPECT_EQ(a[i].amplitude, b[i].amplitude) << "event " << i;
-    EXPECT_EQ(a[i].echo_competition, b[i].echo_competition) << "event " << i;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/ols.hpp"
 #include "dsp/spectrum.hpp"
+#include "support/oracles.hpp"
 
 namespace hyperear::sim {
 namespace {
@@ -151,7 +152,7 @@ TEST(Renderer, SnrCalibrationApproximatelyHolds) {
   const double amp = 0.5 / 4.0;  // source amplitude over distance
   const dsp::Chirp chirp(spec.chirp);
   const double sig_power = amp * amp * dsp::signal_power(chirp.sample(44100.0));
-  EXPECT_NEAR(power_to_db(sig_power / noise_power), 10.0, 1.5);
+  EXPECT_NEAR(oracle::power_to_db(sig_power / noise_power), 10.0, 1.5);
 }
 
 TEST(Renderer, SfoShiftsArrivalsOverTime) {

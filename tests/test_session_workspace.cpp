@@ -49,7 +49,6 @@ void expect_identical_asp(const AspResult& a, const AspResult& b) {
     EXPECT_EQ(a.mic1[i].time_s, b.mic1[i].time_s);
     EXPECT_EQ(a.mic1[i].score, b.mic1[i].score);
     EXPECT_EQ(a.mic1[i].amplitude, b.mic1[i].amplitude);
-    EXPECT_EQ(a.mic1[i].echo_competition, b.mic1[i].echo_competition);
   }
   for (std::size_t i = 0; i < a.mic2.size(); ++i) {
     EXPECT_EQ(a.mic2[i].time_s, b.mic2[i].time_s);

