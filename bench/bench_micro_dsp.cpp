@@ -1,7 +1,8 @@
 /// Google-benchmark microbenchmarks of the primitives on HyperEar's hot
 /// path: the FFT and the overlap-save pair the matched filter runs,
 /// matched-filter detection, the augmented triangulation solve, and
-/// acoustic rendering. These bound the end-to-end processing cost per
+/// acoustic rendering, and the service's beacon-gated ASP stage. These
+/// bound the end-to-end processing cost per
 /// session (which must run comfortably on a phone-class core: the paper
 /// ships HyperEar as an app).
 
@@ -11,6 +12,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/asp.hpp"
+#include "core/pipeline.hpp"
+#include "core/pipeline_context.hpp"
+#include "core/session_workspace.hpp"
 #include "dsp/chirp.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/matched_filter.hpp"
@@ -69,12 +74,9 @@ void BM_OlsPair(benchmark::State& state) {
 }
 BENCHMARK(BM_OlsPair);
 
-void BM_MatchedFilterDetect(benchmark::State& state) {
-  // A chirp every 0.2 s over the given number of 44.1 kHz samples. 44100
-  // (1 s) is four one-pair chunks, the last a short final one; 614400
-  // (~14 s, a batch session's channel) runs the detector's one-pair chunk
-  // schedule (52 chunks) and its correlation block geometry.
-  const auto n = static_cast<std::size_t>(state.range(0));
+/// `n` samples at 44.1 kHz of light noise with a default chirp every 0.2 s
+/// from 0.05 s on.
+std::vector<double> chirp_train(std::size_t n) {
   const dsp::Chirp chirp{dsp::ChirpParams{}};
   Rng rng(3);
   std::vector<double> x(n);
@@ -88,6 +90,19 @@ void BM_MatchedFilterDetect(benchmark::State& state) {
       if (t >= 0.0 && t <= 0.05) x[i] += chirp.value(t);
     }
   }
+  return x;
+}
+
+void BM_MatchedFilterDetect(benchmark::State& state) {
+  // The full search of one channel, as the gated ASP stage runs it on its
+  // head and on a fallback. A chirp every 0.2 s over the given number of
+  // 44.1 kHz samples. 44100 (1 s) is four one-pair chunks, the last a
+  // short final one; 614400 (~14 s, a batch session's channel) runs the
+  // detector's one-pair chunk schedule (52 chunks) and its correlation
+  // block geometry.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> x = chirp_train(n);
+  const dsp::Chirp chirp{dsp::ChirpParams{}};
   const dsp::MatchedFilterDetector det(chirp.reference(44100.0), {});
   dsp::DetectorWorkspace ws;
   std::vector<dsp::Detection> detections;
@@ -98,6 +113,29 @@ void BM_MatchedFilterDetect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_MatchedFilterDetect)->Arg(44100)->Arg(614400);
+
+void BM_GatedAsp(benchmark::State& state) {
+  // The service ASP stage on BM_MatchedFilterDetect's recording in both
+  // channels: a non-finite check of both, the full-search head (4 one-pair
+  // chunks per channel), then one 4096-point stereo gate per beacon period
+  // (61 at 614400 samples), pass 2 and the SFO fit, serially on a warm
+  // workspace. The stage's detector runs the default AspOptions (threshold
+  // 0.22, spacing 0.12 s), not BM_MatchedFilterDetect's DetectorConfig.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::StereoRecording rec;
+  rec.sample_rate = 44100.0;
+  rec.mic1 = chirp_train(n);
+  rec.mic2 = rec.mic1;
+  const core::PipelineContext context(core::PipelineConfig{}, dsp::ChirpParams{},
+                                      44100.0);
+  core::SessionWorkspace workspace;
+  for (auto _ : state) {
+    const core::AspResult asp = core::preprocess_audio(rec, 0.2, 1.0, context, workspace);
+    benchmark::DoNotOptimize(asp.mic1.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_GatedAsp)->Arg(614400);
 
 void BM_SolveAugmented(benchmark::State& state) {
   geom::AugmentedTdoa in;

@@ -13,7 +13,16 @@
 ///     recording to the chirp band first; here the matched filter, which
 ///     correlates against the known 2-6.4 kHz chirp, is the band selection
 ///     (out-of-band sound such as voice < 2 kHz barely correlates with it;
-///     EXPERIMENTS.md measures the FIR's absence down to -9 dB SNR);
+///     EXPERIMENTS.md measures the FIR's absence down to -9 dB SNR).
+///     The beacon chirps at a known period, so only a short head of the
+///     recording is searched at every lag: the head's mic1 arrivals are
+///     fitted against their chirp indices (estimate_period's rule), and
+///     after the head the detector correlates only a gate of +-G lags
+///     around each arrival the fit predicts (G = 944, 21 ms, for the
+///     2205-tap chirp), both microphones in one 4096-point transform pair
+///     per beacon period. Arrivals equal the full search's wherever the
+///     beacon keeps its schedule (DESIGN.md §9 "Beacon-gated ASP"); a head
+///     that yields no plausible schedule falls back to the full search;
 ///  2. estimate and correct the sampling-frequency offset (SFO) between the
 ///     speaker's clock and the phone's clock — the augmented TDoA subtracts
 ///     n * T, so a ppm-level period error scales with the elapsed chirp
@@ -86,16 +95,26 @@ class SessionWorkspace;
 /// warmed workspace makes the stage allocation-free in the steady state;
 /// results are bit-identical to a fresh one.
 ///
-/// The stage runs as (channel, detector-chunk) tasks on the detector's one
-/// chunk schedule — each runs the chunk-local pass over one chunk of raw
-/// samples — followed by a serial stitch per channel in chunk order, the
-/// stitch a StreamingSession runs as its audio arrives. `executor`
-/// (core/parallel.hpp) runs the tasks; null runs them serially on the
-/// workspace's scratch. The AspResult is byte-identical for every executor,
-/// since the tasks share no mutable state and the stitch is serial.
+/// A NaN or infinite sample anywhere in either channel is refused with
+/// PreconditionError `preprocess_audio: mic2 sample 12345 is not finite`
+/// (mic1 checked first), after the channel-length and empty-recording
+/// checks.
+///
+/// The stage runs in two rounds of tasks. First (channel, detector-chunk)
+/// tasks over the head's chunks of the detector's one chunk schedule —
+/// each runs the chunk-local pass over one chunk of raw samples — and a
+/// serial stitch per channel in chunk order; then tasks of two beacon
+/// gates each (both channels in one pass), or, after a fallback, chunk
+/// tasks over the rest, again stitched serially, as a StreamingSession
+/// stitches them while its audio arrives. `executor` (core/parallel.hpp)
+/// runs the tasks; null runs them serially on the workspace's scratch.
+/// The AspResult is byte-identical for every executor, since the tasks
+/// share no mutable state and the stitches are serial.
 ///
 /// `obs` (obs/trace.hpp) optionally receives stage telemetry (detector
-/// counters, chunk-task counts, SFO-estimate outcomes) on its registry.
+/// counters, task counts, the work counts `asp.correlated_lags_total`,
+/// `asp.gates_total` and `asp.acquisition_fallback_total`, SFO-estimate
+/// outcomes) on its registry.
 /// Null records nothing; the AspResult is byte-identical either way.
 [[nodiscard]] AspResult preprocess_audio(const sim::StereoRecording& recording,
                                          double nominal_period,

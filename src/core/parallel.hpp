@@ -10,10 +10,11 @@
 /// The execution seam between the core pipeline and whatever thread
 /// infrastructure the host runtime owns.
 ///
-/// The ASP stage splits into independent (channel, detector-chunk) tasks:
-/// each runs the detector's chunk-local pass over one chunk of one
-/// microphone channel, reading shared immutable plans and the recording
-/// and writing its own result slot. core cannot depend on runtime (the
+/// The ASP stage splits into independent tasks: (channel, detector-chunk)
+/// tasks, each running the detector's chunk-local pass over one chunk of
+/// one microphone channel, and beacon-gate tasks over both channels. Each
+/// reads shared immutable plans and the recording and writes its own
+/// result slots. core cannot depend on runtime (the
 /// library layering is common -> ... -> core -> runtime), and spawning
 /// threads inside the pipeline would fight the runtime's own pool sizing.
 /// `ChunkExecutor` inverts the dependency: core states *what* can run
@@ -22,15 +23,17 @@
 
 namespace hyperear::core {
 
-/// Scratch for one ASP chunk pass: the detector's per-chunk buffers (FFT
-/// lanes, raw correlation, peak lags, prefix sums, the pass result handed
-/// to the stitch); the pass reads the recording in place. It belongs to
+/// Scratch for one ASP chunk or gate pass: the detector's per-chunk buffers
+/// (FFT lanes, raw correlation, peak lags, prefix sums, the chunk pass
+/// result handed to the stitch) and a StreamingSession's gate result; the
+/// pass reads the recording in place. It belongs to
 /// the thread that runs the pass, not to the session, so memory is
 /// threads x one chunk's working set however many sessions are open.
 /// Contents carry no information between passes; only capacity is
 /// retained.
 struct ChunkScratch {
   dsp::DetectorWorkspace detector;  ///< per-chunk detector scratch
+  dsp::GatePass gate;               ///< a live stream's gate result
 };
 
 /// Exclusive use of the calling thread's ChunkScratch for the lease's

@@ -15,8 +15,8 @@
 /// The context/workspace split is the pipeline's ownership model. A
 /// `PipelineContext` is deeply immutable and shared read-only by any number
 /// of concurrent runs; a `SessionWorkspace` is all the mutable state of one
-/// run — the ASP chunk-pass results, per-channel detector streams and
-/// detection staging, and an arena for per-session transients — and is
+/// run — the ASP chunk- and gate-pass results, per-channel detector streams
+/// and detection staging, and an arena for per-session transients — and is
 /// therefore single-owner: one workspace per session in flight
 /// (runtime::WorkspacePool hands each engine worker an exclusive lease).
 /// The ASP fan-out's helper threads touch only their own task's result
@@ -52,6 +52,16 @@ struct ChannelWorkspace {
   std::vector<dsp::Detection> detections;  ///< detector output staging
 };
 
+/// The ASP stage's deterministic work counts for one session, recorded by
+/// `detail::end_asp`: the same on the batch and streaming paths.
+struct AspWork {
+  /// Correlation lags scanned, summed over both channels: the lags of every
+  /// chunk, and of every gate window (the gate lags and their neighbours).
+  std::size_t correlated_lags = 0;
+  std::size_t gates = 0;   ///< beacon gates run (each covers both channels)
+  bool fallback = false;   ///< the head gave no schedule: full search after it
+};
+
 /// Reusable per-worker state for the canonical pipeline entry points
 /// (`core::try_localize`, `core::preprocess_audio`). Default-constructed it
 /// owns nothing; the first session grows every buffer to the session's
@@ -71,20 +81,32 @@ class SessionWorkspace {
   /// channel-major in schedule order.
   [[nodiscard]] std::vector<dsp::ChunkPass>& chunk_passes() { return chunk_passes_; }
 
+  /// The batch ASP stage's gate results, one per beacon gate in schedule
+  /// order. Grown, never shrunk, so warm sessions reuse their capacity.
+  [[nodiscard]] std::vector<dsp::GatePass>& gate_passes() { return gate_passes_; }
+
+  /// This session's ASP work counts, zeroed by `reset`.
+  [[nodiscard]] AspWork& asp_work() { return asp_work_; }
+
   /// Bump allocator for per-session transients (e.g. the SFO fit's scratch
   /// series): allocation is a pointer bump, and `reset` recycles the whole
   /// region for the next session without returning memory to the heap.
   [[nodiscard]] MonotonicArena& arena() { return arena_; }
 
-  /// Start-of-session rewind: recycles the arena. Called by the pipeline
-  /// itself — callers only reset explicitly to reclaim nothing-in-flight
-  /// state in tests. Channel buffers need no reset; every element is
-  /// overwritten before it is read.
-  void reset() { arena_.reset(); }
+  /// Start-of-session rewind: recycles the arena and zeroes the work
+  /// counts. Called by the pipeline itself — callers only reset explicitly
+  /// to reclaim nothing-in-flight state in tests. Channel buffers need no
+  /// reset; every element is overwritten before it is read.
+  void reset() {
+    arena_.reset();
+    asp_work_ = {};
+  }
 
  private:
   std::array<ChannelWorkspace, kChannels> channels_;
   std::vector<dsp::ChunkPass> chunk_passes_;
+  std::vector<dsp::GatePass> gate_passes_;
+  AspWork asp_work_;
   MonotonicArena arena_;
 };
 

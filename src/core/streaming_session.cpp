@@ -51,9 +51,12 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
   }
   if (context_ != nullptr) {
     // The ring's high-water mark: run_detector leaves at most one chunk
-    // behind and one ingest slice adds at most the slice, so a ring
-    // reserved at that bound never regrows.
+    // (or, past the head, one gate window) behind and one ingest slice
+    // adds at most the slice, so a ring reserved at that bound never
+    // regrows.
     const dsp::MatchedFilterDetector& det = context_->detector();
+    head_chunks_ =
+        detail::head_chunks(det, context_->asp_options(), meta_.prior.nominal_period);
     const std::size_t ring_capacity = det.chunk_samples(det.chunk_pairs()) + kIngestSlice;
     for (std::size_t slot = 0; slot < 2; ++slot) {
       // NOLINTNEXTLINE(hyperear-hotpath) -- once per session, at its bound
@@ -79,11 +82,16 @@ void StreamingSession::push(std::span<const double> mic1, std::span<const double
   require(mic1.size() == mic2.size(),
           "StreamingSession: channel slices must have equal lengths");
   if (mic1.empty()) return;
-  total_ += mic1.size();
+  // The batch path's order: mic1's first bad sample, then mic2's.
+  detail::require_finite(mic1, "mic1", total_);
+  detail::require_finite(mic2, "mic2", total_);
   // Plans failed to build: keep counting samples (finalize reports errors
   // in batch order) but retain nothing — memory stays bounded even for a
   // stream that can never be processed.
-  if (context_ == nullptr) return;
+  if (context_ == nullptr) {
+    total_ += mic1.size();
+    return;
+  }
   const obs::MonotonicTime t0 = obs::monotonic_now();
   const ThreadScratchLease lease;
   // Append and detect one bounded slice at a time, so a large push (a
@@ -92,21 +100,52 @@ void StreamingSession::push(std::span<const double> mic1, std::span<const double
   // changes no result.
   for (std::size_t pos = 0; pos < mic1.size(); pos += kIngestSlice) {
     const std::size_t n = std::min(kIngestSlice, mic1.size() - pos);
-    append(channels_[0], mic1.subspan(pos, n));
-    append(channels_[1], mic2.subspan(pos, n));
+    append(channels_[0], mic1.subspan(pos, n), total_);
+    append(channels_[1], mic2.subspan(pos, n), total_);
+    total_ += n;
     note_retained();
     run_detector(false, lease.scratch());
   }
   asp_ms_ += obs::ms_since(t0);
 }
 
-void StreamingSession::append(Channel& ch, std::span<const double> slice) {
+void StreamingSession::append(Channel& ch, std::span<const double> slice,
+                              std::size_t first) {
+  // Between gates the ring may start past the samples so far: the samples
+  // before the next gate's window are never read.
+  const std::size_t skip =
+      ch.ring_start > first ? std::min(slice.size(), ch.ring_start - first) : 0;
+  HE_EXPECTS(skip > 0 || first == ch.ring_start + ch.ring.size());
   const std::size_t capacity = ch.ring.capacity();
-  ch.ring.insert(ch.ring.end(), slice.begin(), slice.end());
+  ch.ring.insert(ch.ring.end(), slice.begin() + static_cast<std::ptrdiff_t>(skip),
+                 slice.end());
   HE_ENSURES(ch.ring.capacity() == capacity);  // reserved at the bound
 }
 
+void StreamingSession::compact(std::size_t keep) {
+  // Runs once per chunk or gate, so the erase is O(1) amortized per
+  // incoming sample.
+  for (Channel& ch : channels_) {
+    if (keep <= ch.ring_start) continue;
+    const std::size_t drop = std::min(keep - ch.ring_start, ch.ring.size());
+    ch.ring.erase(ch.ring.begin(), ch.ring.begin() + static_cast<std::ptrdiff_t>(drop));
+    ch.ring_start = keep;
+  }
+}
+
 void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
+  if (!gates_) run_chunks(drain_all, scratch);
+  if (gates_) run_gates(drain_all, scratch);
+}
+
+void StreamingSession::after_pass(std::size_t frontier) {
+  collect_candidates(0, channels_[0]);
+  collect_candidates(1, channels_[1]);
+  scan_zero_crossings(false);
+  advance_phase(frontier);
+}
+
+void StreamingSession::run_chunks(bool drain_all, ChunkScratch& scratch) {
   const dsp::MatchedFilterDetector& det = context_->detector();
   const std::size_t pairs = det.chunk_pairs();
   // Before the end of the stream, lay the schedule over the samples so
@@ -114,12 +153,11 @@ void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
   // certainly not the recording's last, exactly as the schedule over the
   // true length will say. At the end of the stream the length is known
   // and the remaining chunks run through the final one. Both rings
-  // always hold the same span of samples.
-  const std::size_t n =
-      drain_all ? total_ : channels_[0].ring_start + channels_[0].ring.size();
-  const std::size_t chunks = det.chunk_count(n, pairs);
-  for (; next_chunk_ < chunks; ++next_chunk_) {
-    const dsp::ChunkSpan span = det.chunk_span(next_chunk_, n, pairs);
+  // always hold the same span of samples. Until the head is planned only
+  // its chunks run.
+  const std::size_t chunks = det.chunk_count(total_, pairs);
+  while (next_chunk_ < (planned_ ? chunks : std::min(chunks, head_chunks_))) {
+    const dsp::ChunkSpan span = det.chunk_span(next_chunk_, total_, pairs);
     if (span.final_chunk && !drain_all) return;
     for (std::size_t slot = 0; slot < 2; ++slot) {
       Channel& ch = channels_[slot];
@@ -129,28 +167,61 @@ void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
       det.chunk_pass(seg, span.start, span.final_chunk, scratch.detector,
                      scratch.detector.pass);
       det.stitch(scratch.detector.pass, cw.stream, cw.detector);
-      collect_candidates(slot, ch);
+      ws_->asp_work().correlated_lags += scratch.detector.pass.lags;
     }
-    scan_zero_crossings(false);
-    advance_phase(span.start + span.size);
+    after_pass(span.start + span.size);
+    ++next_chunk_;
     // Nothing reads the rings after the recording's last chunk, whose
     // next start may lie past their end.
     if (span.final_chunk) return;
-    // Compact the rings below the next chunk's start. This runs once per
-    // chunk, so the erase is O(1) amortized per incoming sample and each
-    // ring holds about one chunk at its peak.
-    const std::size_t next_start = ws_->channel(0).stream.next_start;
-    for (Channel& ch : channels_) {
-      ch.ring.erase(ch.ring.begin(),
-                    ch.ring.begin() + static_cast<std::ptrdiff_t>(next_start - ch.ring_start));
-      ch.ring_start = next_start;
+    // Keep the samples from the next chunk's start, or, once the head has
+    // scheduled gates, from the first gate's window.
+    std::size_t keep = ws_->channel(0).stream.next_start;
+    if (!planned_ && next_chunk_ == head_chunks_) {
+      planned_ = true;
+      gates_ = detail::plan_gates(*context_, *ws_, meta_.prior.nominal_period, keep);
+      if (gates_) {
+        keep = gates_->lo(0) - 1;
+      } else {
+        ws_->asp_work().fallback = true;
+      }
     }
+    compact(keep);
+    if (gates_) return;
+  }
+}
+
+void StreamingSession::run_gates(bool drain_all, ChunkScratch& scratch) {
+  const dsp::MatchedFilterDetector& det = context_->detector();
+  const std::size_t m = det.reference().size();
+  // The schedule over the samples so far, as for chunks: a gate that is
+  // not the last of it has its right neighbour lag, hence its whole
+  // window, and is certainly not the recording's last.
+  const std::size_t lags = total_ >= m ? total_ - m + 1 : 0;
+  for (;;) {
+    const std::optional<detail::GateSpan> g = gates_->gate(next_gate_, lags);
+    if (!g || (g->final_gate && !drain_all)) return;
+    const Channel& ch = channels_[0];
+    det.gate_pass(ch.ring, channels_[1].ring, ch.ring_start, g->lo, g->hi, g->final_gate,
+                  scratch.detector, scratch.gate);
+    for (std::size_t slot = 0; slot < 2; ++slot) {
+      ChannelWorkspace& cw = ws_->channel(slot);
+      det.stitch_gate(scratch.gate, slot, cw.stream, cw.detector);
+    }
+    AspWork& work = ws_->asp_work();
+    work.correlated_lags += 2 * scratch.gate.window_lags;
+    ++work.gates;
+    after_pass(g->lo - 1 + scratch.gate.window_lags + m - 1);
+    ++next_gate_;
+    if (g->final_gate) return;
+    compact(gates_->lo(next_gate_) - 1);
   }
 }
 
 void StreamingSession::collect_candidates(std::size_t slot, Channel& ch) {
-  // A stitched candidate is final at once, and the stitch appends them in
-  // lag order.
+  // A stitched candidate is final at once, and the chunk and gate stitches
+  // append them in lag order. (Planning the gates ranks the head's
+  // candidates in place, after this has read them.)
   const std::vector<dsp::DetectionCandidate>& candidates =
       ws_->channel(slot).detector.candidates;
   for (; ch.candidates_seen < candidates.size(); ++ch.candidates_seen) {

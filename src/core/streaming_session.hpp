@@ -11,6 +11,7 @@
 #include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "core/pipeline_context.hpp"
+#include "core/pipeline_detail.hpp"
 #include "core/sdf.hpp"
 #include "core/session_workspace.hpp"
 #include "dsp/matched_filter.hpp"
@@ -27,20 +28,29 @@
 /// `finalize()` then completes the pipeline (SFO fit, MSP, TTL/PLE) and
 /// returns a fix that is BIT-IDENTICAL to `core::try_localize` on the
 /// concatenated audio — for every chunking — because it runs the batch
-/// code: the detector's one chunk schedule, chunk pass and stitch, then
-/// the batch ASP tail and session shell (core/pipeline_detail.hpp).
+/// code: the head's chunks of the detector's one chunk schedule (chunk
+/// pass and stitch), the gate schedule the head's arrivals fit
+/// (`detail::plan_gates`), each gate's pass and stitch, or after a fallback
+/// the remaining chunks, then the batch ASP tail and session shell
+/// (core/pipeline_detail.hpp). A chunk runs once a sample past it has
+/// arrived, a gate once the sample past its right neighbour lag's window
+/// has: then neither can be the recording's last, so it is the batch
+/// schedule's, and only the last one waits for `finalize`.
 /// tests/test_streaming.cpp holds the property test.
 ///
 /// Memory: a session holds per channel a ring of raw samples reserved once
 /// at its bound — one detector chunk (one OLS pair: 14180 samples for the
 /// default chirp at 44.1 kHz) plus one ingest slice (4096 samples), about
 /// 143 KiB per channel — plus the stitch's staging in its workspace (the pass-1
-/// candidates). `push` appends and detects in bounded slices, so the bound
-/// holds for a push of any size, and `retained_samples()` (high-water mark:
-/// `peak_retained_samples()`) is a constant independent of how long the
-/// user records. The detector's per-chunk working set is not the session's:
-/// each push leases the calling thread's core::ChunkScratch, so an idle
-/// open session costs no chunk scratch at all.
+/// candidates). The head reaches that bound; past it a ring holds one gate
+/// window (at most 4096 samples) plus the slice, and samples between gate
+/// windows are dropped as they arrive. `push` appends and detects in
+/// bounded slices, so the bound holds for a push of any size, and
+/// `retained_samples()` (high-water mark: `peak_retained_samples()`) is a
+/// constant independent of how long the user records. The detector's
+/// per-chunk working set is not the session's: each push leases the
+/// calling thread's core::ChunkScratch, so an idle open session costs no
+/// chunk scratch at all.
 ///
 /// Ownership follows the pipeline's context/workspace split: the optional
 /// `PipelineContext` is shared immutable plans; the `SessionWorkspace`
@@ -128,7 +138,10 @@ class StreamingSession {
 
   /// Ingest one stereo slice (equal lengths; empty is a no-op). Detects,
   /// and appends events for, everything that became final. Invalid
-  /// after `finalize`.
+  /// after `finalize`. A NaN or infinite sample is refused before anything
+  /// is ingested, with the batch path's PreconditionError text
+  /// (`preprocess_audio: mic2 sample 12345 is not finite`; mic1 is checked
+  /// first, the index counts from the stream's first sample).
   void push(std::span<const double> mic1, std::span<const double> mic2);
 
   /// End of audio: flush the detector tail, assemble the AspResult, and
@@ -163,12 +176,24 @@ class StreamingSession {
   /// again: the retention bound's in-flight term.
   static constexpr std::size_t kIngestSlice = 4096;
 
-  static void append(Channel& ch, std::span<const double> slice);
-  /// Run every chunk of the detector's schedule that is certainly full and
-  /// non-final; with `drain_all` (the length is known), every remaining
-  /// chunk through the final one. Chunk passes run on
-  /// `scratch`, the calling thread's; only the stitch touches the session.
+  /// Append the samples of `slice`, whose first is recording index
+  /// `first`, that lie at or past the ring's start.
+  static void append(Channel& ch, std::span<const double> slice, std::size_t first);
+  /// Drop every ring sample below recording index `keep`.
+  void compact(std::size_t keep);
+  /// Run every chunk or gate of the batch schedule (head chunks, then gates
+  /// or the remaining chunks) that is certainly complete and non-final;
+  /// with `drain_all` (the length is known), every remaining one through
+  /// the final one. Passes run on `scratch`, the calling thread's; only the
+  /// stitch touches the session.
   void run_detector(bool drain_all, ChunkScratch& scratch);
+  /// The chunk half of run_detector; plans the gates after the head.
+  void run_chunks(bool drain_all, ChunkScratch& scratch);
+  /// The gate half of run_detector.
+  void run_gates(bool drain_all, ChunkScratch& scratch);
+  /// Stitched-candidate events and phase marks after a pass that read the
+  /// samples below `frontier`.
+  void after_pass(std::size_t frontier);
   /// Consume newly stitched pass-1 candidates of one channel into events.
   void collect_candidates(std::size_t slot, Channel& ch);
   /// Emit sdf_zero_cross events that can no longer change, or (at
@@ -193,6 +218,10 @@ class StreamingSession {
   Channel channels_[2];
   std::size_t total_ = 0;          ///< raw samples pushed per channel
   std::size_t next_chunk_ = 0;     ///< next chunk of the detector's schedule
+  std::size_t head_chunks_ = 0;    ///< detail::head_chunks of this session
+  bool planned_ = false;           ///< the head ended and plan_gates ran
+  std::optional<detail::GateSchedule> gates_;  ///< the head's gate schedule
+  std::size_t next_gate_ = 0;      ///< next gate of gates_
   double asp_ms_ = 0.0;            ///< detect wall time across pushes
 
   std::vector<StreamEvent> events_;

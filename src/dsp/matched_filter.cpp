@@ -5,6 +5,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/math_util.hpp"
 #include "common/stats.hpp"
 #include "dsp/correlation.hpp"
 #include "dsp/peak.hpp"
@@ -14,6 +15,13 @@
 namespace hyperear::dsp {
 
 namespace {
+
+/// Transform size of the gate convolver: the smallest power of two whose
+/// window holds the reference plus gate lags reaching at least a quarter
+/// of the reference to each side, and their two neighbours.
+std::size_t gate_fft_size_for(std::size_t reference) {
+  return next_pow2(reference + 2 + 2 * ((reference + 3) / 4));
+}
 
 /// Refine a candidate's detection at recording lag k: the arrival time
 /// from the parabola through the lag and its two neighbors when both exist
@@ -84,7 +92,12 @@ CorrelationScan scan_correlation(std::span<const double> raw,
 // NOLINTNEXTLINE(hyperear-hotpath) -- one-time plan construction: the detector takes ownership of its reference
 MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
                                              const DetectorConfig& config)
-    : reference_(std::move(reference)), config_(config) {
+    : reference_(std::move(reference)),
+      config_(config),
+      gate_(reference_.empty()
+                ? std::vector<double>{0.0}
+                : std::vector<double>(reference_.rbegin(), reference_.rend()),
+            gate_fft_size_for(reference_.size())) {
   require(!reference_.empty(), "MatchedFilterDetector: empty reference");
   require(std::isfinite(config_.sample_rate) && config_.sample_rate > 0.0,
           "MatchedFilterDetector: bad sample rate");
@@ -110,6 +123,7 @@ MatchedFilterDetector::MatchedFilterDetector(std::vector<double> reference,
   if (chunk_samples(1) * m > kDirectProductLimit) {
     ols_.emplace(std::vector<double>(reference_.rbegin(), reference_.rend()), fft_size);
   }
+  gate_half_ = (gate_.fft_size() - m - 2) / 2;
 }
 
 void MatchedFilterDetector::correlate(std::span<const double> seg, std::size_t start,
@@ -281,11 +295,81 @@ void MatchedFilterDetector::stitch(const ChunkPass& pass, DetectorStream& stream
   stream.next_start = pass.start + pass.lags;
 }
 
+void MatchedFilterDetector::gate_pass(std::span<const double> mic1,
+                                      std::span<const double> mic2, std::size_t x_start,
+                                      std::size_t lo, std::size_t hi, bool final_gate,
+                                      DetectorWorkspace& scratch, GatePass& out) const {
+  const std::size_t m = reference_.size();
+  require(lo >= 1 && lo <= hi && hi - lo <= 2 * gate_half_,
+          "gate_pass: a gate holds 1 to 2G + 1 lags after lag 0");
+  // Window lag 0 is the gate's left neighbour, and the last window lag its
+  // right one unless the gate ends the recording.
+  const std::size_t first = lo - 1;
+  const std::size_t lags = hi - lo + (final_gate ? 2 : 3);
+  const std::size_t size = lags + m - 1;
+  require(mic1.size() == mic2.size() && first >= x_start &&
+              first - x_start + size <= mic1.size(),
+          "gate_pass: the window lies outside the samples");
+  const std::span<const double> w1 = mic1.subspan(first - x_start, size);
+  const std::span<const double> w2 = mic2.subspan(first - x_start, size);
+  const OlsConvolver::LagPair raw = gate_.correlate_two(w1, w2, scratch.fft);
+  out.lo = lo;
+  out.hi = hi;
+  out.window_lags = lags;
+  for (std::size_t ch = 0; ch < 2; ++ch) {
+    const std::span<const double> x = ch == 0 ? w1 : w2;
+    const std::span<const double> r = ch == 0 ? raw.first : raw.second;
+    const WindowNormalizer norm(x, m, reference_norm_, scratch.prefix);
+    (void)scan_correlation(r, norm, config_.threshold, scratch);
+    std::vector<DetectionCandidate>& cands = out.candidates[ch];
+    cands.clear();
+    for (const std::size_t i : scratch.peaks) {
+      // Both neighbours of a gate lag are in the window, bar the right one
+      // of a gate ending the recording; the neighbours themselves are read
+      // but never decided here.
+      if (i == 0 || (i == lags - 1 && !final_gate)) continue;
+      DetectionCandidate p{Detection{}, std::abs(r[i]), first + i};
+      p.detection.score = r[i] / norm.denominator(i);
+      std::optional<double> right;
+      if (i + 1 < lags) right = r[i + 1];
+      refine_detection(p.detection, first + i, r[i - 1], r[i], right,
+                       config_.sample_rate);
+      cands.push_back(p);
+    }
+  }
+}
+
+void MatchedFilterDetector::stitch_gate(const GatePass& pass, std::size_t channel,
+                                        DetectorStream& stream,
+                                        DetectorWorkspace& ws) const {
+  require(channel < 2 && pass.lo + 1 >= stream.next_start,
+          "stitch_gate: gate out of lag order");
+  stream.pending.reset();
+  const std::vector<DetectionCandidate>& cands = pass.candidates[channel];
+  ws.candidates.insert(ws.candidates.end(), cands.begin(), cands.end());
+  stream.next_start = pass.hi + 1;
+}
+
 void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace& ws,
                                        std::vector<Detection>& out,
                                        const obs::ObsContext* obs) const {
-  using Candidate = DetectorWorkspace::Candidate;
   require(!stream.pending, "stream_end: the recording's final chunk was not stitched");
+  select(ws, out);
+
+  if (obs != nullptr && obs->metrics != nullptr) {
+    obs::MetricsRegistry& m = *obs->metrics;
+    m.counter("detector.chunks_total").inc(static_cast<double>(stream.chunks_streamed));
+    m.counter("detector.candidates_total").inc(static_cast<double>(ws.candidates.size()));
+    m.counter("detector.detections_total").inc(static_cast<double>(out.size()));
+    static constexpr double kScoreBounds[] = {0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
+    const obs::Histogram scores = m.histogram("detector.detection_score", kScoreBounds);
+    for (const Detection& d : out) scores.observe(d.score);
+  }
+}
+
+void MatchedFilterDetector::select(DetectorWorkspace& ws,
+                                   std::vector<Detection>& out) const {
+  using Candidate = DetectorWorkspace::Candidate;
   out.clear();
 
   // Pass 2: enforce min_spacing once, globally, strongest-first — the same
@@ -331,16 +415,6 @@ void MatchedFilterDetector::stream_end(DetectorStream& stream, DetectorWorkspace
       if (out[i].amplitude >= gate) out[kept++] = out[i];
     }
     out.resize(kept);
-  }
-
-  if (obs != nullptr && obs->metrics != nullptr) {
-    obs::MetricsRegistry& m = *obs->metrics;
-    m.counter("detector.chunks_total").inc(static_cast<double>(stream.chunks_streamed));
-    m.counter("detector.candidates_total").inc(static_cast<double>(ws.candidates.size()));
-    m.counter("detector.detections_total").inc(static_cast<double>(out.size()));
-    static constexpr double kScoreBounds[] = {0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
-    const obs::Histogram scores = m.histogram("detector.detection_score", kScoreBounds);
-    for (const Detection& d : out) scores.observe(d.score);
   }
 }
 

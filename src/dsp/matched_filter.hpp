@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <optional>
 #include <span>
 #include <vector>
@@ -20,6 +21,15 @@
 /// quiet stretch can out-"shape-match" the direct arrival, but in LoS it is
 /// always weaker, so amplitude ranking and a relative amplitude gate keep
 /// the direct path.
+///
+/// `detect_into` (and its chunk pass and stitch) is the full search: every
+/// lag of the recording. The service ASP stage runs it only over a head
+/// and then searches gates around the beacon's predicted arrivals with
+/// `gate_pass`, the same gate, peak and refinement rules over a window of
+/// gate lags and their neighbours, both microphones in one transform pair
+/// (core/asp.hpp). The full search stays for that head, for a fallback
+/// when the head yields no schedule, for the offline NLoS pass and as the
+/// tests' oracle.
 
 namespace hyperear::obs {
 struct ObsContext;
@@ -91,6 +101,17 @@ struct ChunkPass {
   double last_raw = 0.0;      ///< raw correlation at the last lag
 };
 
+/// One gate of beacon-gated detection (`MatchedFilterDetector::gate_pass`):
+/// the candidates of both microphones at gate lags [lo, hi], every one
+/// final, as the full search would have found them there.
+struct GatePass {
+  std::size_t lo = 0;           ///< first gate lag
+  std::size_t hi = 0;           ///< last gate lag
+  std::size_t window_lags = 0;  ///< lags scanned per channel: gate lags and neighbours
+  /// Per channel (mic1, mic2), in ascending lag order.
+  std::array<std::vector<DetectionCandidate>, 2> candidates;
+};
+
 /// Mutable scratch for matched-filter detection, reusable across `detect_into`
 /// calls, channels, and sessions: the per-chunk correlation buffers, the
 /// normalizer scratch, and the stitch's staging. Like `dsp::Workspace` it
@@ -100,8 +121,9 @@ struct ChunkPass {
 /// detection allocation-free in the steady state while the detections stay
 /// bit-identical to a fresh one.
 ///
-/// `chunk_pass` uses the per-chunk members (fft through prefix); the stitch
-/// and `stream_end` use the staging (amps through selected). A caller
+/// `chunk_pass` and `gate_pass` use the per-chunk members (fft through
+/// prefix); the stitch and `stream_end` use the staging (amps through
+/// selected). A caller
 /// that runs chunk passes elsewhere (core's ASP fan-out and
 /// StreamingSession, on the thread's core::ChunkScratch) leaves the
 /// per-chunk members of its stitching workspace empty.
@@ -114,7 +136,7 @@ struct DetectorWorkspace {
   std::vector<double> prefix;         ///< normalizer scratch (energies, prefix sums)
   ChunkPass pass;                     ///< chunk-pass staging of a serial caller
   std::vector<double> amps;           ///< amplitude-gate scratch
-  std::vector<Candidate> candidates;  ///< pass-1 output, in lag order
+  std::vector<Candidate> candidates;  ///< pass-1 output, in lag order until `select`
   std::vector<Candidate> selected;    ///< pass-2 staging
 };
 
@@ -250,6 +272,41 @@ class MatchedFilterDetector {
   void stitch(const ChunkPass& pass, DetectorStream& stream,
               DetectorWorkspace& ws) const;
 
+  /// Beacon-gated detection of gate lags [lo, hi] of both microphones in
+  /// one transform pair of the gate convolver (`gate_fft_size()`), mic1's
+  /// window in the re lane and mic2's in the im lane. `mic1` and `mic2`
+  /// hold recording samples [x_start, x_start + size) and must cover the
+  /// gate's window: the samples of lags lo - 1 through hi + 1, the
+  /// neighbours the local-maximum test and the refinement read, or through
+  /// hi when `final_gate` (hi is then the recording's last lag, tested
+  /// one-sided as the full search's final chunk tests it). Requires lo >=
+  /// 1 and at most 2 * gate_half_width() + 1 gate lags. Per channel the
+  /// normalizer spans the window's samples, and the gate and peak rules
+  /// are `scan_correlation`'s; a neighbour lag is never a candidate.
+  /// Like `chunk_pass` it reads nothing but the windows and writes only
+  /// `scratch`'s per-chunk buffers and `out`.
+  void gate_pass(std::span<const double> mic1, std::span<const double> mic2,
+                 std::size_t x_start, std::size_t lo, std::size_t hi, bool final_gate,
+                 DetectorWorkspace& scratch, GatePass& out) const;
+
+  /// The serial half of a gate: append channel `channel`'s candidates of
+  /// `pass` to `ws.candidates`. Gates follow the stream's last stitched
+  /// chunk or gate in lag order; the first may start on that pass's last
+  /// lag, which it decides afresh, so a tail still pending there is
+  /// dropped (a chunk's last lag outside every gate is never a candidate).
+  void stitch_gate(const GatePass& pass, std::size_t channel, DetectorStream& stream,
+                   DetectorWorkspace& ws) const;
+
+  /// Lags on each side of a gate's centre: G = (gate_fft_size() -
+  /// reference - 2) / 2, so a window of 2G + 1 gate lags and their two
+  /// neighbours fits one transform. 944 lags (21 ms) for the 2205-tap chirp.
+  [[nodiscard]] std::size_t gate_half_width() const { return gate_half_; }
+  /// Transform size of the gate convolver: the smallest power of two that
+  /// fits a window whose gate reaches at least a quarter of the reference
+  /// to each side (reference + 2 + 2 * ceil(reference / 4) samples), 4096
+  /// for the 2205-tap chirp.
+  [[nodiscard]] std::size_t gate_fft_size() const { return gate_.fft_size(); }
+
   /// Number of chunks of `pairs` pairs (>= 1) covering a recording of `n`
   /// samples: 0 when it is shorter than the reference.
   [[nodiscard]] std::size_t chunk_count(std::size_t n, std::size_t pairs) const;
@@ -272,10 +329,19 @@ class MatchedFilterDetector {
   /// min_spacing_s in lags.
   [[nodiscard]] std::size_t min_spacing_lags() const { return min_spacing_; }
 
+  /// Pass 2 over the candidates stitched so far: the global min-spacing
+  /// pass, strongest first, then the relative amplitude gate, into `out`
+  /// (cleared first). It ranks `ws.candidates` in place, by strength and
+  /// then lag, a total order, so the detections do not depend on the
+  /// order the candidates had. A caller may therefore select mid-stream
+  /// (beacon-gated ASP fits its schedule to the head's selection) and
+  /// stitch on: the stitches only append, in lag order, after the ranked
+  /// ones.
+  void select(DetectorWorkspace& ws, std::vector<Detection>& out) const;
+
   /// Flush nothing — the final chunk resolves every candidate — then run
-  /// the global min-spacing pass and the relative amplitude gate over
-  /// `ws.candidates`, write the surviving detections to `out` (cleared
-  /// first), and record detector telemetry for the whole stream on `obs`.
+  /// `select` over `ws.candidates` into `out` and record detector
+  /// telemetry for the whole stream on `obs`.
   /// Requires that the stream's last stitched chunk was final (or that no
   /// chunk was stitched). The stream is exhausted afterwards; reuse
   /// requires stream_begin.
@@ -313,6 +379,8 @@ class MatchedFilterDetector {
   /// unless one pair's window times the reference is small enough for
   /// the direct sum (the rule every other convolution spelling uses).
   std::optional<OlsConvolver> ols_;
+  OlsConvolver gate_;            ///< reversed reference at gate_fft_size()
+  std::size_t gate_half_ = 0;    ///< gate_half_width()
 };
 
 }  // namespace hyperear::dsp

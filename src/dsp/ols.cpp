@@ -146,6 +146,10 @@ void OlsConvolver::transform_pair(std::span<const double> x, std::ptrdiff_t x_st
   } else {
     std::fill(z.im.begin(), z.im.end(), 0.0);
   }
+  convolve_lanes(z);
+}
+
+void OlsConvolver::convolve_lanes(PairLanes z) const {
   // Forward leaves the spectrum bit-reversed, the kernel spectrum is stored
   // in the same order, and the inverse takes bit-reversed input: no
   // permutation anywhere.
@@ -221,6 +225,29 @@ void OlsConvolver::correlate_pairs_into(std::span<const double> x, std::size_t x
                    static_cast<std::ptrdiff_t>(b * block), paired, z);
     copy_pair_halves(z, b, paired, x_start, lags, end, out);
   }
+}
+
+OlsConvolver::LagPair OlsConvolver::correlate_two(std::span<const double> a,
+                                                  std::span<const double> b,
+                                                  Workspace& ws) const {
+  const std::size_t m = kernel_.size();
+  const std::size_t n = plan_.size();
+  require(a.size() == b.size() && a.size() >= m && a.size() <= n,
+          "OlsConvolver::correlate_two: windows must have equal lengths in "
+          "[kernel_size, fft_size]");
+  // The real-input pair identity with two signals instead of two blocks of
+  // one: a rides the re lane and b the im lane, zero-padded to the
+  // transform. A window of at most fft_size samples convolved circularly
+  // is alias-free from lane position m - 1 on, which is valid lag 0.
+  const PairLanes z = pair_lanes(ws);
+  std::copy(a.begin(), a.end(), z.re.begin());
+  std::fill(z.re.begin() + static_cast<std::ptrdiff_t>(a.size()), z.re.end(), 0.0);
+  std::copy(b.begin(), b.end(), z.im.begin());
+  std::fill(z.im.begin() + static_cast<std::ptrdiff_t>(b.size()), z.im.end(), 0.0);
+  convolve_lanes(z);
+  const std::size_t lags = a.size() - m + 1;
+  return {std::span<const double>(z.re).subspan(m - 1, lags),
+          std::span<const double>(z.im).subspan(m - 1, lags)};
 }
 
 }  // namespace hyperear::dsp

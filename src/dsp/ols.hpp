@@ -27,9 +27,11 @@
 ///    leaves its spectrum in bit-reversed order, the kernel spectrum is
 ///    stored in that order, and the inverse transform takes it back.
 ///
-/// Two spellings share that pair arithmetic: `convolve_into` writes any
-/// window of the full convolution, and `correlate_pairs_into` runs the
-/// matched filter's valid-mode correlation on a lag-anchored pair grid.
+/// Three spellings share that pair arithmetic: `convolve_into` writes any
+/// window of the full convolution, `correlate_pairs_into` runs the
+/// matched filter's valid-mode correlation on a lag-anchored pair grid, and
+/// `correlate_two` correlates two equal windows (the two microphones' gate
+/// windows of beacon-gated detection) in one pair.
 ///
 /// Accuracy: overlap-save computes the same linear convolution as the
 /// direct sum, within FFT round-off (~1e-13 for unit-scale inputs; the
@@ -122,6 +124,24 @@ class OlsConvolver {
   void correlate_pairs_into(std::span<const double> x, std::size_t x_start, double* out,
                             Workspace& ws) const;
 
+  /// The valid lags of two windows' correlations, read in place from the
+  /// transform pair that computed them.
+  struct LagPair {
+    std::span<const double> first;   ///< lags of the first window
+    std::span<const double> second;  ///< lags of the second window
+  };
+  /// Valid-mode correlation (against the template whose REVERSAL is this
+  /// kernel) of two windows in ONE transform pair: `a` rides the re lane
+  /// and `b` the im lane. The windows have equal lengths between
+  /// kernel_size() and fft_size(); each yields its a.size() -
+  /// kernel_size() + 1 valid lags, lag k of `a` reading a[k, k +
+  /// kernel_size()). The spans view `ws`'s pair lanes and hold until its
+  /// next use. A lag's bits depend on the window's samples and the lag's
+  /// place in it, so a window cut at the same samples always yields the
+  /// same bits.
+  [[nodiscard]] LagPair correlate_two(std::span<const double> a,
+                                      std::span<const double> b, Workspace& ws) const;
+
  private:
   /// The pair buffer: split re/im lanes of fft_size doubles each, held in
   /// ws.real_scratch slots 0 and 1.
@@ -137,6 +157,9 @@ class OlsConvolver {
   /// Both public spellings route their block arithmetic through here.
   void transform_pair(std::span<const double> x, std::ptrdiff_t x_start,
                       std::ptrdiff_t base, bool paired, PairLanes z) const;
+  /// Replace the filled lanes `z` by their circular convolution with the
+  /// kernel: forward transform, spectrum product, inverse transform.
+  void convolve_lanes(PairLanes z) const;
   /// Signal index read by lane position 0 of convolution block b.
   [[nodiscard]] std::ptrdiff_t convolution_base(std::size_t b) const {
     return static_cast<std::ptrdiff_t>(b * block_size()) -

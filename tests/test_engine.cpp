@@ -199,10 +199,12 @@ TEST(Engine, SingleSessionsMatchTheSerialPipelineAtEveryWidth) {
 }
 
 TEST(Engine, FanOutThreadsKeepOneChunkOfScratch) {
-  // A batch session fans its ASP chunk tasks out over idle workers, and
-  // each task runs on the scratch of the thread that claimed it. Batch and
-  // live streams run the detector's one chunk schedule, so no thread's
-  // scratch outgrows one chunk's lags, however long the recording.
+  // A batch session fans its ASP tasks out over idle workers in two
+  // rounds, head chunks and then beacon gates, and each task runs on the
+  // scratch of the thread that claimed it. Batch and live streams run the
+  // detector's one chunk schedule for the head and gates smaller than a
+  // chunk after it, so no thread's scratch outgrows one chunk's lags,
+  // however long the recording.
   constexpr std::size_t kThreads = 3;
   const std::vector<sim::Session> sessions = make_batch(kThreads, 780);
   const core::PipelineContext context(core::PipelineConfig{}, sessions[0].prior.chirp,
@@ -227,6 +229,7 @@ TEST(Engine, FanOutThreadsKeepOneChunkOfScratch) {
     ASSERT_EQ(engine.submit(s).get().status, SessionStatus::ok);
   }
   ASSERT_GT(engine.metrics().counter("asp.chunk_tasks_helped_total").value(), 0.0);
+  ASSERT_GT(engine.metrics().counter("asp.gates_total").value(), 0.0);
 
   // Then one session per worker, each reporting on its worker and waiting
   // there until all have reported: the reports come from kThreads distinct

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <set>
@@ -20,6 +21,7 @@
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "core/pipeline_context.hpp"
+#include "core/pipeline_detail.hpp"
 #include "core/session_workspace.hpp"
 #include "core/status.hpp"
 #include "obs/trace.hpp"
@@ -318,8 +320,9 @@ TEST(Obs, PipelineResultBitIdenticalWithAndWithoutRegistry) {
 }
 
 TEST(Obs, AspChunkTaskCountersCountEveryTaskAndOnlyHelpedOnes) {
-  // The ASP stage counts its (channel, detector-chunk) tasks on the
-  // session's registry; the serial executor has no helpers.
+  // The ASP stage counts its tasks on the session's registry: a (channel,
+  // detector-chunk) task per head chunk, then a task per two beacon
+  // gates. The serial executor has no helpers.
   const sim::Session session = small_session(901);
   const core::PipelineConfig config;
   const core::PipelineContext context(config, session.prior.chirp,
@@ -338,9 +341,16 @@ TEST(Obs, AspChunkTaskCountersCountEveryTaskAndOnlyHelpedOnes) {
   const dsp::MatchedFilterDetector& detector = context.detector();
   const std::size_t chunks =
       detector.chunk_count(session.audio.mic1.size(), detector.chunk_pairs());
-  ASSERT_GE(chunks, 2u);
-  EXPECT_EQ(registry.counter("asp.chunk_tasks_total").value(),
-            static_cast<double>(core::SessionWorkspace::kChannels * chunks));
+  const std::size_t head =
+      core::detail::head_chunks(detector, config.asp, session.prior.nominal_period);
+  ASSERT_EQ(head, 4u);
+  ASSERT_GT(chunks, head);
+  const double gates = registry.counter("asp.gates_total").value();
+  EXPECT_EQ(gates, 39.0);
+  EXPECT_EQ(registry.counter("asp.acquisition_fallback_total").value(), 0.0);
+  const double tasks = static_cast<double>(core::SessionWorkspace::kChannels * head) +
+                       std::ceil(gates / 2.0);
+  EXPECT_EQ(registry.counter("asp.chunk_tasks_total").value(), tasks);
   EXPECT_EQ(registry.counter("asp.chunk_tasks_helped_total").value(), 0.0);
 
   // Through a one-worker engine: the same tasks, still nobody to help.
@@ -349,8 +359,7 @@ TEST(Obs, AspChunkTaskCountersCountEveryTaskAndOnlyHelpedOnes) {
   eo.registry = engine_registry;
   runtime::Engine engine(config, 1, eo);
   ASSERT_EQ(engine.submit(session).get().status, runtime::SessionStatus::ok);
-  EXPECT_EQ(engine_registry->counter("asp.chunk_tasks_total").value(),
-            static_cast<double>(core::SessionWorkspace::kChannels * chunks));
+  EXPECT_EQ(engine_registry->counter("asp.chunk_tasks_total").value(), tasks);
   EXPECT_EQ(engine_registry->counter("asp.chunk_tasks_helped_total").value(), 0.0);
 }
 

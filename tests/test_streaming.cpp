@@ -20,8 +20,11 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/pipeline_detail.hpp"
 #include "core/streaming_session.hpp"
 #include "dsp/matched_filter.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/scenario.hpp"
 
 // Heap probe: the largest single block requested on this thread while
@@ -244,12 +247,126 @@ TEST(StreamingSession, SingleSamplePushesMatchBatch) {
 /// The duration-independent retention bound of a default-config session,
 /// in samples across both channels: per channel one chunk of the
 /// session's detector plus `slice` in-flight samples (the push size, or
-/// the session's 4096-sample ingest slice for larger pushes).
+/// the session's 4096-sample ingest slice for larger pushes). The head's
+/// full-search chunks reach it; past the head a ring holds one gate window
+/// (`gate_bound`).
 std::size_t retention_bound(const sim::Session& meta, std::size_t slice) {
   const core::PipelineContext context(core::PipelineConfig{}, meta.prior.chirp,
                                       meta.audio.sample_rate);
   const dsp::MatchedFilterDetector& det = context.detector();
   return 2 * (det.chunk_samples(det.chunk_pairs()) + slice);
+}
+
+/// Past the head: per channel one gate window (at most the gate
+/// transform's size) plus `slice` in-flight samples.
+std::size_t gate_bound(const sim::Session& meta, std::size_t slice) {
+  const core::PipelineContext context(core::PipelineConfig{}, meta.prior.chirp,
+                                      meta.audio.sample_rate);
+  return 2 * (context.detector().gate_fft_size() + slice);
+}
+
+TEST(StreamingSession, RingHoldsOneGateWindowPastTheHead) {
+  sim::ScenarioConfig c = small_scenario();
+  c.slides_per_stature = 5;
+  Rng rng(830);
+  sim::Session batch = sim::make_localization_session(c, rng);
+  const auto expect = core::try_localize(batch, {});
+  ASSERT_TRUE(expect.has_value());
+  const SplitSession s = split(std::move(batch));
+  const core::PipelineContext context(core::PipelineConfig{}, s.meta.prior.chirp,
+                                      s.meta.audio.sample_rate);
+  const dsp::MatchedFilterDetector& det = context.detector();
+  // The head's last chunk runs once a sample past it has arrived.
+  const std::size_t head_samples =
+      core::detail::head_chunks(det, context.asp_options(), s.meta.prior.nominal_period) *
+          det.pair_lags() +
+      det.chunk_samples(1);
+  core::StreamingSession session(s.meta);
+  std::size_t past_head_peak = 0;
+  for (std::size_t pos = 0; pos < s.mic1.size(); pos += 2048) {
+    const std::size_t len = std::min<std::size_t>(2048, s.mic1.size() - pos);
+    session.push(std::span<const double>(s.mic1).subspan(pos, len),
+                 std::span<const double>(s.mic2).subspan(pos, len));
+    if (pos > head_samples) {
+      past_head_peak = std::max(past_head_peak, session.retained_samples());
+    }
+  }
+  EXPECT_GT(past_head_peak, 0u);
+  EXPECT_LE(past_head_peak, gate_bound(s.meta, 2048));
+  EXPECT_LT(gate_bound(s.meta, 2048), retention_bound(s.meta, 2048) / 2);
+  const auto got = session.finalize();
+  ASSERT_TRUE(got.has_value());
+  expect_identical(*got, *expect);
+}
+
+/// The session's ASP work counters over a whole-recording run.
+struct AspCounts {
+  double lags = 0.0;
+  double gates = 0.0;
+  double fallback = 0.0;
+};
+
+AspCounts asp_counts(obs::MetricsRegistry& r) {
+  return {r.counter("asp.correlated_lags_total").value(),
+          r.counter("asp.gates_total").value(),
+          r.counter("asp.acquisition_fallback_total").value()};
+}
+
+TEST(StreamingSession, FallbackAndClippedGateMatchBatchForEveryChunking) {
+  // The two schedules the property tests above do not reach: a head
+  // without a chirp (the fallback's chunk schedule after the head) and a
+  // recording that ends inside a gate (the last gate clipped and drained
+  // by finalize). Streamed fixes, errors and work counts equal batch.
+  sim::Session silent_head = make_session(805);
+  const auto silent = static_cast<std::ptrdiff_t>(1.2 * silent_head.audio.sample_rate);
+  std::fill(silent_head.audio.mic1.begin(), silent_head.audio.mic1.begin() + silent, 0.0);
+  std::fill(silent_head.audio.mic2.begin(), silent_head.audio.mic2.begin() + silent, 0.0);
+  sim::Session clipped = make_session(806);
+  {
+    // End the recording 200 lags after a late arrival: its gate straddles
+    // the end.
+    const core::PipelineContext context(core::PipelineConfig{}, clipped.prior.chirp,
+                                        clipped.audio.sample_rate);
+    dsp::DetectorWorkspace ws;
+    std::vector<dsp::Detection> arrivals;
+    context.detector().detect_into(clipped.audio.mic1, ws, arrivals);
+    ASSERT_GT(arrivals.size(), 30u);
+    const double arrival = arrivals[30].time_s * clipped.audio.sample_rate;
+    const std::size_t cut = static_cast<std::size_t>(arrival) + 200 +
+                            context.detector().reference().size();
+    clipped.audio.mic1.resize(cut);
+    clipped.audio.mic2.resize(cut);
+  }
+
+  for (const auto& [batch, fallback] :
+       {std::pair{&silent_head, 1.0}, std::pair{&clipped, 0.0}}) {
+    SCOPED_TRACE(fallback);
+    obs::MetricsRegistry batch_registry;
+    const obs::ObsContext batch_obs{&batch_registry, nullptr, 1};
+    const auto expect = core::try_localize(*batch, {}, nullptr, &batch_obs);
+    const AspCounts want = asp_counts(batch_registry);
+    EXPECT_EQ(want.fallback, fallback);
+    EXPECT_EQ(want.gates > 0.0, fallback == 0.0);
+    const SplitSession s = split(*batch);
+    for (const auto& slices : chunkings(s.mic1.size())) {
+      const auto got = run_streamed(s, slices);
+      ASSERT_EQ(got.has_value(), expect.has_value());
+      if (expect.has_value()) {
+        expect_identical(*got, *expect);
+      } else {
+        EXPECT_EQ(got.error().message, expect.error().message);
+      }
+    }
+    core::StreamingSession stream(s.meta);
+    stream.push(s.mic1, s.mic2);
+    obs::MetricsRegistry stream_registry;
+    const obs::ObsContext stream_obs{&stream_registry, nullptr, 1};
+    (void)stream.finalize(nullptr, &stream_obs);
+    const AspCounts got = asp_counts(stream_registry);
+    EXPECT_EQ(got.lags, want.lags);
+    EXPECT_EQ(got.gates, want.gates);
+    EXPECT_EQ(got.fallback, want.fallback);
+  }
 }
 
 TEST(StreamingSession, PeakRetainedMemoryStaysBounded) {
@@ -336,8 +453,9 @@ TEST(StreamingSession, LeasedWorkspaceHoldsNoChunkScratch) {
 
 TEST(StreamingSession, StreamOnlyThreadKeepsOneStreamingChunkOfScratch) {
   // Chunk scratch belongs to the thread, and a thread that streams runs
-  // the detector's one chunk schedule, so its scratch stays at one
-  // chunk's working set however long the recording.
+  // the head's chunks of the detector's one chunk schedule and then gates,
+  // each smaller than a chunk, so its scratch stays at one chunk's working
+  // set however long the recording.
   const SplitSession s = split(make_session(840));
   const core::PipelineContext context(core::PipelineConfig{}, s.meta.prior.chirp,
                                       s.meta.audio.sample_rate);
@@ -352,6 +470,9 @@ TEST(StreamingSession, StreamOnlyThreadKeepsOneStreamingChunkOfScratch) {
     // The normalizer's energies plus one pair's prefix sums.
     EXPECT_LE(scratch.detector.prefix.capacity(),
               chunk_lags + det.pair_lags() + det.reference().size());
+    // It ran gates too, and its gate staging holds one gate.
+    EXPECT_GT(scratch.gate.hi, 0u);
+    EXPECT_LE(scratch.gate.hi - scratch.gate.lo, 2 * det.gate_half_width());
   });
   streamer.join();
 }
