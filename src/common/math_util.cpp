@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 
 namespace hyperear {
@@ -30,6 +29,7 @@ std::size_t next_pow2(std::size_t n) {
 
 bool is_pow2(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
+// NOLINTBEGIN(hyperear-hotpath) -- returns an owning vector; IMU preprocessing only
 std::vector<double> cumulative_trapezoid(std::span<const double> y, double dt) {
   require(dt > 0.0, "cumulative_trapezoid: dt must be positive");
   std::vector<double> out(y.size(), 0.0);
@@ -38,6 +38,7 @@ std::vector<double> cumulative_trapezoid(std::span<const double> y, double dt) {
   }
   return out;
 }
+// NOLINTEND(hyperear-hotpath) -- end of cumulative_trapezoid
 
 double trapezoid(std::span<const double> y, double dt) {
   require(dt > 0.0, "trapezoid: dt must be positive");
@@ -81,32 +82,55 @@ LineFit fit_line(std::span<const double> x, std::span<const double> y) {
   return fit;
 }
 
-LineFit fit_line_robust(std::span<const double> x, std::span<const double> y, double k,
-                        int iters) {
+namespace {
+
+/// The median of `v`, sorting it in place: stats' median rule without its
+/// copy.
+double median_in_place(std::span<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  if (n % 2 == 1) return v[n / 2];
+  return 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+}  // namespace
+
+LineFit fit_line_robust(std::span<const double> x, std::span<const double> y,
+                        std::span<double> scratch, double k, int iters) {
   require(x.size() == y.size(), "fit_line_robust: size mismatch");
   LineFit fit = fit_line(x, y);
-  std::vector<double> xi(x.begin(), x.end());
-  std::vector<double> yi(y.begin(), y.end());
+  const std::size_t n0 = x.size();
+  require(scratch.size() >= 4 * n0, "fit_line_robust: scratch holds fewer than 4n values");
+  // The inliers, their residuals and a sort buffer, each n0 long; a round
+  // keeps its inliers in place at the front of xi and yi.
+  const std::span<double> xi = scratch.subspan(0, n0);
+  const std::span<double> yi = scratch.subspan(n0, n0);
+  const std::span<double> resid = scratch.subspan(2 * n0, n0);
+  const std::span<double> sorted = scratch.subspan(3 * n0, n0);
+  std::copy(x.begin(), x.end(), xi.begin());
+  std::copy(y.begin(), y.end(), yi.begin());
+  std::size_t n = n0;
   for (int round = 0; round < iters; ++round) {
-    std::vector<double> resid(xi.size());
-    for (std::size_t i = 0; i < xi.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       resid[i] = std::abs(yi[i] - (fit.intercept + fit.slope * xi[i]));
     }
-    const double scale = median_absolute_deviation(resid) * 1.4826;
+    // median_absolute_deviation(resid[0, n)).
+    std::copy(resid.begin(), resid.begin() + static_cast<std::ptrdiff_t>(n), sorted.begin());
+    const double centre = median_in_place(sorted.first(n));
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = std::abs(resid[i] - centre);
+    const double scale = median_in_place(sorted.first(n)) * 1.4826;
     if (scale <= 1e-15) break;  // already an (almost) exact fit
-    std::vector<double> xk, yk;
-    xk.reserve(xi.size());
-    yk.reserve(yi.size());
-    for (std::size_t i = 0; i < xi.size(); ++i) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
       if (resid[i] <= k * scale) {
-        xk.push_back(xi[i]);
-        yk.push_back(yi[i]);
+        xi[kept] = xi[i];
+        yi[kept] = yi[i];
+        ++kept;
       }
     }
-    if (xk.size() < 2 || xk.size() == xi.size()) break;
-    xi = std::move(xk);
-    yi = std::move(yk);
-    fit = fit_line(xi, yi);
+    if (kept < 2 || kept == n) break;
+    n = kept;
+    fit = fit_line(xi.first(n), yi.first(n));
   }
   return fit;
 }

@@ -47,8 +47,11 @@ struct LineFit {
 
 /// Robust line fit: iteratively re-fit discarding points whose residual
 /// exceeds `k` times the residual MAD, for `iters` rounds. Falls back to the
-/// plain fit when too few inliers remain.
+/// plain fit when too few inliers remain. `scratch` is caller storage of at
+/// least 4 * x.size() values (the inliers, their residuals and a sort
+/// buffer), so the fit itself allocates nothing.
 [[nodiscard]] LineFit fit_line_robust(std::span<const double> x, std::span<const double> y,
-                                      double k = 3.0, int iters = 3);
+                                      std::span<double> scratch, double k = 3.0,
+                                      int iters = 3);
 
 }  // namespace hyperear

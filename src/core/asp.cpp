@@ -33,8 +33,8 @@ namespace {
 /// estimate_period's line: arrival time against chirp index, the indices
 /// recovered by rounding gaps to the nominal period (missed detections
 /// produce index gaps, which the robust fit tolerates). nullopt when fewer
-/// than `min_events` arrivals are given. The index series lives in the
-/// session arena.
+/// than `min_events` arrivals are given. The index series and the fit's
+/// scratch live in the session arena.
 std::optional<LineFit> fit_arrival_line(std::span<const double> times,
                                         double nominal_period, std::size_t min_events,
                                         MonotonicArena& arena) {
@@ -45,7 +45,9 @@ std::optional<LineFit> fit_arrival_line(std::span<const double> times,
   for (std::size_t i = 1; i < times.size(); ++i) {
     idx[i] = idx[i - 1] + std::round((times[i] - times[i - 1]) / nominal_period);
   }
-  return fit_line_robust(idx, times);
+  ArenaVector<double> scratch{ArenaAllocator<double>{arena}};
+  scratch.resize(4 * times.size());
+  return fit_line_robust(idx, times, scratch);
 }
 
 /// Whether a fitted period is one estimate_period accepts.

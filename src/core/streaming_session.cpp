@@ -50,17 +50,14 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
     ctx_error_ = std::current_exception();
   }
   if (context_ != nullptr) {
-    // The ring's high-water mark: run_detector leaves at most one chunk
-    // (or, past the head, one gate window) behind and one ingest slice
-    // adds at most the slice, so a ring reserved at that bound never
-    // regrows.
+    // The ring's high-water mark over the head: run_detector leaves at
+    // most one chunk behind and one ingest slice adds at most the slice,
+    // so a ring reserved at that bound never regrows.
     const dsp::MatchedFilterDetector& det = context_->detector();
     head_chunks_ =
         detail::head_chunks(det, context_->asp_options(), meta_.prior.nominal_period);
-    const std::size_t ring_capacity = det.chunk_samples(det.chunk_pairs()) + kIngestSlice;
+    reserve_rings(det.chunk_samples(det.chunk_pairs()) + kIngestSlice);
     for (std::size_t slot = 0; slot < 2; ++slot) {
-      // NOLINTNEXTLINE(hyperear-hotpath) -- once per session, at its bound
-      channels_[slot].ring.reserve(ring_capacity);
       ChannelWorkspace& cw = ws_->channel(slot);
       det.stream_begin(cw.stream, cw.detector);
     }
@@ -120,6 +117,20 @@ void StreamingSession::append(Channel& ch, std::span<const double> slice,
   ch.ring.insert(ch.ring.end(), slice.begin() + static_cast<std::ptrdiff_t>(skip),
                  slice.end());
   HE_ENSURES(ch.ring.capacity() == capacity);  // reserved at the bound
+}
+
+void StreamingSession::reserve_rings(std::size_t capacity) {
+  for (Channel& ch : channels_) {
+    // The kept samples move into a ring reserved at the new bound, and the
+    // old ring's storage is released.
+    // NOLINTBEGIN(hyperear-hotpath) -- at most twice per session: at open and past the head
+    std::vector<double> ring;
+    ring.reserve(capacity);
+    // NOLINTEND(hyperear-hotpath) -- end of the fresh ring
+    ring.assign(ch.ring.begin(), ch.ring.end());
+    ch.ring.swap(ring);
+    HE_ENSURES(ch.ring.size() <= capacity && ch.ring.capacity() == capacity);
+  }
 }
 
 void StreamingSession::compact(std::size_t keep) {
@@ -187,7 +198,12 @@ void StreamingSession::run_chunks(bool drain_all, ChunkScratch& scratch) {
       }
     }
     compact(keep);
-    if (gates_) return;
+    if (gates_) {
+      // Past the head a ring holds at most one gate window, which fits the
+      // gate transform, plus one ingest slice.
+      reserve_rings(det.gate_fft_size() + kIngestSlice);
+      return;
+    }
   }
 }
 
@@ -278,6 +294,12 @@ std::size_t StreamingSession::retained_samples() const {
   std::size_t held = 0;
   for (const Channel& ch : channels_) held += ch.ring.size();
   return held;
+}
+
+std::size_t StreamingSession::reserved_samples() const {
+  std::size_t reserved = 0;
+  for (const Channel& ch : channels_) reserved += ch.ring.capacity();
+  return reserved;
 }
 
 Expected<LocalizationResult, PipelineError> StreamingSession::finalize(

@@ -38,16 +38,20 @@
 /// schedule's, and only the last one waits for `finalize`.
 /// tests/test_streaming.cpp holds the property test.
 ///
-/// Memory: a session holds per channel a ring of raw samples reserved once
-/// at its bound — one detector chunk (one OLS pair: 14180 samples for the
-/// default chirp at 44.1 kHz) plus one ingest slice (4096 samples), about
-/// 143 KiB per channel — plus the stitch's staging in its workspace (the pass-1
-/// candidates). The head reaches that bound; past it a ring holds one gate
-/// window (at most 4096 samples) plus the slice, and samples between gate
-/// windows are dropped as they arrive. `push` appends and detects in
-/// bounded slices, so the bound holds for a push of any size, and
-/// `retained_samples()` (high-water mark: `peak_retained_samples()`) is a
-/// constant independent of how long the user records. The detector's
+/// Memory: a session holds per channel a ring of raw samples, reserved at
+/// the bound of the schedule it runs, plus the stitch's staging in its
+/// workspace (the pass-1 candidates). Over the head the bound is one
+/// detector chunk (one OLS pair: 14180 samples for the default chirp at
+/// 44.1 kHz) plus one ingest slice (4096 samples), about 143 KiB per
+/// channel; a fallback after the head and a period too short to gate keep
+/// it. Once the head's arrivals plan the gates, the kept samples move into
+/// rings reserved at the gate bound: one gate window (at most the gate
+/// transform's 4096 samples) plus the slice, 64 KiB per channel, and
+/// samples between gate windows are dropped as they arrive. `push` appends
+/// and detects in bounded slices, so the bound holds for a push of any
+/// size, and `retained_samples()` (high-water mark:
+/// `peak_retained_samples()`) and `reserved_samples()` are constants
+/// independent of how long the user records. The detector's
 /// per-chunk working set is not the session's: each push leases the
 /// calling thread's core::ChunkScratch, so an idle open session costs no
 /// chunk scratch at all.
@@ -159,13 +163,16 @@ class StreamingSession {
   /// window) — the streaming memory footprint.
   [[nodiscard]] std::size_t retained_samples() const;
   [[nodiscard]] std::size_t peak_retained_samples() const { return peak_retained_; }
+  /// Ring capacity across both channels: the head's chunk bound, or the
+  /// gate bound once the gates are planned.
+  [[nodiscard]] std::size_t reserved_samples() const;
   [[nodiscard]] bool finalized() const { return finalized_; }
   [[nodiscard]] const sim::Session& meta() const { return meta_; }
 
  private:
   struct Channel {
-    /// Samples [ring_start, ...); capacity reserved once, at the retention
-    /// bound.
+    /// Samples [ring_start, ...); capacity reserved at the head's chunk
+    /// bound, then at the gate bound once the gates are planned.
     std::vector<double> ring;
     std::size_t ring_start = 0;     ///< recording index of ring[0]
     std::size_t candidates_seen = 0;  ///< consumed prefix of ws candidates
@@ -179,6 +186,9 @@ class StreamingSession {
   /// Append the samples of `slice`, whose first is recording index
   /// `first`, that lie at or past the ring's start.
   static void append(Channel& ch, std::span<const double> slice, std::size_t first);
+  /// Move each ring's samples into a ring reserved at `capacity`
+  /// samples, which they must fit.
+  void reserve_rings(std::size_t capacity);
   /// Drop every ring sample below recording index `keep`.
   void compact(std::size_t keep);
   /// Run every chunk or gate of the batch schedule (head chunks, then gates

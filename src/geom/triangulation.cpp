@@ -1,6 +1,7 @@
 #include "geom/triangulation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -63,14 +64,14 @@ TriangulationResult solve_augmented(const AugmentedTdoa& in) {
 
 TriangulationResult intersect(const Hyperbola& h1, const Hyperbola& h2,
                               const Vec2& initial_guess) {
-  const auto residuals = [&](const std::vector<double>& p) {
+  const auto residuals = [&](const std::array<double, 2>& p) {
     const Vec2 pt{p[0], p[1]};
-    return std::vector<double>{h1.residual(pt), h2.residual(pt)};
+    return std::array<double, 2>{h1.residual(pt), h2.residual(pt)};
   };
   LmOptions opts;
   opts.max_iterations = 200;
-  const LmResult lm =
-      levenberg_marquardt(residuals, {initial_guess.x, initial_guess.y}, opts);
+  const LmResult<2> lm = levenberg_marquardt(
+      residuals, std::array<double, 2>{initial_guess.x, initial_guess.y}, opts);
   TriangulationResult out;
   out.position = {lm.parameters[0], lm.parameters[1]};
   out.residual = std::sqrt(lm.cost);  // RMS-ish scale of the two residuals

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "support/oracles.hpp"
 
@@ -111,10 +114,47 @@ TEST(FitLineRobust, IgnoresOutlier) {
   }
   y[7] += 25.0;  // gross outlier
   const LineFit plain = fit_line(x, y);
-  const LineFit robust = fit_line_robust(x, y);
+  std::vector<double> scratch(4 * x.size());
+  const LineFit robust = fit_line_robust(x, y, scratch);
   EXPECT_GT(std::abs(plain.slope - 0.5), std::abs(robust.slope - 0.5));
   EXPECT_NEAR(robust.slope, 0.5, 1e-9);
   EXPECT_NEAR(robust.intercept, 2.0, 1e-9);
+}
+
+TEST(FitLineRobust, EqualsTheCopyingOracleBitForBit) {
+  // Arrival-line-like series (a period near 0.2 s, jitter, index gaps)
+  // with gross outliers, including ties, an exact line and too few
+  // inliers: slope, intercept and rms equal the oracle's bits.
+  Rng rng(977);
+  std::size_t refits = 0;
+  for (int n = 0; n < 3000; ++n) {
+    const auto count = static_cast<std::size_t>(rng.uniform_int(2, 60));
+    std::vector<double> x(count), y(count);
+    const double period = rng.uniform(0.15, 0.25);
+    const double jitter = n % 10 == 0 ? 0.0 : rng.uniform(0.0, 2e-4);
+    double index = 0.0;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i > 0) index += rng.uniform() < 0.1 ? 2.0 : 1.0;
+      x[i] = index;
+      y[i] = 0.3 + period * index + rng.gaussian(0.0, jitter);
+      if (rng.uniform() < 0.15) y[i] += rng.uniform(-0.1, 0.1);
+    }
+    if (n % 7 == 0) std::fill(y.begin() + static_cast<std::ptrdiff_t>(count / 2), y.end(), 1.0);
+    std::vector<double> scratch(4 * count, -1.0);
+    const LineFit got = fit_line_robust(x, y, scratch);
+    const LineFit want = oracle::fit_line_robust(x, y);
+    ASSERT_EQ(got.slope, want.slope) << "series " << n;
+    ASSERT_EQ(got.intercept, want.intercept) << "series " << n;
+    ASSERT_EQ(got.rms_residual, want.rms_residual) << "series " << n;
+    if (got.slope != fit_line(x, y).slope) ++refits;
+  }
+  EXPECT_GT(refits, 1000u);  // the robust rounds ran, not just the plain fit
+}
+
+TEST(FitLineRobust, RefusesShortScratch) {
+  const std::vector<double> x{0.0, 1.0, 2.0}, y{0.0, 1.0, 2.0};
+  std::vector<double> scratch(4 * x.size() - 1);
+  EXPECT_THROW((void)fit_line_robust(x, y, scratch), PreconditionError);
 }
 
 TEST(DbConversions, RoundTrip) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <new>
 #include <thread>
 #include <utility>
@@ -297,6 +298,81 @@ TEST(StreamingSession, RingHoldsOneGateWindowPastTheHead) {
   const auto got = session.finalize();
   ASSERT_TRUE(got.has_value());
   expect_identical(*got, *expect);
+}
+
+/// Whether a streamed session's ring capacity follows the ASP schedule
+/// for every chunking: `reserved_samples()` is the head's chunk bound
+/// until the head plans the gates (the push holding the sample one past
+/// the head's last chunk window; never, when `gates` is false) and at most
+/// the gate bound from then on. The fix equals batch.
+void expect_reservation_follows_schedule(const sim::Session& batch, bool gates) {
+  const auto expect = core::try_localize(batch, {});
+  const SplitSession s = split(batch);
+  const core::PipelineContext context(core::PipelineConfig{}, s.meta.prior.chirp,
+                                      s.meta.audio.sample_rate);
+  const dsp::MatchedFilterDetector& det = context.detector();
+  const std::size_t head_chunks =
+      core::detail::head_chunks(det, context.asp_options(), s.meta.prior.nominal_period);
+  const std::size_t planned_at =
+      gates ? head_chunks * det.chunk_pairs() * det.pair_lags() + det.reference().size()
+            : std::numeric_limits<std::size_t>::max();
+  if (gates) {
+    ASSERT_LT(planned_at, s.mic1.size());
+  }
+  const std::size_t chunk_bound = retention_bound(s.meta, 4096);
+  const std::size_t gate = gate_bound(s.meta, 4096);
+  for (const auto& slices : chunkings(s.mic1.size())) {
+    SCOPED_TRACE(slices.size() == 1 ? slices[0] : slices.size());
+    core::StreamingSession session(s.meta);
+    EXPECT_EQ(session.reserved_samples(), chunk_bound);
+    std::size_t pos = 0;
+    for (std::size_t cursor = 0; pos < s.mic1.size(); ++cursor) {
+      const std::size_t len =
+          std::min(slices[cursor % slices.size()], s.mic1.size() - pos);
+      session.push(std::span<const double>(s.mic1).subspan(pos, len),
+                   std::span<const double>(s.mic2).subspan(pos, len));
+      pos += len;
+      if (pos < planned_at) {
+        ASSERT_EQ(session.reserved_samples(), chunk_bound) << "pushed " << pos;
+      } else {
+        ASSERT_LE(session.reserved_samples(), gate) << "pushed " << pos;
+      }
+    }
+    const auto got = session.finalize();
+    ASSERT_EQ(got.has_value(), expect.has_value());
+    if (expect.has_value()) {
+      expect_identical(*got, *expect);
+    } else {
+      EXPECT_EQ(got.error().message, expect.error().message);
+    }
+  }
+}
+
+TEST(StreamingSession, RingReservesOneGateWindowPastTheHead) {
+  // A gated session, a head without a chirp (the fallback keeps the chunk
+  // schedule) and a beacon period too short to gate (never planned).
+  const sim::Session gated = make_session(800);
+  // 128 KiB per session past the head, against 286 KiB over it, for the
+  // default chirp at 44.1 kHz.
+  EXPECT_EQ(gate_bound(gated, 4096) * sizeof(double), std::size_t{128} * 1024);
+  expect_reservation_follows_schedule(gated, true);
+  sim::Session silent_head = make_session(805);
+  const auto silent = static_cast<std::ptrdiff_t>(1.2 * silent_head.audio.sample_rate);
+  std::fill(silent_head.audio.mic1.begin(), silent_head.audio.mic1.begin() + silent, 0.0);
+  std::fill(silent_head.audio.mic2.begin(), silent_head.audio.mic2.begin() + silent, 0.0);
+  expect_reservation_follows_schedule(silent_head, false);
+  sim::ScenarioConfig c = small_scenario();
+  c.speaker.period_s = 0.12;
+  Rng rng(807);
+  const sim::Session short_period = sim::make_localization_session(c, rng);
+  {
+    const core::PipelineContext context(core::PipelineConfig{}, short_period.prior.chirp,
+                                        short_period.audio.sample_rate);
+    ASSERT_EQ(core::detail::head_chunks(context.detector(), context.asp_options(),
+                                        short_period.prior.nominal_period),
+              std::numeric_limits<std::size_t>::max());
+  }
+  expect_reservation_follows_schedule(short_period, false);
 }
 
 /// The session's ASP work counters over a whole-recording run.
