@@ -1,7 +1,9 @@
 #include "core/asp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -82,6 +84,51 @@ double estimate_period_with_arena(const std::vector<ChirpEvent>& events,
 /// GCC 12 RelWithDebInfo).
 constexpr std::size_t kGatesPerTask = 2;
 
+/// Gate lags [lo, hi] of one beacon gate; `final_gate` when hi is the
+/// recording's last lag, so the gate has no right neighbour lag.
+struct GateSpan {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  bool final_gate = false;
+};
+
+/// Where beacon-gated ASP searches after the head (DESIGN.md §9): gate j is
+/// centred on the arrival lag `line` predicts for chirp index first + j
+/// and reaches half_width lags to each side, clipped below to `begin` (the
+/// head's last lag) and above to the recording.
+struct GateSchedule {
+  LineFit line;                ///< fitted arrival lag against chirp index
+  std::size_t first = 0;       ///< chirp index of gate 0
+  std::size_t begin = 0;       ///< lowest gate lag: the head's last lag
+  std::size_t half_width = 0;  ///< MatchedFilterDetector::gate_half_width()
+
+  /// Centre lag of gate j, the fitted arrival of chirp index first + j.
+  [[nodiscard]] double centre(std::size_t j) const {
+    return std::round(line.intercept + static_cast<double>(first + j) * line.slope);
+  }
+  /// First lag of gate j: whatever the recording's length.
+  [[nodiscard]] std::size_t lo(std::size_t j) const {
+    return static_cast<std::size_t>(std::max(centre(j) - static_cast<double>(half_width),
+                                             static_cast<double>(begin)));
+  }
+  /// Gate j of a recording of `lags` correlation lags; nullopt when it
+  /// begins past the last lag.
+  [[nodiscard]] std::optional<GateSpan> gate(std::size_t j, std::size_t lags) const {
+    const std::size_t low = lo(j);
+    if (lags == 0 || low > lags - 1) return std::nullopt;
+    const std::size_t high = static_cast<std::size_t>(centre(j)) + half_width;
+    return GateSpan{low, std::min(high, lags - 1), high >= lags - 1};
+  }
+};
+
+/// The gates of the head of `head` chunks, whose line and first gate the
+/// plan fitted.
+GateSchedule gate_schedule(const dsp::MatchedFilterDetector& detector,
+                           const LineFit& line, std::size_t first, std::size_t head) {
+  const std::size_t head_end = head * detector.chunk_pairs() * detector.pair_lags();
+  return {line, first, head_end - 1, detector.gate_half_width()};
+}
+
 }  // namespace
 
 const PipelineContext& detail::resolve_context(const PipelineContext* context,
@@ -113,19 +160,6 @@ void detail::require_finite(std::span<const double> x, const char* channel,
                           std::to_string(index) + " is not finite");
 }
 
-std::size_t detail::GateSchedule::lo(std::size_t j) const {
-  return static_cast<std::size_t>(
-      std::max(centre(j) - static_cast<double>(half_width), static_cast<double>(begin)));
-}
-
-std::optional<detail::GateSpan> detail::GateSchedule::gate(std::size_t j,
-                                                           std::size_t lags) const {
-  const std::size_t low = lo(j);
-  if (lags == 0 || low > lags - 1) return std::nullopt;
-  const std::size_t high = static_cast<std::size_t>(centre(j)) + half_width;
-  return GateSpan{low, std::min(high, lags - 1), high >= lags - 1};
-}
-
 std::size_t detail::head_chunks(const dsp::MatchedFilterDetector& detector,
                                 const AspOptions& options, double nominal_period) {
   const double period = nominal_period * detector.config().sample_rate;
@@ -143,34 +177,151 @@ std::size_t detail::head_chunks(const dsp::MatchedFilterDetector& detector,
                          : std::numeric_limits<std::size_t>::max();
 }
 
-std::optional<detail::GateSchedule> detail::plan_gates(const PipelineContext& context,
-                                                       SessionWorkspace& workspace,
-                                                       double nominal_period,
-                                                       std::size_t head_end) {
-  const dsp::MatchedFilterDetector& detector = context.detector();
+detail::AspSchedule::AspSchedule(const PipelineContext& context,
+                                 SessionWorkspace& workspace, double nominal_period)
+    : context_(&context),
+      workspace_(&workspace),
+      nominal_period_(nominal_period),
+      head_(head_chunks(context.detector(), context.asp_options(), nominal_period)) {
+  for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
+    ChannelWorkspace& ch = workspace.channel(slot);
+    context.detector().stream_begin(ch.stream, ch.detector);
+  }
+}
+
+void detail::AspSchedule::step(std::span<const double> mic1, std::span<const double> mic2,
+                               std::size_t offset, std::size_t total, bool ended,
+                               const ChunkExecutor& executor, const PassHook& on_pass) {
+  // Tasks read shared immutable plans and the samples and write only their
+  // own result slots and their executor-provided scratch, so they may run
+  // in any order on any threads; every stitch is serial, in lag order. The
+  // executor gets each task by reference, so its Task does not allocate.
+  const dsp::MatchedFilterDetector& detector = context_->detector();
+  const std::size_t pairs = detector.chunk_pairs();
+  const std::size_t m = detector.reference().size();
+  const std::size_t chunks = detector.chunk_count(total, pairs);
+  const std::size_t lags = total >= m ? total - m + 1 : 0;
+  SessionWorkspace& ws = *workspace_;
+  AspWork& work = ws.asp_work();
+  const std::array<std::span<const double>, 2> mic{mic1, mic2};
+
+  // Chunks [next_chunk_, last) of both channels: task t passes chunk
+  // next_chunk_ + t % count of channel t / count.
+  const auto chunk_round = [&](std::size_t last) {
+    const std::size_t first = next_chunk_;
+    const std::size_t count = last - first;
+    const std::size_t n = SessionWorkspace::kChannels * count;
+    if (ws.chunk_passes().size() < n) ws.chunk_passes().resize(n);
+    std::vector<dsp::ChunkPass>& passes = ws.chunk_passes();
+    const auto task = [&](std::size_t t, ChunkScratch& scratch) {
+      const dsp::ChunkSpan span = detector.chunk_span(first + t % count, total, pairs);
+      detector.chunk_pass(mic[t / count].subspan(span.start - offset, span.size),
+                          span.start, span.final_chunk, scratch.detector, passes[t]);
+    };
+    work.helped_tasks += executor.run(n, std::cref(task));
+    work.tasks += n;
+    for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
+        ChannelWorkspace& ch = ws.channel(slot);
+        detector.stitch(passes[slot * count + i], ch.stream, ch.detector);
+        work.correlated_lags += passes[slot * count + i].lags;
+      }
+      if (on_pass) on_pass(passes[i].start + passes[i].lags + m - 1);
+    }
+    next_chunk_ = last;
+  };
+
+  // Gates [next_gate_, last): task t runs kGatesPerTask of them over both
+  // channels.
+  const auto gate_round = [&](const GateSchedule& gates, std::size_t last) {
+    const std::size_t first = next_gate_;
+    const std::size_t count = last - first;
+    if (ws.gate_passes().size() < count) ws.gate_passes().resize(count);
+    std::vector<dsp::GatePass>& passes = ws.gate_passes();
+    const std::size_t n = (count + kGatesPerTask - 1) / kGatesPerTask;
+    const auto task = [&](std::size_t t, ChunkScratch& scratch) {
+      const std::size_t end = std::min(count, (t + 1) * kGatesPerTask);
+      for (std::size_t i = t * kGatesPerTask; i < end; ++i) {
+        const GateSpan g = *gates.gate(first + i, lags);
+        detector.gate_pass(mic1, mic2, offset, g.lo, g.hi, g.final_gate, scratch.detector,
+                           passes[i]);
+      }
+    };
+    work.helped_tasks += executor.run(n, std::cref(task));
+    work.tasks += n;
+    for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
+        ChannelWorkspace& ch = ws.channel(slot);
+        detector.stitch_gate(passes[i], slot, ch.stream, ch.detector);
+      }
+      work.correlated_lags += SessionWorkspace::kChannels * passes[i].window_lags;
+      ++work.gates;
+      if (on_pass) on_pass(passes[i].lo - 1 + passes[i].window_lags + m - 1);
+    }
+    next_gate_ = last;
+  };
+
+  // Round one, the head's ready chunks; when they end it and the recording
+  // goes on, plan. Round two, the ready gates of the plan, or the ready
+  // chunks after a fallback.
+  for (;;) {
+    if (line_) {
+      const GateSchedule gates = gate_schedule(detector, *line_, first_gate_, head_);
+      std::size_t last = next_gate_;
+      for (std::optional<GateSpan> g = gates.gate(last, lags);
+           g && (ended || !g->final_gate); g = gates.gate(last, lags)) {
+        ++last;
+      }
+      if (last > next_gate_) gate_round(gates, last);
+      return;
+    }
+    const std::size_t limit = planned_ ? chunks : std::min(chunks, head_);
+    std::size_t last = next_chunk_;
+    while (last < limit &&
+           (ended || !detector.chunk_span(last, total, pairs).final_chunk)) {
+      ++last;
+    }
+    if (last > next_chunk_) chunk_round(last);
+    if (planned_ || next_chunk_ != head_ || head_ >= chunks) return;
+    plan();
+  }
+}
+
+void detail::AspSchedule::plan() {
+  planned_ = true;
+  const dsp::MatchedFilterDetector& detector = context_->detector();
   const double fs = detector.config().sample_rate;
-  ChannelWorkspace& ch = workspace.channel(0);
+  ChannelWorkspace& ch = workspace_->channel(0);
   // stream_end's rules over the head's candidates, which the gates'
   // stitch appends to; the staging is rewritten by end_asp.
   detector.select(ch.detector, ch.detections);
-  MonotonicArena& arena = workspace.arena();
+  MonotonicArena& arena = workspace_->arena();
   ArenaVector<double> times{ArenaAllocator<double>{arena}};
   for (const dsp::Detection& d : ch.detections) times.push_back(d.time_s);
   const std::optional<LineFit> fit = fit_arrival_line(
-      times, nominal_period, context.asp_options().min_calibration_events, arena);
-  if (!fit || !plausible_period(fit->slope, nominal_period)) return std::nullopt;
-  GateSchedule s;
-  s.intercept = fit->intercept * fs;
-  s.slope = fit->slope * fs;
-  s.begin = head_end - 1;
-  s.half_width = detector.gate_half_width();
-  const std::size_t gateable = 2 * s.half_width + 3 + detector.min_spacing_lags();
-  if (!(s.slope >= static_cast<double>(gateable))) return std::nullopt;
-  // Gate 0 is the first whose upper edge reaches the head's last lag.
-  while (s.centre(0) + static_cast<double>(s.half_width) < static_cast<double>(s.begin)) {
-    ++s.first;
+      times, nominal_period_, context_->asp_options().min_calibration_events, arena);
+  const std::size_t gateable =
+      2 * detector.gate_half_width() + 3 + detector.min_spacing_lags();
+  if (!fit || !plausible_period(fit->slope, nominal_period_) ||
+      !(fit->slope * fs >= static_cast<double>(gateable))) {
+    workspace_->asp_work().fallback = true;
+    return;
   }
-  return s;
+  const LineFit line{fit->intercept * fs, fit->slope * fs, fit->rms_residual};
+  GateSchedule gates = gate_schedule(detector, line, 0, head_);
+  // Gate 0 is the first whose upper edge reaches the head's last lag.
+  while (gates.centre(0) + static_cast<double>(gates.half_width) <
+         static_cast<double>(gates.begin)) {
+    ++gates.first;
+  }
+  line_ = gates.line;
+  first_gate_ = gates.first;
+}
+
+std::size_t detail::AspSchedule::keep() const {
+  // Until gated, the next chunk's start: the detector stream's cursor.
+  if (!line_) return workspace_->channel(0).stream.next_start;
+  return gate_schedule(context_->detector(), *line_, first_gate_, head_).lo(next_gate_) - 1;
 }
 
 AspResult detail::run_asp(const sim::StereoRecording& recording,
@@ -198,103 +349,17 @@ AspResult detail::run_asp(const sim::StereoRecording& recording,
     workspace = &*local_workspace;
   }
   workspace->reset();
-
-  // Tasks read shared immutable plans and the recording and write only
-  // their own result slots and their executor-provided scratch, so they may
-  // run in any order on any threads; every stitch is serial, in lag order.
-  const dsp::MatchedFilterDetector& detector = context->detector();
-  const std::size_t n = recording.mic1.size();
-  const std::size_t pairs = detector.chunk_pairs();
-  const std::size_t chunks = detector.chunk_count(n, pairs);
-  const std::size_t head =
-      std::min(chunks, head_chunks(detector, context->asp_options(), nominal_period));
-  workspace->chunk_passes().resize(SessionWorkspace::kChannels * chunks);
-  std::vector<dsp::ChunkPass>& passes = workspace->chunk_passes();
-  AspWork& work = workspace->asp_work();
+  // The whole recording is one step: the head's chunk tasks, then the gate
+  // tasks or the fallback's chunk tasks.
   const SerialChunkExecutor serial;
-  const ChunkExecutor& exec = executor != nullptr ? *executor : serial;
-  std::size_t tasks = 0;
-  std::size_t helped = 0;
-  const auto mic = [&](std::size_t slot) -> std::span<const double> {
-    return slot == 0 ? recording.mic1 : recording.mic2;
-  };
-
-  // Full search of chunks [first, last) of both channels: task t runs the
-  // chunk-local pass over chunk first + t % count of channel t / count,
-  // then each channel stitches them in chunk order.
-  const auto search_chunks = [&](std::size_t first, std::size_t last) {
-    const std::size_t count = last - first;
-    if (count == 0) return;
-    const auto run_task = [&](std::size_t t, ChunkScratch& scratch) {
-      const std::size_t slot = t / count;
-      const std::size_t k = first + t % count;
-      const dsp::ChunkSpan span = detector.chunk_span(k, n, pairs);
-      detector.chunk_pass(mic(slot).subspan(span.start, span.size), span.start,
-                          span.final_chunk, scratch.detector, passes[slot * chunks + k]);
-    };
-    helped += exec.run(SessionWorkspace::kChannels * count, run_task);
-    tasks += SessionWorkspace::kChannels * count;
-    for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
-      ChannelWorkspace& ch = workspace->channel(slot);
-      for (std::size_t k = first; k < last; ++k) {
-        detector.stitch(passes[slot * chunks + k], ch.stream, ch.detector);
-        work.correlated_lags += passes[slot * chunks + k].lags;
-      }
-    }
-  };
-
-  // Beacon gates of `schedule` over the rest of the recording: task t runs
-  // gates [t * kGatesPerTask, ...) of both channels, then each channel
-  // stitches them in gate order.
-  const auto search_gates = [&](const GateSchedule& schedule) {
-    const std::size_t lags = n - detector.reference().size() + 1;
-    std::size_t count = 0;
-    while (schedule.gate(count, lags)) ++count;
-    if (workspace->gate_passes().size() < count) workspace->gate_passes().resize(count);
-    std::vector<dsp::GatePass>& gates = workspace->gate_passes();
-    const auto run_task = [&](std::size_t t, ChunkScratch& scratch) {
-      const std::size_t last = std::min(count, (t + 1) * kGatesPerTask);
-      for (std::size_t j = t * kGatesPerTask; j < last; ++j) {
-        const GateSpan g = *schedule.gate(j, lags);
-        detector.gate_pass(recording.mic1, recording.mic2, 0, g.lo, g.hi, g.final_gate,
-                           scratch.detector, gates[j]);
-      }
-    };
-    const std::size_t gate_tasks = (count + kGatesPerTask - 1) / kGatesPerTask;
-    helped += exec.run(gate_tasks, run_task);
-    tasks += gate_tasks;
-    for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
-      ChannelWorkspace& ch = workspace->channel(slot);
-      for (std::size_t j = 0; j < count; ++j) {
-        detector.stitch_gate(gates[j], slot, ch.stream, ch.detector);
-        work.correlated_lags += gates[j].window_lags;
-      }
-    }
-    work.gates = count;
-  };
-
-  for (std::size_t slot = 0; slot < SessionWorkspace::kChannels; ++slot) {
-    ChannelWorkspace& ch = workspace->channel(slot);
-    detector.stream_begin(ch.stream, ch.detector);
-  }
-  // Round one, the head: the full search over its chunks. Round two, when
-  // the recording goes on past it: the gates the head's arrivals schedule,
-  // or the full search of the remaining chunks when they schedule none.
-  search_chunks(0, head);
-  if (head < chunks) {
-    const std::size_t head_end = head * pairs * detector.pair_lags();
-    const std::optional<GateSchedule> schedule =
-        plan_gates(*context, *workspace, nominal_period, head_end);
-    if (schedule) {
-      search_gates(*schedule);
-    } else {
-      work.fallback = true;
-      search_chunks(head, chunks);
-    }
-  }
+  AspSchedule(*context, *workspace, nominal_period)
+      .step(recording.mic1, recording.mic2, 0, recording.mic1.size(), true,
+            executor != nullptr ? *executor : serial);
   if (obs != nullptr && obs->metrics != nullptr) {
-    obs->metrics->counter("asp.chunk_tasks_total").inc(static_cast<double>(tasks));
-    obs->metrics->counter("asp.chunk_tasks_helped_total").inc(static_cast<double>(helped));
+    const AspWork& work = workspace->asp_work();
+    obs->metrics->counter("asp.chunk_tasks_total").inc(static_cast<double>(work.tasks));
+    obs->metrics->counter("asp.chunk_tasks_helped_total")
+        .inc(static_cast<double>(work.helped_tasks));
   }
   return detail::end_asp(*context, *workspace, nominal_period, calibration_duration,
                          obs);

@@ -10,35 +10,36 @@
 /// The execution seam between the core pipeline and whatever thread
 /// infrastructure the host runtime owns.
 ///
-/// The ASP stage splits into independent tasks: (channel, detector-chunk)
-/// tasks, each running the detector's chunk-local pass over one chunk of
-/// one microphone channel, and beacon-gate tasks over both channels. Each
-/// reads shared immutable plans and the recording and writes its own
-/// result slots. core cannot depend on runtime (the
+/// The ASP stage splits into independent tasks: each round of the one ASP
+/// schedule walker (`detail::AspSchedule`, which batch sessions step once
+/// and live streams step per ingest slice) runs (channel, detector-chunk)
+/// tasks, each the detector's chunk-local pass over one chunk of one
+/// microphone channel, or beacon-gate tasks over both channels. Each
+/// reads shared immutable plans and the samples and writes its own
+/// result slot in the session's workspace. core cannot depend on runtime (the
 /// library layering is common -> ... -> core -> runtime), and spawning
 /// threads inside the pipeline would fight the runtime's own pool sizing.
 /// `ChunkExecutor` inverts the dependency: core states *what* can run
 /// concurrently, the runtime decides *where* (runtime::Engine fans the
-/// tasks out over idle pool workers; everyone else runs them serially).
+/// tasks out over idle pool workers; everyone else, live streams included,
+/// runs them serially).
 
 namespace hyperear::core {
 
 /// Scratch for one ASP chunk or gate pass: the detector's per-chunk buffers
-/// (FFT lanes, raw correlation, peak lags, prefix sums, the chunk pass
-/// result handed to the stitch) and a StreamingSession's gate result; the
-/// pass reads the recording in place. It belongs to
-/// the thread that runs the pass, not to the session, so memory is
-/// threads x one chunk's working set however many sessions are open.
-/// Contents carry no information between passes; only capacity is
+/// (FFT lanes, raw correlation, peak lags, prefix sums); the pass reads
+/// the samples in place and writes its result to the session's workspace.
+/// It belongs to the thread that runs the pass, not to the session, so
+/// memory is threads x one chunk's working set however many sessions are
+/// open. Contents carry no information between passes; only capacity is
 /// retained.
 struct ChunkScratch {
   dsp::DetectorWorkspace detector;  ///< per-chunk detector scratch
-  dsp::GatePass gate;               ///< a live stream's gate result
 };
 
 /// Exclusive use of the calling thread's ChunkScratch for the lease's
-/// lifetime. Every chunk pass in the library runs on one: the serial and
-/// pool executors take one per task, StreamingSession one per push. Each
+/// lifetime. Every chunk pass in the library runs on one: the pool
+/// executor takes one per task, the serial executor one per round. Each
 /// thread owns exactly one scratch, created on its first lease and freed
 /// when the thread exits. A second lease on the same thread while one is
 /// live would hand two passes the same buffers; checked builds fail that

@@ -1,22 +1,23 @@
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <span>
 
 #include "common/expected.hpp"
+#include "common/math_util.hpp"
 #include "core/pipeline.hpp"
 
 /// @file pipeline_detail.hpp
 /// The seams that let the batch pipeline and the incremental ingest path
 /// (core/streaming_session.hpp) run one implementation: the ASP stage with
-/// its plan and scratch resolution, the beacon-gated schedule, the ASP tail
-/// after the last stitched chunk or gate, and the session shell around the
-/// stages. Not a stable public
-/// surface — batch callers use `try_localize` / `preprocess_audio`; these
-/// exist so the streamed and batch spellings cannot drift.
+/// its plan and scratch resolution, the one ASP schedule walker
+/// (`AspSchedule`: head chunks, then gates or the fallback chunks, which
+/// both paths step), the ASP tail after the last stitched chunk or gate,
+/// and the session shell around the stages. Not a stable public surface —
+/// batch callers use `try_localize` / `preprocess_audio`; these exist so
+/// the streamed and batch spellings cannot drift.
 
 namespace hyperear::obs {
 struct ObsContext;
@@ -44,37 +45,6 @@ const PipelineContext& resolve_context(const PipelineContext* context,
 /// finite.
 void require_finite(std::span<const double> x, const char* channel, std::size_t offset);
 
-/// Gate lags [lo, hi] of one beacon gate; `final_gate` when hi is the
-/// recording's last lag, so the gate has no right neighbour lag.
-struct GateSpan {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  bool final_gate = false;
-};
-
-/// Where beacon-gated ASP searches after the head (DESIGN.md §9): the
-/// head's mic1 arrivals fitted against their chirp indices (estimate_period's
-/// rule), in lags. Gate j is centred on the arrival the line predicts for
-/// chirp index first + j and reaches half_width lags to each side, clipped
-/// below to `begin` (the head's last lag) and above to the recording.
-struct GateSchedule {
-  double intercept = 0.0;      ///< fitted arrival lag of chirp index 0
-  double slope = 0.0;          ///< fitted beacon period, lags
-  std::size_t first = 0;       ///< chirp index of gate 0
-  std::size_t begin = 0;       ///< lowest gate lag: the head's last lag
-  std::size_t half_width = 0;  ///< MatchedFilterDetector::gate_half_width()
-
-  /// Centre lag of gate j, the fitted arrival of chirp index first + j.
-  [[nodiscard]] double centre(std::size_t j) const {
-    return std::round(intercept + static_cast<double>(first + j) * slope);
-  }
-  /// First lag of gate j: whatever the recording's length.
-  [[nodiscard]] std::size_t lo(std::size_t j) const;
-  /// Gate j of a recording of `lags` correlation lags; nullopt when it
-  /// begins past the last lag.
-  [[nodiscard]] std::optional<GateSpan> gate(std::size_t j, std::size_t lags) const;
-};
-
 /// One-pair chunks of the full-search head: the fewest whose lags cover
 /// max(min_calibration_events, 2) nominal periods (4 chunks, 1.09 s, with
 /// the defaults). SIZE_MAX — the whole recording is head — when the
@@ -84,16 +54,59 @@ struct GateSchedule {
 [[nodiscard]] std::size_t head_chunks(const dsp::MatchedFilterDetector& detector,
                                       const AspOptions& options, double nominal_period);
 
-/// The gate schedule after the head's chunks [0, head_end lags) are
-/// stitched into `workspace`: fit the arrivals that stream_end's rules
-/// select from channel 0's head candidates. nullopt — the caller falls
-/// back to the full search — when fewer than max(min_calibration_events,
-/// 2) arrivals were selected, or the fitted period leaves (0.5, 1.5) times
-/// the nominal one or is too short to gate.
-[[nodiscard]] std::optional<GateSchedule> plan_gates(const PipelineContext& context,
-                                                     SessionWorkspace& workspace,
-                                                     double nominal_period,
-                                                     std::size_t head_end);
+/// The ASP stage's one pass schedule (DESIGN.md §9 "Beacon-gated ASP"):
+/// the full search over the head's `head_chunks` chunks, then the beacon
+/// gates the head's arrivals plan the moment its last chunk is stitched,
+/// or the remaining chunks when they plan none (the fallback). Batch
+/// `run_asp` steps it once over the whole recording; a `StreamingSession`
+/// steps it after every ingest slice and at `finalize`. Constructing it
+/// begins both channels' detector streams in `workspace`; `context` and
+/// `workspace` must outlive it, and the workspace's AspWork counts what
+/// it runs.
+class AspSchedule {
+ public:
+  /// Called after each pass is stitched into both channels, with the
+  /// first recording sample the pass did not read, before the schedule
+  /// plans anything on the stitched candidates.
+  using PassHook = std::function<void(std::size_t frontier)>;
+
+  AspSchedule(const PipelineContext& context, SessionWorkspace& workspace,
+              double nominal_period);
+
+  /// Run every ready pass over `mic1` and `mic2`, which hold recording
+  /// samples [offset, offset + size) of the `total` received so far, from
+  /// `keep()` on. Before the stream has `ended` the schedule is laid over
+  /// the `total` samples, and a pass is ready unless it is the last of
+  /// that schedule: it is then complete and certainly not the recording's
+  /// last, exactly as the schedule over the true length says. Once
+  /// `ended`, every remaining pass is ready. Ready passes run in rounds on
+  /// `executor` (2 chunk tasks per chunk, a gate task per two gates), their
+  /// results staged in the workspace, and each is stitched in schedule
+  /// order, followed by `on_pass`.
+  void step(std::span<const double> mic1, std::span<const double> mic2,
+            std::size_t offset, std::size_t total, bool ended,
+            const ChunkExecutor& executor, const PassHook& on_pass = {});
+
+  /// The lowest recording sample any remaining pass reads.
+  [[nodiscard]] std::size_t keep() const;
+  /// Whether the head planned gates, so every remaining pass is a gate.
+  [[nodiscard]] bool gated() const { return line_.has_value(); }
+
+ private:
+  /// Fit the gate line to the head's stitched candidates, or fall back.
+  void plan();
+
+  const PipelineContext* context_;
+  SessionWorkspace* workspace_;
+  double nominal_period_;
+  std::size_t head_;            ///< head_chunks of the session
+  std::size_t next_chunk_ = 0;  ///< next chunk of the detector's schedule
+  std::size_t next_gate_ = 0;   ///< next gate of the planned line
+  bool planned_ = false;        ///< the head's last chunk was stitched and planned
+  /// Once gated: the head's fitted arrival lag against chirp index.
+  std::optional<LineFit> line_;
+  std::size_t first_gate_ = 0;  ///< chirp index of gate 0
+};
 
 /// The one ASP implementation behind both `preprocess_audio` spellings and
 /// `try_localize`. Plans come from `resolve_context` with the recording's

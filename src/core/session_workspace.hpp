@@ -60,6 +60,8 @@ struct AspWork {
   std::size_t correlated_lags = 0;
   std::size_t gates = 0;   ///< beacon gates run (each covers both channels)
   bool fallback = false;   ///< the head gave no schedule: full search after it
+  std::size_t tasks = 0;         ///< executor tasks run (batch telemetry only)
+  std::size_t helped_tasks = 0;  ///< of them, tasks a helper thread ran
 };
 
 /// Reusable per-worker state for the canonical pipeline entry points
@@ -77,12 +79,13 @@ class SessionWorkspace {
     return channels_[index];
   }
 
-  /// The ASP stage's chunk-pass results, one per (channel, chunk) task,
-  /// channel-major in schedule order.
+  /// The chunk-pass results of one round of the ASP schedule, one per
+  /// (channel, chunk) task, channel-major in schedule order. Grown to the
+  /// largest round, never shrunk, so warm sessions reuse their capacity.
   [[nodiscard]] std::vector<dsp::ChunkPass>& chunk_passes() { return chunk_passes_; }
 
-  /// The batch ASP stage's gate results, one per beacon gate in schedule
-  /// order. Grown, never shrunk, so warm sessions reuse their capacity.
+  /// The gate results of one round of the ASP schedule, one per beacon
+  /// gate in schedule order; grown like `chunk_passes`.
   [[nodiscard]] std::vector<dsp::GatePass>& gate_passes() { return gate_passes_; }
 
   /// This session's ASP work counts, zeroed by `reset`.

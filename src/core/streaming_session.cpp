@@ -4,6 +4,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "core/parallel.hpp"
 #include "core/pipeline_context.hpp"
 #include "core/pipeline_detail.hpp"
 #include "core/session_workspace.hpp"
@@ -50,17 +51,12 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
     ctx_error_ = std::current_exception();
   }
   if (context_ != nullptr) {
-    // The ring's high-water mark over the head: run_detector leaves at
-    // most one chunk behind and one ingest slice adds at most the slice,
-    // so a ring reserved at that bound never regrows.
+    // The ring's high-water mark over the head: a step leaves at most one
+    // chunk behind and one ingest slice adds at most the slice, so a ring
+    // reserved at that bound never regrows.
     const dsp::MatchedFilterDetector& det = context_->detector();
-    head_chunks_ =
-        detail::head_chunks(det, context_->asp_options(), meta_.prior.nominal_period);
+    schedule_.emplace(*context_, *ws_, meta_.prior.nominal_period);
     reserve_rings(det.chunk_samples(det.chunk_pairs()) + kIngestSlice);
-    for (std::size_t slot = 0; slot < 2; ++slot) {
-      ChannelWorkspace& cw = ws_->channel(slot);
-      det.stream_begin(cw.stream, cw.detector);
-    }
   }
   slide1_mark_s_ = meta_.prior.calibration_duration;
   if (meta_.prior.two_statures && meta_.imu.size() > 0 && meta_.imu.sample_rate > 0.0) {
@@ -90,7 +86,6 @@ void StreamingSession::push(std::span<const double> mic1, std::span<const double
     return;
   }
   const obs::MonotonicTime t0 = obs::monotonic_now();
-  const ThreadScratchLease lease;
   // Append and detect one bounded slice at a time, so a large push (a
   // whole recording, a drained inbox) never holds more than the ring's
   // reserved bound. Detection is chunking-invariant, so the slicing
@@ -101,7 +96,7 @@ void StreamingSession::push(std::span<const double> mic1, std::span<const double
     append(channels_[1], mic2.subspan(pos, n), total_);
     total_ += n;
     note_retained();
-    run_detector(false, lease.scratch());
+    step_schedule(false);
   }
   asp_ms_ += obs::ms_since(t0);
 }
@@ -134,7 +129,7 @@ void StreamingSession::reserve_rings(std::size_t capacity) {
 }
 
 void StreamingSession::compact(std::size_t keep) {
-  // Runs once per chunk or gate, so the erase is O(1) amortized per
+  // Runs once per ingest slice, so the erase is O(1) amortized per
   // incoming sample.
   for (Channel& ch : channels_) {
     if (keep <= ch.ring_start) continue;
@@ -144,93 +139,25 @@ void StreamingSession::compact(std::size_t keep) {
   }
 }
 
-void StreamingSession::run_detector(bool drain_all, ChunkScratch& scratch) {
-  if (!gates_) run_chunks(drain_all, scratch);
-  if (gates_) run_gates(drain_all, scratch);
-}
-
-void StreamingSession::after_pass(std::size_t frontier) {
-  collect_candidates(0, channels_[0]);
-  collect_candidates(1, channels_[1]);
-  scan_zero_crossings(false);
-  advance_phase(frontier);
-}
-
-void StreamingSession::run_chunks(bool drain_all, ChunkScratch& scratch) {
-  const dsp::MatchedFilterDetector& det = context_->detector();
-  const std::size_t pairs = det.chunk_pairs();
-  // Before the end of the stream, lay the schedule over the samples so
-  // far: every chunk of it but the last is then certainly full and
-  // certainly not the recording's last, exactly as the schedule over the
-  // true length will say. At the end of the stream the length is known
-  // and the remaining chunks run through the final one. Both rings
-  // always hold the same span of samples. Until the head is planned only
-  // its chunks run.
-  const std::size_t chunks = det.chunk_count(total_, pairs);
-  while (next_chunk_ < (planned_ ? chunks : std::min(chunks, head_chunks_))) {
-    const dsp::ChunkSpan span = det.chunk_span(next_chunk_, total_, pairs);
-    if (span.final_chunk && !drain_all) return;
-    for (std::size_t slot = 0; slot < 2; ++slot) {
-      Channel& ch = channels_[slot];
-      ChannelWorkspace& cw = ws_->channel(slot);
-      const std::span<const double> seg(ch.ring.data() + (span.start - ch.ring_start),
-                                        span.size);
-      det.chunk_pass(seg, span.start, span.final_chunk, scratch.detector,
-                     scratch.detector.pass);
-      det.stitch(scratch.detector.pass, cw.stream, cw.detector);
-      ws_->asp_work().correlated_lags += scratch.detector.pass.lags;
-    }
-    after_pass(span.start + span.size);
-    ++next_chunk_;
-    // Nothing reads the rings after the recording's last chunk, whose
-    // next start may lie past their end.
-    if (span.final_chunk) return;
-    // Keep the samples from the next chunk's start, or, once the head has
-    // scheduled gates, from the first gate's window.
-    std::size_t keep = ws_->channel(0).stream.next_start;
-    if (!planned_ && next_chunk_ == head_chunks_) {
-      planned_ = true;
-      gates_ = detail::plan_gates(*context_, *ws_, meta_.prior.nominal_period, keep);
-      if (gates_) {
-        keep = gates_->lo(0) - 1;
-      } else {
-        ws_->asp_work().fallback = true;
-      }
-    }
-    compact(keep);
-    if (gates_) {
-      // Past the head a ring holds at most one gate window, which fits the
-      // gate transform, plus one ingest slice.
-      reserve_rings(det.gate_fft_size() + kIngestSlice);
-      return;
-    }
-  }
-}
-
-void StreamingSession::run_gates(bool drain_all, ChunkScratch& scratch) {
-  const dsp::MatchedFilterDetector& det = context_->detector();
-  const std::size_t m = det.reference().size();
-  // The schedule over the samples so far, as for chunks: a gate that is
-  // not the last of it has its right neighbour lag, hence its whole
-  // window, and is certainly not the recording's last.
-  const std::size_t lags = total_ >= m ? total_ - m + 1 : 0;
-  for (;;) {
-    const std::optional<detail::GateSpan> g = gates_->gate(next_gate_, lags);
-    if (!g || (g->final_gate && !drain_all)) return;
-    const Channel& ch = channels_[0];
-    det.gate_pass(ch.ring, channels_[1].ring, ch.ring_start, g->lo, g->hi, g->final_gate,
-                  scratch.detector, scratch.gate);
-    for (std::size_t slot = 0; slot < 2; ++slot) {
-      ChannelWorkspace& cw = ws_->channel(slot);
-      det.stitch_gate(scratch.gate, slot, cw.stream, cw.detector);
-    }
-    AspWork& work = ws_->asp_work();
-    work.correlated_lags += 2 * scratch.gate.window_lags;
-    ++work.gates;
-    after_pass(g->lo - 1 + scratch.gate.window_lags + m - 1);
-    ++next_gate_;
-    if (g->final_gate) return;
-    compact(gates_->lo(next_gate_) - 1);
+void StreamingSession::step_schedule(bool ended) {
+  // The serial executor leases the thread's chunk scratch for the passes;
+  // the stitches and the events touch only the session.
+  const SerialChunkExecutor serial;
+  schedule_->step(channels_[0].ring, channels_[1].ring, channels_[0].ring_start, total_,
+                  ended, serial, [this](std::size_t frontier) {
+                    collect_candidates(0, channels_[0]);
+                    collect_candidates(1, channels_[1]);
+                    scan_zero_crossings(false);
+                    advance_phase(frontier);
+                  });
+  // Nothing reads the rings after the stream's end.
+  if (ended) return;
+  compact(schedule_->keep());
+  // Past the head a ring holds at most one gate window, which fits the
+  // gate transform, plus one ingest slice.
+  const std::size_t gate_bound = context_->detector().gate_fft_size() + kIngestSlice;
+  if (schedule_->gated() && channels_[0].ring.capacity() != gate_bound) {
+    reserve_rings(gate_bound);
   }
 }
 
@@ -316,10 +243,7 @@ Expected<LocalizationResult, PipelineError> StreamingSession::finalize(
         // building a context).
         require(total_ > 0, "preprocess_audio: empty recording");
         if (ctx_error_) std::rethrow_exception(ctx_error_);
-        {
-          const ThreadScratchLease lease;
-          run_detector(true, lease.scratch());
-        }
+        step_schedule(true);
         scan_zero_crossings(true);
         advance_phase(total_);
         AspResult asp = detail::end_asp(*context_, *ws_, meta_.prior.nominal_period,

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/expected.hpp"
-#include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "core/pipeline_context.hpp"
 #include "core/pipeline_detail.hpp"
@@ -28,10 +27,10 @@
 /// `finalize()` then completes the pipeline (SFO fit, MSP, TTL/PLE) and
 /// returns a fix that is BIT-IDENTICAL to `core::try_localize` on the
 /// concatenated audio — for every chunking — because it runs the batch
-/// code: the head's chunks of the detector's one chunk schedule (chunk
-/// pass and stitch), the gate schedule the head's arrivals fit
-/// (`detail::plan_gates`), each gate's pass and stitch, or after a fallback
-/// the remaining chunks, then the batch ASP tail and session shell
+/// code: after every ingest slice it steps the batch stage's one schedule
+/// walker (`detail::AspSchedule`: the head's chunks, then the gates the
+/// head's arrivals plan, or after a fallback the remaining chunks) over its
+/// rings, and at `finalize` the batch ASP tail and session shell
 /// (core/pipeline_detail.hpp). A chunk runs once a sample past it has
 /// arrived, a gate once the sample past its right neighbour lag's window
 /// has: then neither can be the recording's last, so it is the batch
@@ -39,8 +38,9 @@
 /// tests/test_streaming.cpp holds the property test.
 ///
 /// Memory: a session holds per channel a ring of raw samples, reserved at
-/// the bound of the schedule it runs, plus the stitch's staging in its
-/// workspace (the pass-1 candidates). Over the head the bound is one
+/// the bound of the schedule it runs, plus its workspace's staging: the
+/// pass-1 candidates and one round's pass results (a chunk of both
+/// channels, or a gate). Over the head the bound is one
 /// detector chunk (one OLS pair: 14180 samples for the default chirp at
 /// 44.1 kHz) plus one ingest slice (4096 samples), about 143 KiB per
 /// channel; a fallback after the head and a period too short to gate keep
@@ -52,9 +52,9 @@
 /// size, and `retained_samples()` (high-water mark:
 /// `peak_retained_samples()`) and `reserved_samples()` are constants
 /// independent of how long the user records. The detector's
-/// per-chunk working set is not the session's: each push leases the
-/// calling thread's core::ChunkScratch, so an idle open session costs no
-/// chunk scratch at all.
+/// per-chunk working set is not the session's: each step's serial
+/// executor leases the calling thread's core::ChunkScratch, so an idle
+/// open session costs no chunk scratch at all.
 ///
 /// Ownership follows the pipeline's context/workspace split: the optional
 /// `PipelineContext` is shared immutable plans; the `SessionWorkspace`
@@ -149,10 +149,13 @@ class StreamingSession {
   void push(std::span<const double> mic1, std::span<const double> mic2);
 
   /// End of audio: flush the detector tail, assemble the AspResult, and
-  /// run the pipeline's back half. Return value, error
-  /// classification, StageMetrics shape, and registry/trace telemetry all
-  /// match `core::try_localize(session_with_full_audio, config, ...)`.
-  /// Appends the terminal phase_change/fix events. Call at most once.
+  /// run the pipeline's back half. Return value, error classification,
+  /// StageMetrics shape, and trace spans match
+  /// `core::try_localize(session_with_full_audio, config, ...)`, and so
+  /// does registry telemetry but for the batch executor series
+  /// `asp.chunk_tasks_total` and `asp.chunk_tasks_helped_total`, which
+  /// only the batch stage records. Appends the terminal phase_change/fix
+  /// events. Call at most once.
   [[nodiscard]] Expected<LocalizationResult, PipelineError> finalize(
       StageMetrics* metrics = nullptr, const obs::ObsContext* obs = nullptr);
 
@@ -191,19 +194,12 @@ class StreamingSession {
   void reserve_rings(std::size_t capacity);
   /// Drop every ring sample below recording index `keep`.
   void compact(std::size_t keep);
-  /// Run every chunk or gate of the batch schedule (head chunks, then gates
-  /// or the remaining chunks) that is certainly complete and non-final;
-  /// with `drain_all` (the length is known), every remaining one through
-  /// the final one. Passes run on `scratch`, the calling thread's; only the
-  /// stitch touches the session.
-  void run_detector(bool drain_all, ChunkScratch& scratch);
-  /// The chunk half of run_detector; plans the gates after the head.
-  void run_chunks(bool drain_all, ChunkScratch& scratch);
-  /// The gate half of run_detector.
-  void run_gates(bool drain_all, ChunkScratch& scratch);
-  /// Stitched-candidate events and phase marks after a pass that read the
-  /// samples below `frontier`.
-  void after_pass(std::size_t frontier);
+  /// Step the ASP schedule over the rings: every ready pass, or once the
+  /// stream has `ended` every remaining one, each followed by its
+  /// stitched-candidate events and phase marks. Before the end, compact
+  /// the rings to what the remaining passes read, and move them to the
+  /// gate bound once the head has planned gates.
+  void step_schedule(bool ended);
   /// Consume newly stitched pass-1 candidates of one channel into events.
   void collect_candidates(std::size_t slot, Channel& ch);
   /// Emit sdf_zero_cross events that can no longer change, or (at
@@ -225,13 +221,11 @@ class StreamingSession {
   std::unique_ptr<SessionWorkspace> owned_workspace_;
   SessionWorkspace* ws_ = nullptr;
 
+  /// The batch ASP schedule, stepped as samples arrive; engaged iff
+  /// context_ is.
+  std::optional<detail::AspSchedule> schedule_;
   Channel channels_[2];
   std::size_t total_ = 0;          ///< raw samples pushed per channel
-  std::size_t next_chunk_ = 0;     ///< next chunk of the detector's schedule
-  std::size_t head_chunks_ = 0;    ///< detail::head_chunks of this session
-  bool planned_ = false;           ///< the head ended and plan_gates ran
-  std::optional<detail::GateSchedule> gates_;  ///< the head's gate schedule
-  std::size_t next_gate_ = 0;      ///< next gate of gates_
   double asp_ms_ = 0.0;            ///< detect wall time across pushes
 
   std::vector<StreamEvent> events_;

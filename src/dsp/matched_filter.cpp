@@ -162,7 +162,9 @@ void MatchedFilterDetector::detect_into(std::span<const double> recording,
   const std::size_t chunks = chunk_count(recording.size(), chunk_pairs());
   for (std::size_t k = 0; k < chunks; ++k) {
     const ChunkSpan span = chunk_span(k, recording.size(), chunk_pairs());
-    stream_chunk(recording.subspan(span.start, span.size), span.final_chunk, stream, ws);
+    chunk_pass(recording.subspan(span.start, span.size), span.start, span.final_chunk, ws,
+               ws.pass);
+    stitch(ws.pass, stream, ws);
   }
   stream_end(stream, ws, out, obs);
 }
@@ -197,13 +199,6 @@ void MatchedFilterDetector::stream_begin(DetectorStream& stream,
   // parabolic refinement — reads it across chunk boundaries in the stitch.
   stream = DetectorStream{};
   ws.candidates.clear();
-}
-
-void MatchedFilterDetector::stream_chunk(std::span<const double> seg, bool final_chunk,
-                                         DetectorStream& stream,
-                                         DetectorWorkspace& ws) const {
-  chunk_pass(seg, stream.next_start, final_chunk, ws, ws.pass);
-  stitch(ws.pass, stream, ws);
 }
 
 void MatchedFilterDetector::chunk_pass(std::span<const double> seg, std::size_t start,

@@ -165,10 +165,10 @@ CorrelationScan scan_correlation(std::span<const double> raw,
 /// itself as samples arrive. Plain data — persist one per live stream
 /// (next to the stream's DetectorWorkspace, whose `candidates` carry the
 /// pass-1 output between calls) and drive it with
-/// MatchedFilterDetector::stream_begin / stream_chunk (or chunk_pass +
-/// stitch) / stream_end. `detect_into` is
-/// itself written as begin -> chunk loop -> end over this struct, so the
-/// streamed and batch spellings share every instruction.
+/// MatchedFilterDetector::stream_begin / chunk_pass + stitch per chunk /
+/// stream_end. `detect_into` is itself written as begin -> chunk loop ->
+/// end over this struct, so the streamed and batch spellings share every
+/// instruction.
 struct DetectorStream {
   /// The previous chunk's last-lag candidate, held until the next chunk's
   /// first lag is known: that lag resolves its right-neighbor comparison
@@ -229,7 +229,9 @@ class MatchedFilterDetector {
   /// Streaming protocol. Detection of a recording of (eventual) length N
   /// with P pairs per chunk is
   ///   stream_begin(st, ws);
-  ///   for k < chunk_count(N, P): stream_chunk(seg of chunk_span(k, N, P), final, st, ws);
+  ///   for k < chunk_count(N, P), span = chunk_span(k, N, P):
+  ///     chunk_pass(seg of span, span.start, span.final_chunk, ws, ws.pass);
+  ///     stitch(ws.pass, st, ws);
   ///   stream_end(st, ws, out, obs);
   /// Chunk k covers lags [k*P*pair_lags(), (k+1)*P*pair_lags()) clipped to
   /// the recording's N - reference + 1 lags, and the samples those lags
@@ -244,12 +246,7 @@ class MatchedFilterDetector {
   /// in the chunk count.
   void stream_begin(DetectorStream& stream, DetectorWorkspace& ws) const;
 
-  /// Process the chunk starting at stream.next_start: exactly `chunk_pass`
-  /// into `ws.pass` followed by `stitch`.
-  void stream_chunk(std::span<const double> seg, bool final_chunk,
-                    DetectorStream& stream, DetectorWorkspace& ws) const;
-
-  /// The chunk-local half of `stream_chunk`: correlate the chunk starting
+  /// The chunk-local half of a chunk's step: correlate the chunk starting
   /// at recording index `start` (a multiple of pair_lags()), normalize,
   /// gate and pick peaks, all inside the chunk. `seg` holds at least one
   /// lag (reference().size() samples); unless `final_chunk`, its lags are
@@ -262,7 +259,7 @@ class MatchedFilterDetector {
   void chunk_pass(std::span<const double> seg, std::size_t start, bool final_chunk,
                   DetectorWorkspace& scratch, ChunkPass& out) const;
 
-  /// The serial half of `stream_chunk`: apply the cross-chunk rules to the
+  /// The serial half of a chunk's step: apply the cross-chunk rules to the
   /// chunk pass of the chunk starting at stream.next_start (checked). It
   /// resolves the previous chunk's pending tail against this chunk's first
   /// lag, runs the head's left-neighbor test against the previous chunk's

@@ -304,14 +304,17 @@ std::vector<Detection> stream_detect(const MatchedFilterDetector& det,
     avail = std::min(x.size(),
                      avail + slice_sizes[cursor++ % slice_sizes.size()]);
     while (avail > stream.next_start + chunk) {
-      det.stream_chunk(x.subspan(stream.next_start, chunk), false, stream, ws);
+      det.chunk_pass(x.subspan(stream.next_start, chunk), stream.next_start, false, ws,
+                     ws.pass);
+      det.stitch(ws.pass, stream, ws);
     }
   }
   while (x.size() >= ref_len && stream.next_start <= x.size() - ref_len) {
     const std::size_t start = stream.next_start;
     const std::size_t len = std::min(chunk, x.size() - start);
     const bool final_chunk = start + len == x.size();
-    det.stream_chunk(x.subspan(start, len), final_chunk, stream, ws);
+    det.chunk_pass(x.subspan(start, len), start, final_chunk, ws, ws.pass);
+    det.stitch(ws.pass, stream, ws);
     if (final_chunk) break;
   }
   std::vector<Detection> out;
@@ -401,7 +404,7 @@ TEST(MatchedFilter, ArrivalOnChunkSeamDetectedOnce) {
 
 TEST(MatchedFilter, StreamProtocolBitIdenticalToDetectAcrossChunkings) {
   // The detector half of the streaming tentpole: the stream_begin /
-  // stream_chunk / stream_end protocol driven by ANY arrival pattern of
+  // chunk_pass + stitch / stream_end protocol driven by ANY arrival pattern of
   // samples must reproduce detect() bit for bit — candidates are keyed to
   // the chunk schedule, never to how a caller buffered the audio.
   const Chirp chirp{ChirpParams{}};

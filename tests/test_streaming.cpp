@@ -21,6 +21,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/parallel.hpp"
 #include "core/pipeline_detail.hpp"
 #include "core/streaming_session.hpp"
 #include "dsp/matched_filter.hpp"
@@ -102,11 +103,12 @@ sim::Session make_session(std::uint64_t seed, bool two_statures = false) {
 }
 
 /// Push the split audio through a fresh StreamingSession in slices of the
-/// given sizes (cycled) and finalize.
+/// given sizes (cycled) and finalize, with `obs` on finalize.
 Expected<core::LocalizationResult, core::PipelineError> run_streamed(
     const SplitSession& s, const std::vector<std::size_t>& slice_sizes,
     std::vector<core::StreamEvent>* events = nullptr,
-    std::size_t* peak_retained = nullptr, core::StageMetrics* metrics = nullptr) {
+    std::size_t* peak_retained = nullptr, core::StageMetrics* metrics = nullptr,
+    const obs::ObsContext* obs = nullptr) {
   core::StreamingSession session(s.meta);
   std::size_t pos = 0;
   std::size_t cursor = 0;
@@ -117,7 +119,7 @@ Expected<core::LocalizationResult, core::PipelineError> run_streamed(
                  std::span<const double>(s.mic2).subspan(pos, len));
     pos += len;
   }
-  auto r = session.finalize(metrics);
+  auto r = session.finalize(metrics, obs);
   if (events != nullptr) *events = session.events();
   if (peak_retained != nullptr) *peak_retained = session.peak_retained_samples();
   return r;
@@ -142,21 +144,50 @@ std::vector<std::vector<std::size_t>> chunkings(std::size_t n) {
   return {{n}, {100003}, {1009}, {44100, 1, 977, 65536, 3}};
 }
 
+/// One session's ASP work counters, as its registry recorded them.
+struct AspCounts {
+  double lags = 0.0;
+  double gates = 0.0;
+  double fallback = 0.0;
+};
+
+AspCounts asp_counts(obs::MetricsRegistry& r) {
+  return {r.counter("asp.correlated_lags_total").value(),
+          r.counter("asp.gates_total").value(),
+          r.counter("asp.acquisition_fallback_total").value()};
+}
+
+/// A streamed session's ASP work counters equal the batch run's `want`:
+/// both paths ran the same chunks and gates.
+void expect_batch_asp_work(obs::MetricsRegistry& streamed, const AspCounts& want) {
+  const AspCounts got = asp_counts(streamed);
+  EXPECT_EQ(got.lags, want.lags);
+  EXPECT_EQ(got.gates, want.gates);
+  EXPECT_EQ(got.fallback, want.fallback);
+}
+
 TEST(StreamingSession, FixBitIdenticalToBatchForEveryChunking2D) {
   const sim::Session batch = make_session(800);
   core::StageMetrics batch_metrics;
-  const auto expect = core::try_localize(batch, {}, &batch_metrics);
+  obs::MetricsRegistry batch_registry;
+  const obs::ObsContext batch_obs{&batch_registry, nullptr, 1};
+  const auto expect = core::try_localize(batch, {}, &batch_metrics, &batch_obs);
   ASSERT_TRUE(expect.has_value());
   ASSERT_TRUE(expect->valid);
+  const AspCounts want = asp_counts(batch_registry);
+  EXPECT_GT(want.gates, 0.0);
   const SplitSession s = split(batch);
 
   std::vector<core::StreamEvent> base_events;
   for (const auto& slices : chunkings(s.mic1.size())) {
     std::vector<core::StreamEvent> events;
     core::StageMetrics metrics;
-    const auto got = run_streamed(s, slices, &events, nullptr, &metrics);
+    obs::MetricsRegistry registry;
+    const obs::ObsContext obs{&registry, nullptr, 1};
+    const auto got = run_streamed(s, slices, &events, nullptr, &metrics, &obs);
     ASSERT_TRUE(got.has_value());
     expect_identical(*got, *expect);
+    expect_batch_asp_work(registry, want);
     EXPECT_EQ(metrics.chirps_mic1, batch_metrics.chirps_mic1);
     EXPECT_EQ(metrics.chirps_mic2, batch_metrics.chirps_mic2);
     EXPECT_EQ(metrics.sfo_estimated, batch_metrics.sfo_estimated);
@@ -187,16 +218,23 @@ TEST(StreamingSession, FixBitIdenticalToBatchForEveryChunking2D) {
 
 TEST(StreamingSession, FixBitIdenticalToBatchForEveryChunking3D) {
   const sim::Session batch = make_session(810, /*two_statures=*/true);
-  const auto expect = core::try_localize(batch, {});
+  obs::MetricsRegistry batch_registry;
+  const obs::ObsContext batch_obs{&batch_registry, nullptr, 1};
+  const auto expect = core::try_localize(batch, {}, nullptr, &batch_obs);
   ASSERT_TRUE(expect.has_value());
+  const AspCounts want = asp_counts(batch_registry);
+  EXPECT_GT(want.gates, 0.0);
   const SplitSession s = split(batch);
 
   std::vector<core::StreamEvent> base_events;
   for (const auto& slices : chunkings(s.mic1.size())) {
     std::vector<core::StreamEvent> events;
-    const auto got = run_streamed(s, slices, &events);
+    obs::MetricsRegistry registry;
+    const obs::ObsContext obs{&registry, nullptr, 1};
+    const auto got = run_streamed(s, slices, &events, nullptr, nullptr, &obs);
     ASSERT_TRUE(got.has_value());
     expect_identical(*got, *expect);
+    expect_batch_asp_work(registry, want);
     if (base_events.empty()) {
       base_events = events;
     } else {
@@ -375,19 +413,6 @@ TEST(StreamingSession, RingReservesOneGateWindowPastTheHead) {
   expect_reservation_follows_schedule(short_period, false);
 }
 
-/// The session's ASP work counters over a whole-recording run.
-struct AspCounts {
-  double lags = 0.0;
-  double gates = 0.0;
-  double fallback = 0.0;
-};
-
-AspCounts asp_counts(obs::MetricsRegistry& r) {
-  return {r.counter("asp.correlated_lags_total").value(),
-          r.counter("asp.gates_total").value(),
-          r.counter("asp.acquisition_fallback_total").value()};
-}
-
 TEST(StreamingSession, FallbackAndClippedGateMatchBatchForEveryChunking) {
   // The two schedules the property tests above do not reach: a head
   // without a chirp (the fallback's chunk schedule after the head) and a
@@ -425,23 +450,17 @@ TEST(StreamingSession, FallbackAndClippedGateMatchBatchForEveryChunking) {
     EXPECT_EQ(want.gates > 0.0, fallback == 0.0);
     const SplitSession s = split(*batch);
     for (const auto& slices : chunkings(s.mic1.size())) {
-      const auto got = run_streamed(s, slices);
+      obs::MetricsRegistry registry;
+      const obs::ObsContext obs{&registry, nullptr, 1};
+      const auto got = run_streamed(s, slices, nullptr, nullptr, nullptr, &obs);
       ASSERT_EQ(got.has_value(), expect.has_value());
       if (expect.has_value()) {
         expect_identical(*got, *expect);
       } else {
         EXPECT_EQ(got.error().message, expect.error().message);
       }
+      expect_batch_asp_work(registry, want);
     }
-    core::StreamingSession stream(s.meta);
-    stream.push(s.mic1, s.mic2);
-    obs::MetricsRegistry stream_registry;
-    const obs::ObsContext stream_obs{&stream_registry, nullptr, 1};
-    (void)stream.finalize(nullptr, &stream_obs);
-    const AspCounts got = asp_counts(stream_registry);
-    EXPECT_EQ(got.lags, want.lags);
-    EXPECT_EQ(got.gates, want.gates);
-    EXPECT_EQ(got.fallback, want.fallback);
   }
 }
 
@@ -537,8 +556,15 @@ TEST(StreamingSession, StreamOnlyThreadKeepsOneStreamingChunkOfScratch) {
                                       s.meta.audio.sample_rate);
   const dsp::MatchedFilterDetector& det = context.detector();
   const std::size_t chunk_lags = det.chunk_pairs() * det.pair_lags();
+  core::SessionWorkspace workspace;
   std::thread streamer([&] {
-    ASSERT_TRUE(run_streamed(s, {4410}).has_value());
+    core::StreamingSession session(s.meta, {}, nullptr, &workspace);
+    for (std::size_t pos = 0; pos < s.mic1.size(); pos += 4410) {
+      const std::size_t len = std::min<std::size_t>(4410, s.mic1.size() - pos);
+      session.push(std::span<const double>(s.mic1).subspan(pos, len),
+                   std::span<const double>(s.mic2).subspan(pos, len));
+    }
+    ASSERT_TRUE(session.finalize().has_value());
     const core::ThreadScratchLease lease;
     const core::ChunkScratch& scratch = lease.scratch();
     EXPECT_GT(scratch.detector.raw.capacity(), 0u);  // it did detect here
@@ -546,11 +572,13 @@ TEST(StreamingSession, StreamOnlyThreadKeepsOneStreamingChunkOfScratch) {
     // The normalizer's energies plus one pair's prefix sums.
     EXPECT_LE(scratch.detector.prefix.capacity(),
               chunk_lags + det.pair_lags() + det.reference().size());
-    // It ran gates too, and its gate staging holds one gate.
-    EXPECT_GT(scratch.gate.hi, 0u);
-    EXPECT_LE(scratch.gate.hi - scratch.gate.lo, 2 * det.gate_half_width());
   });
   streamer.join();
+  // It ran gates too, and the session's workspace stages one gate.
+  const std::vector<dsp::GatePass>& gates = workspace.gate_passes();
+  ASSERT_EQ(gates.size(), 1u);
+  EXPECT_GT(gates[0].hi, 0u);
+  EXPECT_LE(gates[0].hi - gates[0].lo, 2 * det.gate_half_width());
 }
 
 TEST(StreamingSession, ErrorTaxonomyMatchesBatch) {
